@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import METHODS, SWEEP_AXES, load_config
-from .harness import run, sweep
+from .config import METHODS, load_config
+from .harness import SWEEP_AXES, run, sweep
 
 
 def build_parser() -> argparse.ArgumentParser:

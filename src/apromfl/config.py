@@ -15,7 +15,6 @@ from pathlib import Path
 from .data import SyntheticSpec
 
 METHODS = ("apromfl", "local", "fediot")
-SWEEP_AXES = ("K", "O", "alpha", "clients", "mapping_layers")
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,8 @@ def validate_config(config: ExperimentConfig) -> None:
             fail(name, "must be >= 0")
     if config.num_clients < 1:
         fail("clients_multimodal", "need at least one client in total")
+    if config.clients_multimodal > 0 and config.batch_size < 2:
+        fail("batch_size", "must be >= 2 with multimodal clients (retrieval needs 2 pairs)")
     if config.num_global_prototypes < 1:
         fail("num_global_prototypes", "must be >= 1")
     if config.completion_top_o < 1:

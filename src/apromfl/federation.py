@@ -226,7 +226,7 @@ def unimodal_client_round(
             emb, trace = forward_map_trace(mapper, x)
             logits = forward_head(head, emb)
             task, d_logits = cross_entropy_batch(logits, y)
-            head_tape, d_emb = backward_head(head, emb, d_logits)
+            head_grad, d_emb = backward_head(head, emb, d_logits)
             gpt_value = gmt_value = 0.0
             if use_gpt:
                 gpt_value, grad = gpt_loss_batch(emb, img_protos, txt_protos, ctx.tau)
@@ -236,9 +236,9 @@ def unimodal_client_round(
                 global_task = cross_entropy_batch(forward_head(head, global_emb), y)[0]
                 gmt_value, grad = gmt_loss_batch(emb, global_emb, task, global_task, ctx)
                 d_emb = d_emb + rc.beta2 * grad
-            tape, _ = backward(mapper, trace, d_emb)
-            mapper = sgd_step(mapper, tape, rc.lr)
-            head = sgd_step_head(head, head_tape, rc.lr)
+            grad, _ = backward(mapper, trace, d_emb)
+            mapper = sgd_step(mapper, grad, rc.lr)
+            head = sgd_step_head(head, head_grad, rc.lr)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=0.0)
     terms = meter.means()
     protos = label_guided_prototypes(
@@ -318,14 +318,14 @@ def multimodal_client_round(
                 gmt_value = 0.5 * (v_img + v_txt)
                 g_img = g_img + 0.5 * rc.beta2 * a_img
                 g_txt = g_txt + 0.5 * rc.beta2 * a_txt
-            lmr_img, lmr_tape_img = lmr_loss(mapper_img, c_img, rc.lmr_weight)
-            lmr_txt, lmr_tape_txt = lmr_loss(mapper_txt, c_txt, rc.lmr_weight)
-            tape_img, _ = backward(mapper_img, tr_img, g_img)
-            tape_txt, _ = backward(mapper_txt, tr_txt, g_txt)
-            tape_img.add_(lmr_tape_img)
-            tape_txt.add_(lmr_tape_txt)
-            mapper_img = sgd_step(mapper_img, tape_img, rc.lr)
-            mapper_txt = sgd_step(mapper_txt, tape_txt, rc.lr)
+            lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, rc.lmr_weight)
+            lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, rc.lmr_weight)
+            grad_img, _ = backward(mapper_img, tr_img, g_img)
+            grad_txt, _ = backward(mapper_txt, tr_txt, g_txt)
+            grad_img += lmr_grad_img
+            grad_txt += lmr_grad_txt
+            mapper_img = sgd_step(mapper_img, grad_img, rc.lr)
+            mapper_txt = sgd_step(mapper_txt, grad_txt, rc.lr)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=lmr_img + lmr_txt)
     terms = meter.means()
     message = RoundMessage(
@@ -383,14 +383,19 @@ class RelationshipGraph:
     weights: np.ndarray
 
 
-def relationship_weights(modules: list[MappingModule], modality: str = "image") -> RelationshipGraph:
+def _stack_params(modules: list[MappingModule]) -> np.ndarray:
+    """(n, P) stack of the modules' parameters; they must share one architecture."""
     if not modules:
         raise ValueError("need at least one module")
     first = modules[0]
     for m in modules[1:]:
         if not same_architecture(first, m):
             raise ValueError(f"architecture mismatch: {first.dims} vs {m.dims}")
-    flats = [flatten_module(m) for m in modules]
+    return np.stack([m.params for m in modules])
+
+
+def relationship_weights(modules: list[MappingModule], modality: str = "image") -> RelationshipGraph:
+    flats = _stack_params(modules)
     n = len(flats)
     sim = np.eye(n)
     for i in range(n):
@@ -405,8 +410,8 @@ def aggregate_modules(graph: RelationshipGraph, modules: list[MappingModule]) ->
     """Personalised aggregation: client i receives sum_j w_ij * theta_j."""
     if graph.weights.shape != (len(modules), len(modules)):
         raise ValueError("graph was not built over these modules")
-    flats = np.stack([flatten_module(m) for m in modules])
-    return [unflatten_module(modules[i], graph.weights[i] @ flats) for i in range(len(modules))]
+    flats = _stack_params(modules)
+    return [unflatten_module(m.dims, row @ flats) for m, row in zip(modules, graph.weights)]
 
 
 def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
@@ -416,21 +421,13 @@ def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
     :func:`aggregate_modules` so the two agree bit-for-bit under uniform
     weights.
     """
-    if not modules:
-        raise ValueError("need at least one module")
-    first = modules[0]
-    for m in modules[1:]:
-        if not same_architecture(first, m):
-            raise ValueError(f"architecture mismatch: {first.dims} vs {m.dims}")
-    flats = np.stack([flatten_module(m) for m in modules])
+    flats = _stack_params(modules)
     uniform = np.full(len(modules), 1.0 / len(modules))
-    return unflatten_module(first, uniform @ flats)
+    return unflatten_module(modules[0].dims, uniform @ flats)
 
 
 def _average_heads(heads: list[ClassifierHead]) -> ClassifierHead:
-    weights = np.mean([h.weights for h in heads], axis=0)
-    bias = np.mean([h.bias for h in heads], axis=0)
-    return ClassifierHead(weights, bias)
+    return ClassifierHead(heads[0].dims, np.mean([h.params for h in heads], axis=0))
 
 
 # -- experiment setup ----------------------------------------------------------
@@ -459,7 +456,13 @@ def _encoder_for(config: ExperimentConfig, modality: str, view_dim: int) -> Enco
     return make_projection_encoder(seed, view_dim, config.encoder_dim)
 
 
-def _mapping_dims(config: ExperimentConfig, in_dim: int) -> tuple[int, ...]:
+def _module_dims(config: ExperimentConfig, modality: str) -> tuple[int, ...]:
+    """Layer widths of every client's mapping module for ``modality``."""
+    if config.encoder_kind == "identity":
+        spec = config.synthetic
+        in_dim = spec.image_dim if modality == "image" else spec.text_dim
+    else:
+        in_dim = config.encoder_dim
     if config.mapping_layers == 1:
         return (in_dim, config.embed_dim)
     return (in_dim, config.hidden_dim, config.hidden_dim, config.embed_dim)
@@ -493,13 +496,9 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
     spec = config.synthetic
     image_encoder = _encoder_for(config, "image", spec.image_dim)
     text_encoder = _encoder_for(config, "text", spec.text_dim)
-    enc_dim = {
-        "image": spec.image_dim if config.encoder_kind == "identity" else config.encoder_dim,
-        "text": spec.text_dim if config.encoder_kind == "identity" else config.encoder_dim,
-    }
     init_mapper = {
         m: init_mapping_module(
-            _mapping_dims(config, enc_dim[m]), seeded_rng(config.seed, "init", "mapper", m)
+            _module_dims(config, m), seeded_rng(config.seed, "init", "mapper", m)
         )
         for m in ("image", "text")
     }
@@ -578,8 +577,16 @@ def _aggregate_prototypes(
     return build_global_prototypes(all_pairs, k, rng, round_index=round_index)
 
 
-def _modality_participants(messages: list[RoundMessage], modality: str) -> list[int]:
-    return [m.client_id for m in messages if modality in m.module_params]
+def _received_modules(
+    messages: list[RoundMessage], config: ExperimentConfig, modality: str
+) -> tuple[list[int], list[MappingModule]]:
+    """Ids of the clients that uploaded a ``modality`` module, and the modules."""
+    dims = _module_dims(config, modality)
+    senders = [m for m in messages if modality in m.module_params]
+    return (
+        [m.client_id for m in senders],
+        [unflatten_module(dims, m.module_params[modality]) for m in senders],
+    )
 
 
 def _apromfl_server(
@@ -587,55 +594,39 @@ def _apromfl_server(
 ) -> None:
     config = experiment.config
     global_set = _aggregate_prototypes(messages, config, round_index)
-    by_id = {m.client_id: m for m in messages}
     personalized: dict[int, dict[str, MappingModule]] = {m.client_id: {} for m in messages}
     for modality in ("image", "text"):
-        ids = _modality_participants(messages, modality)
+        ids, modules = _received_modules(messages, config, modality)
         if not ids:
             continue
-        template = _module_template(experiment, ids[0], modality)
-        modules = [unflatten_module(template, by_id[i].module_params[modality]) for i in ids]
         graph = relationship_weights(modules, modality=modality)
         for cid, aggregated in zip(ids, aggregate_modules(graph, modules)):
             personalized[cid][modality] = aggregated
 
+    broadcast = replace(_empty_context(config), global_prototypes=global_set)
     for idx, state in enumerate(experiment.clients):
         mods = personalized.get(state.client_id, {})
         if isinstance(state, UnimodalClientState):
             new_mapper = mods.get(state.modality, state.mapper)
             experiment.clients[idx] = replace(state, mapper=new_mapper)
-            experiment.contexts[idx] = TransferContext(
-                tau=config.tau,
-                nu_max=config.nu_max,
-                distill_tau=config.distill_tau,
-                global_prototypes=global_set,
-                image_module=new_mapper if state.modality == "image" else None,
-                text_module=new_mapper if state.modality == "text" else None,
+            experiment.contexts[idx] = replace(
+                broadcast, **{f"{state.modality}_module": new_mapper}
             )
         else:
             new_img = mods.get("image", state.image_mapper)
             new_txt = mods.get("text", state.text_mapper)
             experiment.clients[idx] = replace(state, image_mapper=new_img, text_mapper=new_txt)
-            experiment.contexts[idx] = TransferContext(
-                tau=config.tau,
-                nu_max=config.nu_max,
-                distill_tau=config.distill_tau,
-                global_prototypes=global_set,
-                image_module=new_img,
-                text_module=new_txt,
+            experiment.contexts[idx] = replace(
+                broadcast, image_module=new_img, text_module=new_txt
             )
 
 
 def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None:
-    by_id = {m.client_id: m for m in messages}
     shared: dict[str, MappingModule] = {}
     for modality in ("image", "text"):
-        ids = _modality_participants(messages, modality)
-        if not ids:
-            continue
-        template = _module_template(experiment, ids[0], modality)
-        modules = [unflatten_module(template, by_id[i].module_params[modality]) for i in ids]
-        shared[modality] = fediot_aggregate(modules)
+        _, modules = _received_modules(messages, experiment.config, modality)
+        if modules:
+            shared[modality] = fediot_aggregate(modules)
     shared_heads: dict[str, ClassifierHead] = {}
     for modality in ("image", "text"):
         heads = [
@@ -658,13 +649,6 @@ def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None
                 image_mapper=shared.get("image", state.image_mapper),
                 text_mapper=shared.get("text", state.text_mapper),
             )
-
-
-def _module_template(experiment: Experiment, client_id: int, modality: str) -> MappingModule:
-    state = experiment.clients[client_id]
-    if isinstance(state, UnimodalClientState):
-        return state.mapper
-    return state.image_mapper if modality == "image" else state.text_mapper
 
 
 # -- evaluation and the round loop ----------------------------------------------

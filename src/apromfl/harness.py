@@ -157,24 +157,21 @@ def load_summary(out_dir) -> dict[str, str]:
     return dict(zip(header, values))
 
 
-AXIS_FIELDS = {
-    "K": ("num_global_prototypes", int),
-    "O": ("completion_top_o", int),
-    "alpha": ("alpha", float),
-    "mapping_layers": ("mapping_layers", int),
+#: Sweep axis -> the config fields it sets and the type of its values.
+SWEEP_AXES = {
+    "K": (("num_global_prototypes",), int),
+    "O": (("completion_top_o",), int),
+    "alpha": (("alpha",), float),
+    "clients": (("clients_multimodal", "clients_image", "clients_text"), int),
+    "mapping_layers": (("mapping_layers",), int),
 }
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "clients":
-        n = int(value)
-        return replace(
-            config, clients_multimodal=n, clients_image=n, clients_text=n
-        )
-    if axis not in AXIS_FIELDS:
+    if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    name, cast = AXIS_FIELDS[axis]
-    return replace(config, **{name: cast(value)})
+    names, cast = SWEEP_AXES[axis]
+    return replace(config, **dict.fromkeys(names, cast(value)))
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir) -> Path:

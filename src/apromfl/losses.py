@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import GradientTape, MappingModule, same_architecture
+from .nn import MappingModule, same_architecture
 from .numerics import KL_EPS, ClusterAssignment, logsumexp, require_finite
 from .prototypes import GlobalPrototypeSet
 
@@ -261,17 +261,8 @@ def lmr_loss(module: MappingModule, anchor: MappingModule, weight: float):
         raise ValueError(f"weight must be >= 0, got {weight}")
     if not same_architecture(module, anchor):
         raise ValueError(f"architecture mismatch: {module.dims} vs {anchor.dims}")
-    value = 0.0
-    d_weights, d_biases = [], []
-    for w, wa in zip(module.weights, anchor.weights):
-        diff = w - wa
-        value += float((diff**2).sum())
-        d_weights.append(2.0 * weight * diff)
-    for b, ba in zip(module.biases, anchor.biases):
-        diff = b - ba
-        value += float((diff**2).sum())
-        d_biases.append(2.0 * weight * diff)
-    return weight * value, GradientTape(d_weights, d_biases)
+    diff = module.params - anchor.params
+    return weight * float(diff @ diff), 2.0 * weight * diff
 
 
 # -- global prototype transfer -----------------------------------------------

@@ -2,7 +2,10 @@
 hand-written forward/backward passes and plain SGD.
 
 Weights are stored ``(d_in, d_out)`` so a batch forward is ``x @ W + b``.
-ReLU sits between layers and the final layer is linear. Models are frozen
+ReLU sits between layers and the final layer is linear. Each model holds
+one contiguous, read-only float64 parameter vector laid out W0, b0, W1, b1,
+...; its per-layer weights and biases are views of that vector, and every
+gradient is a plain vector of the same length. Models are frozen
 dataclasses; every update builds a new value, which keeps concurrent client
 training trivially safe. Encoders are frozen stand-ins for large pretrained
 backbones: either the identity or a fixed seeded random projection.
@@ -11,7 +14,7 @@ backbones: either the identity or a fixed seeded random projection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,77 +25,94 @@ from .numerics import Rng, require_finite, seeded_rng
 MODULE_FORMAT = "mapping-module/v1"
 
 
-@dataclass(frozen=True)
+def _param_count(dims) -> int:
+    """Length of the flat parameter vector of a net with layer widths ``dims``."""
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def _check_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"bad layer dims {dims}")
+    return dims
+
+
+def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer weight and bias views of a vector laid out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    pos = 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[pos : pos + d_in * d_out].reshape(d_in, d_out))
+        pos += d_in * d_out
+        biases.append(flat[pos : pos + d_out])
+        pos += d_out
+    return tuple(weights), tuple(biases)
+
+
+def _freeze(model, dims, params):
+    """Store checked ``dims`` and a read-only view of ``params`` on a frozen
+    model, and return the per-layer views. A contiguous float64 array is not
+    copied, and its own flags are left alone."""
+    dims = _check_dims(dims)
+    params = np.ascontiguousarray(params, dtype=float).view()
+    count = _param_count(dims)
+    if params.shape != (count,):
+        raise ValueError(f"flat vector length {params.size} != parameter count {count}")
+    params.flags.writeable = False
+    object.__setattr__(model, "dims", dims)
+    object.__setattr__(model, "params", params)
+    return _layer_views(params, dims)
+
+
+@dataclass(frozen=True, eq=False)
 class MappingModule:
     """Fully connected net projecting encoder features into the shared space."""
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    dims: tuple[int, ...]  # layer widths, input to output
+    params: np.ndarray
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be non-empty and aligned")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError(f"layer {i} has inconsistent shapes")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
-                raise ValueError(f"layer {i} input dim does not chain")
+        weights, biases = _freeze(self, self.dims, self.params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+
+    def __reduce__(self):
+        # pickle the vector once; unpickling rebuilds the views onto it
+        return MappingModule, (self.dims, self.params)
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.in_dim,) + tuple(w.shape[1] for w in self.weights)
+        return self.dims[0]
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.dims) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifierHead:
     """Single linear layer producing class logits."""
 
-    weights: np.ndarray  # (d_in, num_classes)
-    bias: np.ndarray  # (num_classes,)
+    dims: tuple[int, int]  # (d_in, num_classes)
+    params: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)  # (d_in, num_classes)
+    bias: np.ndarray = field(init=False, repr=False)  # (num_classes,)
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[1]
+    def __post_init__(self):
+        if len(self.dims) != 2:
+            raise ValueError(f"a classifier head has one layer, got dims {tuple(self.dims)}")
+        (weights,), (bias,) = _freeze(self, self.dims, self.params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
+
+    def __reduce__(self):
+        return ClassifierHead, (self.dims, self.params)
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass
-class GradientTape:
-    """Per-parameter gradient buffers mirroring a model's layer layout."""
-
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, model) -> "GradientTape":
-        if isinstance(model, ClassifierHead):
-            return cls([np.zeros_like(model.weights)], [np.zeros_like(model.bias)])
-        return cls(
-            [np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases],
-        )
-
-    def add_(self, other: "GradientTape", scale: float = 1.0) -> "GradientTape":
-        for mine, theirs in zip(self.d_weights, other.d_weights):
-            mine += scale * theirs
-        for mine, theirs in zip(self.d_biases, other.d_biases):
-            mine += scale * theirs
-        return self
+        return self.dims[0]
 
 
 @dataclass
@@ -105,19 +125,17 @@ class ForwardTrace:
 
 def init_mapping_module(dims, rng: Rng) -> MappingModule:
     """He-initialised weights, zero biases. ``dims`` chains input to output."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"bad layer dims {dims}")
-    weights, biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in))
-        biases.append(np.zeros(d_out))
-    return MappingModule(tuple(weights), tuple(biases))
+    dims = _check_dims(dims)
+    params = np.zeros(_param_count(dims))
+    for w in _layer_views(params, dims)[0]:
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    return MappingModule(dims, params)
 
 
 def init_classifier_head(in_dim: int, num_classes: int, rng: Rng) -> ClassifierHead:
     weights = rng.standard_normal((in_dim, num_classes)) / np.sqrt(in_dim)
-    return ClassifierHead(weights, np.zeros(num_classes))
+    params = np.concatenate([weights.ravel(), np.zeros(num_classes)])
+    return ClassifierHead((in_dim, num_classes), params)
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -157,27 +175,25 @@ def forward_map_trace(module: MappingModule, x) -> tuple[np.ndarray, ForwardTrac
     return h, ForwardTrace(inputs, preacts)
 
 
-def backward(
-    module: MappingModule, trace: ForwardTrace, upstream
-) -> tuple[GradientTape, np.ndarray]:
+def backward(module: MappingModule, trace: ForwardTrace, upstream) -> tuple[np.ndarray, np.ndarray]:
     """Exact reverse-mode gradients for a recorded forward pass.
 
-    ``upstream`` is dL/d(output), shaped like the traced output. Returns the
-    parameter tape and dL/d(input).
+    ``upstream`` is dL/d(output), shaped like the traced output. Returns
+    dL/d(params), a flat vector in the module's layout, and dL/d(input).
     """
     g, _ = _as_batch(upstream)
     if len(trace.layer_inputs) != module.num_layers:
         raise ValueError("trace does not match module architecture")
-    d_weights = [None] * module.num_layers
-    d_biases = [None] * module.num_layers
+    grad = np.empty(module.params.size)
+    d_weights, d_biases = _layer_views(grad, module.dims)
     last = module.num_layers - 1
     for i in range(last, -1, -1):
         if i != last:
             g = g * (trace.preacts[i] > 0)
-        d_weights[i] = trace.layer_inputs[i].T @ g
-        d_biases[i] = g.sum(axis=0)
+        np.matmul(trace.layer_inputs[i].T, g, out=d_weights[i])
+        g.sum(axis=0, out=d_biases[i])
         g = g @ module.weights[i].T
-    return GradientTape(d_weights, d_biases), g
+    return grad, g
 
 
 def forward_head(head: ClassifierHead, x) -> np.ndarray:
@@ -188,75 +204,46 @@ def forward_head(head: ClassifierHead, x) -> np.ndarray:
     return logits[0] if squeeze else logits
 
 
-def backward_head(head: ClassifierHead, x, upstream) -> tuple[GradientTape, np.ndarray]:
+def backward_head(head: ClassifierHead, x, upstream) -> tuple[np.ndarray, np.ndarray]:
     batch, _ = _as_batch(x)
     g, _ = _as_batch(upstream)
-    tape = GradientTape([batch.T @ g], [g.sum(axis=0)])
-    return tape, g @ head.weights.T
+    grad = np.empty(head.params.size)
+    (d_weights,), (d_bias,) = _layer_views(grad, head.dims)
+    np.matmul(batch.T, g, out=d_weights)
+    g.sum(axis=0, out=d_bias)
+    return grad, g @ head.weights.T
 
 
-def _check_tape_finite(tape: GradientTape):
-    for arr in (*tape.d_weights, *tape.d_biases):
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite gradient; aborting update")
+def _descend(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient; aborting update")
+    return params - lr * grad
 
 
-def sgd_step(module: MappingModule, tape: GradientTape, lr: float) -> MappingModule:
+def sgd_step(module: MappingModule, grad: np.ndarray, lr: float) -> MappingModule:
     """theta' = theta - lr * grad, as a new immutable module."""
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    _check_tape_finite(tape)
-    weights = tuple(w - lr * dw for w, dw in zip(module.weights, tape.d_weights))
-    biases = tuple(b - lr * db for b, db in zip(module.biases, tape.d_biases))
-    return MappingModule(weights, biases)
+    return MappingModule(module.dims, _descend(module.params, grad, lr))
 
 
-def sgd_step_head(head: ClassifierHead, tape: GradientTape, lr: float) -> ClassifierHead:
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    _check_tape_finite(tape)
-    return ClassifierHead(
-        head.weights - lr * tape.d_weights[0], head.bias - lr * tape.d_biases[0]
-    )
+def sgd_step_head(head: ClassifierHead, grad: np.ndarray, lr: float) -> ClassifierHead:
+    return ClassifierHead(head.dims, _descend(head.params, grad, lr))
 
 
 def flatten_module(module: MappingModule) -> np.ndarray:
-    """Canonical flat parameter vector: W then b, layer by layer."""
-    parts = []
-    for w, b in zip(module.weights, module.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    """Canonical flat parameter vector: W then b, layer by layer. No copy."""
+    return module.params
 
 
-def unflatten_module(template: MappingModule, flat: np.ndarray) -> MappingModule:
-    flat = np.asarray(flat, dtype=float)
-    weights, biases = [], []
-    pos = 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(flat[pos : pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(flat[pos : pos + b.size].copy())
-        pos += b.size
-    if pos != flat.size:
-        raise ValueError(f"flat vector length {flat.size} != parameter count {pos}")
-    return MappingModule(tuple(weights), tuple(biases))
+def unflatten_module(dims, flat) -> MappingModule:
+    """Wrap a flat parameter vector as a module with layer widths ``dims``,
+    without copying; raises if its length does not match."""
+    return MappingModule(dims, flat)
 
 
 def same_architecture(a: MappingModule, b: MappingModule) -> bool:
     return a.dims == b.dims
-
-
-def module_distance_sq(a: MappingModule, b: MappingModule) -> float:
-    """Sum of squared parameter differences over all layers."""
-    if not same_architecture(a, b):
-        raise ValueError(f"architecture mismatch: {a.dims} vs {b.dims}")
-    total = 0.0
-    for wa, wb in zip(a.weights, b.weights):
-        total += float(((wa - wb) ** 2).sum())
-    for ba, bb in zip(a.biases, b.biases):
-        total += float(((ba - bb) ** 2).sum())
-    return total
 
 
 # frozen encoders ------------------------------------------------------------
@@ -320,7 +307,5 @@ def load_mapping_module(path) -> MappingModule:
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != MODULE_FORMAT:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
-    dims = payload["dims"]
-    template = init_mapping_module(dims, seeded_rng(0, "checkpoint-template"))
     flat = require_finite(_serde.decode_array(payload["params"]), "checkpoint params")
-    return unflatten_module(template, flat)
+    return unflatten_module(payload["dims"], flat)

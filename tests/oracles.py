@@ -76,21 +76,11 @@ def fd_wrt_modules(loss_of_modules, modules: list, h: float = 1e-5) -> np.ndarra
     def f(x):
         rebuilt, pos = [], 0
         for template, size in zip(modules, sizes):
-            rebuilt.append(unflatten_module(template, x[pos : pos + size]))
+            rebuilt.append(unflatten_module(template.dims, x[pos : pos + size]))
             pos += size
         return loss_of_modules(rebuilt)
 
     return finite_difference(f, np.concatenate(flats), h)
-
-
-def flatten_tapes(tapes: list) -> np.ndarray:
-    """Flatten GradientTapes in the same layout as flatten_module."""
-    parts = []
-    for tape in tapes:
-        for dw, db in zip(tape.d_weights, tape.d_biases):
-            parts.append(np.asarray(dw).ravel())
-            parts.append(np.asarray(db).ravel())
-    return np.concatenate(parts)
 
 
 def min_abs_preact(module, x) -> float:

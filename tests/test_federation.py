@@ -29,7 +29,6 @@ from apromfl.nn import (
     forward_map,
     init_classifier_head,
     init_mapping_module,
-    module_distance_sq,
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
@@ -112,7 +111,7 @@ class TestRelationshipWeights:
     def test_scale_invariance(self):
         mods = modules(3, key=2)
         scaled = [
-            unflatten_module(m, 2.5 * flatten_module(m)) for m in mods
+            unflatten_module(m.dims, 2.5 * flatten_module(m)) for m in mods
         ]
         a = relationship_weights(mods).weights
         b = relationship_weights(scaled).weights
@@ -159,8 +158,8 @@ class TestFediotAggregate:
 
     def test_simple_mean(self):
         template = modules(1, key=7)[0]
-        zeros = unflatten_module(template, np.zeros(flatten_module(template).size))
-        twos = unflatten_module(template, np.full(flatten_module(template).size, 2.0))
+        zeros = unflatten_module(template.dims, np.zeros(template.params.size))
+        twos = unflatten_module(template.dims, np.full(template.params.size, 2.0))
         out = fediot_aggregate([zeros, twos])
         assert np.allclose(flatten_module(out), 1.0)
 
@@ -293,10 +292,9 @@ class TestMultimodalClientRound:
             trained, _ = multimodal_client_round(
                 state, empty_ctx(), round_cfg(lmr_weight=weight, epochs=3)
             )
-            gaps.append(
-                module_distance_sq(trained.image_mapper, trained.cluster_image_mapper)
-                + module_distance_sq(trained.text_mapper, trained.cluster_text_mapper)
-            )
+            gap_img = trained.image_mapper.params - trained.cluster_image_mapper.params
+            gap_txt = trained.text_mapper.params - trained.cluster_text_mapper.params
+            gaps.append(float(gap_img @ gap_img + gap_txt @ gap_txt))
         assert gaps[0] > gaps[1] > gaps[2]
 
 

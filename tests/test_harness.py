@@ -70,6 +70,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="alpha"):
             load_config(path)
 
+    def test_batch_size_one_with_multimodal_clients_names_field(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("batch_size = 1\n")
+        with pytest.raises(ValueError, match="batch_size"):
+            load_config(path)
+        path.write_text("batch_size = 1\nclients_multimodal = 0\n")
+        assert load_config(path).batch_size == 1
+
     def test_round_trip_is_canonical(self, tiny_config_file):
         config = load_config(tiny_config_file)
         canonical = serialize_config(config)

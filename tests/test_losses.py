@@ -26,7 +26,7 @@ from apromfl.losses import (
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
 from apromfl.numerics import ClusterAssignment, seeded_rng
-from oracles import fd_wrt_arrays, flatten_tapes, grad_rel_error
+from oracles import fd_wrt_arrays, grad_rel_error
 
 TAU = 0.5
 
@@ -235,19 +235,25 @@ class TestLmrLoss:
     def test_arithmetic(self):
         a = init_mapping_module((3, 4, 2), seeded_rng(506))
         flat = flatten_module(a)
-        bumped = unflatten_module(a, flat + np.isin(np.arange(flat.size), [1, 4, 8, 11]))
-        value, tape = lmr_loss(bumped, a, 0.5)
+        bumped = unflatten_module(a.dims, flat + np.isin(np.arange(flat.size), [1, 4, 8, 11]))
+        value, grad = lmr_loss(bumped, a, 0.5)
         assert value == pytest.approx(2.0)
-        assert np.allclose(np.abs(flatten_tapes([tape])).sum(), 4.0)
+        assert np.allclose(np.abs(grad).sum(), 4.0)
 
     def test_gradient_finite_difference(self):
         a = init_mapping_module((3, 4, 2), seeded_rng(507, "a"))
         anchor = init_mapping_module((3, 4, 2), seeded_rng(507, "b"))
-        _, tape = lmr_loss(a, anchor, 0.3)
+        _, grad = lmr_loss(a, anchor, 0.3)
         from oracles import fd_wrt_modules
 
         numeric = fd_wrt_modules(lambda ms: lmr_loss(ms[0], anchor, 0.3)[0], [a])
-        assert grad_rel_error(flatten_tapes([tape]), numeric) < 1e-4
+        assert grad_rel_error(grad, numeric) < 1e-4
+
+    def test_architecture_mismatch(self):
+        a = init_mapping_module((3, 4, 2), seeded_rng(508, "a"))
+        b = init_mapping_module((3, 5, 2), seeded_rng(508, "b"))
+        with pytest.raises(ValueError, match="architecture mismatch"):
+            lmr_loss(a, b, 0.3)
 
 
 class TestAssignmentProbs:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from apromfl.nn import (
     ClassifierHead,
     Encoder,
-    GradientTape,
     MappingModule,
     backward,
     backward_head,
@@ -19,18 +20,23 @@ from apromfl.nn import (
     init_mapping_module,
     load_mapping_module,
     make_projection_encoder,
-    module_distance_sq,
     save_mapping_module,
     sgd_step,
     sgd_step_head,
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
-from oracles import fd_wrt_modules, flatten_tapes, grad_rel_error, min_abs_preact
+from oracles import fd_wrt_modules, grad_rel_error, min_abs_preact
 
 
 def small_module(dims=(4, 5, 3), key=0):
     return init_mapping_module(dims, seeded_rng(100, "module", key))
+
+
+def from_layers(weights, biases):
+    dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+    flat = np.concatenate([part.ravel() for wb in zip(weights, biases) for part in wb])
+    return MappingModule(dims, flat)
 
 
 class TestEncoder:
@@ -57,13 +63,11 @@ class TestEncoder:
 
 class TestForward:
     def test_identity_weights(self):
-        m = MappingModule((np.eye(2),), (np.zeros(2),))
+        m = from_layers((np.eye(2),), (np.zeros(2),))
         assert np.allclose(forward_map(m, [3.0, 4.0]), [3.0, 4.0])
 
     def test_relu_clamps_hidden_layer(self):
-        m = MappingModule(
-            (np.eye(2), np.eye(2)), (np.array([-5.0, 0.0]), np.zeros(2))
-        )
+        m = from_layers((np.eye(2), np.eye(2)), (np.array([-5.0, 0.0]), np.zeros(2)))
         out = forward_map(m, [3.0, 4.0])
         # hidden pre-activation (-2, 4) -> relu (0, 4)
         assert np.allclose(out, [0.0, 4.0])
@@ -88,18 +92,19 @@ class TestBackward:
         # loss = 0.5 ||W x + b||^2 -> dW = (Wx+b) x^T laid out as x (Wx+b)^T
         rng = seeded_rng(3)
         w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
-        m = MappingModule((w,), (b,))
+        m = from_layers((w,), (b,))
         x = rng.standard_normal(3)
         out, trace = forward_map_trace(m, x)
-        tape, dx = backward(m, trace, out)
-        assert np.allclose(tape.d_weights[0], np.outer(x, out[0]), atol=1e-12)
-        assert np.allclose(tape.d_biases[0], out[0], atol=1e-12)
+        grad, dx = backward(m, trace, out)
+        assert np.allclose(grad[:6].reshape(3, 2), np.outer(x, out[0]), atol=1e-12)
+        assert np.allclose(grad[6:], out[0], atol=1e-12)
 
     def test_zero_upstream_zero_gradients(self):
         m = small_module()
         _, trace = forward_map_trace(m, seeded_rng(4).standard_normal((3, 4)))
-        tape, dx = backward(m, trace, np.zeros((3, 3)))
-        assert all(np.all(g == 0) for g in tape.d_weights + tape.d_biases)
+        grad, dx = backward(m, trace, np.zeros((3, 3)))
+        assert grad.shape == m.params.shape
+        assert np.all(grad == 0)
         assert np.all(dx == 0)
 
     @pytest.mark.parametrize("dims", [(4, 3), (4, 6, 6, 3)])
@@ -114,63 +119,75 @@ class TestBackward:
                 return 0.5 * float((forward_map(modules[0], x) ** 2).sum())
 
             out, trace = forward_map_trace(m, x)
-            tape, _ = backward(m, trace, out)
+            grad, _ = backward(m, trace, out)
             numeric = fd_wrt_modules(loss, [m])
-            assert grad_rel_error(flatten_tapes([tape]), numeric) < 1e-4
+            assert grad_rel_error(grad, numeric) < 1e-4
 
 
 class TestSgd:
     def test_zero_grad_no_change(self):
         m = small_module()
-        stepped = sgd_step(m, GradientTape.zeros_like(m), lr=0.5)
+        stepped = sgd_step(m, np.zeros_like(m.params), lr=0.5)
         assert all(np.array_equal(a, b) for a, b in zip(m.weights, stepped.weights))
 
     def test_scalar_arithmetic(self):
-        m = MappingModule((np.array([[1.0]]),), (np.array([0.0]),))
-        tape = GradientTape([np.array([[2.0]])], [np.array([0.0])])
-        assert sgd_step(m, tape, lr=0.1).weights[0][0, 0] == pytest.approx(0.8)
+        m = MappingModule((1, 1), np.array([1.0, 0.0]))
+        assert sgd_step(m, np.array([2.0, 0.0]), lr=0.1).weights[0][0, 0] == pytest.approx(0.8)
 
     def test_deterministic(self):
         m = small_module()
         out, trace = forward_map_trace(m, seeded_rng(5).standard_normal((2, 4)))
-        tape, _ = backward(m, trace, out)
-        s1 = sgd_step(m, tape, 0.05)
-        s2 = sgd_step(m, tape, 0.05)
+        grad, _ = backward(m, trace, out)
+        s1 = sgd_step(m, grad, 0.05)
+        s2 = sgd_step(m, grad, 0.05)
         assert all(np.array_equal(a, b) for a, b in zip(s1.weights, s2.weights))
 
     def test_non_finite_gradient_rejected(self):
         m = small_module()
-        tape = GradientTape.zeros_like(m)
-        tape.d_weights[0][0, 0] = np.nan
+        grad = np.zeros_like(m.params)
+        grad[0] = np.nan
         with pytest.raises(ValueError):
-            sgd_step(m, tape, 0.1)
+            sgd_step(m, grad, 0.1)
 
 
 class TestFlatten:
     @given(st.integers(0, 10_000))
     def test_round_trip_exact(self, key):
         m = init_mapping_module((3, 5, 2), seeded_rng(300, key))
-        rebuilt = unflatten_module(m, flatten_module(m))
+        rebuilt = unflatten_module(m.dims, flatten_module(m))
         assert all(np.array_equal(a, b) for a, b in zip(m.weights, rebuilt.weights))
         assert all(np.array_equal(a, b) for a, b in zip(m.biases, rebuilt.biases))
 
-    def test_distance_matches_flatten_oracle(self):
-        for trial in range(30):
-            a = init_mapping_module((4, 6, 3), seeded_rng(301, trial, "a"))
-            b = init_mapping_module((4, 6, 3), seeded_rng(301, trial, "b"))
-            oracle = float(((flatten_module(a) - flatten_module(b)) ** 2).sum())
-            assert module_distance_sq(a, b) == pytest.approx(oracle, rel=1e-12)
+    def test_flatten_returns_the_parameters_without_copying(self):
+        m = small_module()
+        assert flatten_module(m) is m.params
+        assert np.shares_memory(m.weights[0], m.params)
+        assert np.shares_memory(m.biases[-1], m.params)
 
-    def test_distance_examples(self):
-        a = small_module()
-        assert module_distance_sq(a, a) == 0.0
-        flat = flatten_module(a)
-        bumped = unflatten_module(a, flat + np.isin(np.arange(flat.size), [0, 3, 7, 9]))
-        assert module_distance_sq(a, bumped) == pytest.approx(4.0)
+    def test_parameters_are_read_only(self):
+        flat = flatten_module(small_module()).copy()
+        m = unflatten_module((4, 5, 3), flat)
+        with pytest.raises(ValueError):
+            m.weights[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            m.params[0] = 1.0
+        # the wrapped array itself is left as the caller had it
+        assert flat.flags.writeable
 
     def test_architecture_mismatch(self):
-        with pytest.raises(ValueError):
-            module_distance_sq(small_module((4, 5, 3)), small_module((4, 4, 3)))
+        # a vector for one architecture does not wrap as another
+        flat = flatten_module(small_module((4, 5, 3)))
+        with pytest.raises(ValueError, match="parameter count"):
+            unflatten_module((4, 4, 3), flat)
+        with pytest.raises(ValueError, match="parameter count"):
+            unflatten_module((4, 5, 3), flat[:-1])
+
+    def test_pickle_round_trip_keeps_views(self):
+        m = small_module((4, 6, 6, 3))
+        loaded = pickle.loads(pickle.dumps(m))
+        assert np.array_equal(loaded.params, m.params)
+        assert not loaded.params.flags.writeable
+        assert all(np.shares_memory(w, loaded.params) for w in loaded.weights)
 
 
 class TestHead:
@@ -179,14 +196,13 @@ class TestHead:
         x = seeded_rng(7).standard_normal((5, 4))
         logits = forward_head(head, x)
         assert logits.shape == (5, 3)
-        tape, dx = backward_head(head, x, np.ones_like(logits))
-        assert tape.d_weights[0].shape == (4, 3)
+        grad, dx = backward_head(head, x, np.ones_like(logits))
+        assert grad.shape == head.params.shape == (4 * 3 + 3,)
         assert dx.shape == x.shape
 
     def test_sgd_head(self):
-        head = ClassifierHead(np.ones((2, 2)), np.zeros(2))
-        tape = GradientTape([np.ones((2, 2))], [np.ones(2)])
-        stepped = sgd_step_head(head, tape, 0.5)
+        head = ClassifierHead((2, 2), np.concatenate([np.ones(4), np.zeros(2)]))
+        stepped = sgd_step_head(head, np.ones(6), 0.5)
         assert np.allclose(stepped.weights, 0.5)
         assert np.allclose(stepped.bias, -0.5)
 
