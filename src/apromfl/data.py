@@ -8,16 +8,11 @@ related), so paired views are alignable across modalities by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import _serde
 from .numerics import Rng, require_finite, seeded_rng
-
-DATASET_FORMAT = "synthetic-dataset/v1"
 
 ROLE_ORDER = ("multimodal", "image", "text")
 
@@ -296,41 +291,3 @@ def assign_roles(
                 ClientDataset(kind=kind, text_views=dataset.texts[idx], labels=dataset.labels[idx])
             )
     return clients
-
-
-# persistence ------------------------------------------------------------
-
-
-def dump_dataset(dataset: SyntheticDataset, path) -> None:
-    spec = dataset.spec
-    payload = {
-        "format": DATASET_FORMAT,
-        "spec": {
-            "num_classes": spec.num_classes,
-            "latent_dim": spec.latent_dim,
-            "image_dim": spec.image_dim,
-            "text_dim": spec.text_dim,
-            "samples_per_class": spec.samples_per_class,
-            "view_noise_sigma": spec.view_noise_sigma,
-            "latent_noise_sigma": spec.latent_noise_sigma,
-            "class_sep": spec.class_sep,
-            "seed": spec.seed,
-        },
-        "images": _serde.encode_array(dataset.images),
-        "texts": _serde.encode_array(dataset.texts),
-        "labels": _serde.encode_array(dataset.labels),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_dataset(path) -> SyntheticDataset:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != DATASET_FORMAT:
-        raise ValueError(f"unsupported dataset format {payload.get('format')!r}")
-    spec = SyntheticSpec(**payload["spec"])
-    return SyntheticDataset(
-        spec=spec,
-        images=_serde.decode_array(payload["images"]),
-        texts=_serde.decode_array(payload["texts"]),
-        labels=_serde.decode_array(payload["labels"]).astype(int),
-    )

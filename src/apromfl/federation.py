@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,13 +60,14 @@ from .nn import (
     sgd_step_head,
     unflatten_module,
 )
-from .numerics import ClusterAssignment, cosine_similarity, kmeans, require_finite, seeded_rng
+from .numerics import cosine_similarity, kmeans, require_finite, seeded_rng
 from .prototypes import (
     GlobalPrototypeSet,
     PrototypePair,
     UnimodalPrototype,
     build_global_prototypes,
     clustering_prototype_pairs,
+    fuse,
     label_guided_prototypes,
     semantic_complete,
 )
@@ -81,7 +83,6 @@ LOSS_TERMS = ("task", "gpt", "gmt", "lmr")
 class UnimodalClientState:
     client_id: int
     modality: str  # "image" | "text"
-    encoder: Encoder
     mapper: MappingModule
     head: ClassifierHead
     features: np.ndarray  # frozen encoder outputs for the train split
@@ -95,8 +96,6 @@ class UnimodalClientState:
 @dataclass(frozen=True)
 class MultimodalClientState:
     client_id: int
-    image_encoder: Encoder
-    text_encoder: Encoder
     image_mapper: MappingModule
     text_mapper: MappingModule
     cluster_image_mapper: MappingModule  # private, never transmitted
@@ -122,7 +121,6 @@ class RoundMessage:
     label_prototypes: tuple[UnimodalPrototype, ...] | None
     pair_prototypes: tuple[PrototypePair, ...] | None
     module_params: dict[str, np.ndarray]
-    task_loss: float
     loss_terms: dict[str, float]
 
 
@@ -250,7 +248,6 @@ def unimodal_client_round(
         label_prototypes=tuple(protos),
         pair_prototypes=None,
         module_params={state.modality: flatten_module(mapper)},
-        task_loss=terms["task"],
         loss_terms=terms,
     )
     validate_message(message)
@@ -273,14 +270,13 @@ def multimodal_client_round(
     c_img, c_txt = state.cluster_image_mapper, state.cluster_text_mapper
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(rc.epochs):
-        fused = (forward_map(c_img, xi) + forward_map(c_txt, xt)) / 2.0
-        pseudo, _ = kmeans_labels(fused, k_local, seeded_rng(*key, "kmeans", epoch))
+        fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
+        pseudo, _, _ = kmeans(fused, k_local, seeded_rng(*key, "kmeans", epoch))
         order = cluster_rng.permutation(n)
         for batch in _batches(order, rc.batch_size, min_size=2):
-            sub = pseudo.restrict(batch)
             e_img, tr_img = forward_map_trace(c_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
-            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, sub, ctx.tau)
+            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], ctx.tau)
             c_img = sgd_step(c_img, backward(c_img, tr_img, g_img)[0], rc.lr)
             c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt)[0], rc.lr)
     pairs, _ = clustering_prototype_pairs(
@@ -337,7 +333,6 @@ def multimodal_client_round(
             "image": flatten_module(mapper_img),
             "text": flatten_module(mapper_txt),
         },
-        task_loss=terms["task"],
         loss_terms=terms,
     )
     validate_message(message)
@@ -351,12 +346,6 @@ def multimodal_client_round(
         ),
         message,
     )
-
-
-def kmeans_labels(points, k, rng):
-    """kmeans wrapped into a ClusterAssignment (helper for client rounds)."""
-    labels, centroids = kmeans(points, k, rng)
-    return ClusterAssignment.from_labels(labels), centroids
 
 
 def client_round(state: ClientState, ctx: TransferContext, rc: ClientRoundConfig):
@@ -518,8 +507,6 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
             clients.append(
                 MultimodalClientState(
                     client_id=client_id,
-                    image_encoder=image_encoder,
-                    text_encoder=text_encoder,
                     image_mapper=init_mapper["image"],
                     text_mapper=init_mapper["text"],
                     cluster_image_mapper=init_cluster["image"],
@@ -535,7 +522,6 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
                 UnimodalClientState(
                     client_id=client_id,
                     modality=cd.kind,
-                    encoder=encoder,
                     mapper=init_mapper[cd.kind],
                     head=init_head[cd.kind],
                     features=encode(encoder, views),
@@ -691,8 +677,53 @@ class TrainingRun:
     experiment: Experiment
 
 
+class RoundFailure(RuntimeError):
+    """A round raised. Names the round, the phase (``client round``,
+    ``server`` or ``evaluation``) and the client where there is one, and
+    carries the records of the rounds finished before it."""
+
+    def __init__(
+        self,
+        round_index: int,
+        phase: str,
+        client_id: int | None,
+        cause: Exception,
+        records: list[RoundRecord],
+    ):
+        self.round_index = round_index
+        self.phase = phase
+        self.client_id = client_id
+        self.message = str(cause)
+        self.records = records
+        where = f"{phase} failed in round {round_index}"
+        if client_id is not None:
+            where += f" on client {client_id}"
+        super().__init__(f"{where}: {self.message}")
+
+    def to_dict(self) -> dict:
+        return {
+            "round": self.round_index,
+            "client": self.client_id,
+            "phase": self.phase,
+            "message": self.message,
+        }
+
+
+@contextmanager
+def _located(round_index: int, phase: str, client_id: int | None, records: list[RoundRecord]):
+    try:
+        yield
+    except Exception as err:  # noqa: BLE001 - any failure is reported with its place
+        raise RoundFailure(round_index, phase, client_id, err, records) from err
+
+
 def run_training(config: ExperimentConfig) -> TrainingRun:
-    """Execute the full federated loop for the configured method."""
+    """Execute the full federated loop for the configured method.
+
+    Raises :class:`RoundFailure` if a round fails. Client results are read
+    in client order, so the failing client named is the first in that order
+    for any ``workers`` value.
+    """
     experiment = setup_experiment(config)
     records: list[RoundRecord] = []
     pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
@@ -703,23 +734,25 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
             tasks = [
                 (state, ctx, rc) for state, ctx in zip(experiment.clients, experiment.contexts)
             ]
-            if pool is not None:
-                results = list(pool.map(_client_round_task, tasks))
-            else:
-                results = [_client_round_task(t) for t in tasks]
+            outcomes = (map if pool is None else pool.map)(_client_round_task, tasks)
             messages = []
-            for idx, (new_state, message) in enumerate(results):
-                experiment.clients[idx] = new_state
+            for idx, (state, _, _) in enumerate(tasks):
+                with _located(round_index, "client round", state.client_id, records):
+                    experiment.clients[idx], message = next(outcomes)
                 messages.append(message)
             messages.sort(key=lambda m: m.client_id)
 
-            if config.method == "apromfl":
-                _apromfl_server(experiment, messages, round_index)
-            elif config.method == "fediot":
-                _fediot_server(experiment, messages)
-            # "local": no exchange at all
+            with _located(round_index, "server", None, records):
+                if config.method == "apromfl":
+                    _apromfl_server(experiment, messages, round_index)
+                elif config.method == "fediot":
+                    _fediot_server(experiment, messages)
+                # "local": no exchange at all
 
-            reports = {c.client_id: evaluate_client(c, experiment.test) for c in experiment.clients}
+            reports = {}
+            for c in experiment.clients:
+                with _located(round_index, "evaluation", c.client_id, records):
+                    reports[c.client_id] = evaluate_client(c, experiment.test)
             client_losses = {m.client_id: dict(m.loss_terms) for m in messages}
             mean_losses = {
                 term: float(np.mean([m.loss_terms[term] for m in messages]))

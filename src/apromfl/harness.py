@@ -4,7 +4,9 @@ reproducible run directory, and compare runs along one experimental axis.
 A run directory contains:
 
 * ``config.txt``      - canonical config snapshot (replays the run exactly)
-* ``rounds.jsonl``    - one schema-tagged record per round
+* ``rounds.jsonl``    - one schema-tagged record per finished round
+* ``failure.json``    - only when a round failed: its round, phase, client
+  and message; the CLI then exits 1
 * ``final_reports.json`` - last-round per-client metric reports
 * ``summary.csv``     - one-row aggregate table (byte-stable across reruns;
   wall times are deliberately excluded)
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, finalize_config, serialize_config
-from .federation import evaluate_client, run_training
+from .federation import RoundFailure, evaluate_client, run_training
 from .metrics import EvalReport
 
 SUMMARY_COLUMNS = (
@@ -126,15 +128,23 @@ def summary_csv(config: ExperimentConfig, summary: Summary) -> str:
 
 def run(config: ExperimentConfig, out_dir) -> Path:
     """Execute one configured run and persist its directory. Returns the
-    directory path; metrics live in summary.csv / rounds.jsonl."""
+    directory path; metrics live in summary.csv / rounds.jsonl.
+
+    If a round fails, the rounds finished before it still go to
+    rounds.jsonl, the failure goes to failure.json, and the
+    :class:`RoundFailure` is re-raised."""
     config = finalize_config(config)  # revalidates configs edited via replace()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(serialize_config(config))
-    result = run_training(config)
-    with (out / "rounds.jsonl").open("w") as fh:
-        for record in result.records:
-            fh.write(json.dumps(record.to_dict()) + "\n")
+    (out / "failure.json").unlink(missing_ok=True)  # left by an earlier failed run
+    try:
+        result = run_training(config)
+    except RoundFailure as failure:
+        _write_rounds(out, failure.records)
+        (out / "failure.json").write_text(json.dumps(failure.to_dict()))
+        raise
+    _write_rounds(out, result.records)
     if result.records:
         final_reports = result.records[-1].reports
     else:
@@ -149,6 +159,12 @@ def run(config: ExperimentConfig, out_dir) -> Path:
     summary = summarize_reports(final_reports)
     (out / "summary.csv").write_text(summary_csv(config, summary))
     return out
+
+
+def _write_rounds(out: Path, records) -> None:
+    with (out / "rounds.jsonl").open("w") as fh:
+        for record in records:
+            fh.write(json.dumps(record.to_dict()) + "\n")
 
 
 def load_summary(out_dir) -> dict[str, str]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import MappingModule, same_architecture
-from .numerics import KL_EPS, ClusterAssignment, logsumexp, require_finite
+from .numerics import KL_EPS, logsumexp, require_finite
 from .prototypes import GlobalPrototypeSet
 
 LN2 = float(np.log(2.0))
@@ -165,46 +165,23 @@ def retrieval_task_loss(img_embs, txt_embs, tau: float):
 # -- pseudo-label contrastive losses -----------------------------------------
 
 
-def intra_modal_loss(embs, clusters: ClusterAssignment, i: int, tau: float) -> float:
-    """Contrastive loss of one sample against its pseudo-label cluster mates,
-    with the denominator running over all samples of the modality."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u, _ = _norm_rows(embs)
-    sims = u @ u[i] / tau
-    member = clusters.cluster_of(i)
-    return float(logsumexp(sims) - sims[member].mean())
-
-
-def inter_modal_loss(img_embs, txt_embs, clusters: ClusterAssignment, i: int, tau: float) -> float:
-    """Cross-modal counterpart: an image anchor against the text embeddings
-    of its cluster, denominator over all text embeddings."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u, _ = _norm_rows(img_embs, "image embeddings")
-    v, _ = _norm_rows(txt_embs, "text embeddings")
-    if u.shape != v.shape:
-        raise ValueError("image/text embedding counts must match")
-    sims = v @ u[i] / tau
-    member = clusters.cluster_of(i)
-    return float(logsumexp(sims) - sims[member].mean())
-
-
-def _cluster_mask(clusters: ClusterAssignment, n: int) -> tuple[np.ndarray, np.ndarray]:
-    labels = clusters.pseudo_labels
+def _cluster_mask(labels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    labels = np.asarray(labels, dtype=int)
     if labels.size != n:
-        raise ValueError("cluster assignment does not match the batch")
+        raise ValueError("pseudo-labels do not match the batch")
     mask = labels[:, None] == labels[None, :]
     return mask, mask.sum(axis=1)
 
 
-def intra_modal_total(embs, clusters: ClusterAssignment, tau: float):
-    """Sum over all samples of :func:`intra_modal_loss`, with gradients."""
+def intra_modal_total(embs, labels, tau: float):
+    """Contrastive loss of each sample against the samples sharing its
+    pseudo-label (itself included), with the denominator running over all
+    samples of the modality; summed over samples, with gradients."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     u, norms = _norm_rows(embs)
     n = len(u)
-    mask, counts = _cluster_mask(clusters, n)
+    mask, counts = _cluster_mask(labels, n)
     scores = u @ u.T / tau
     lse = logsumexp(scores, axis=1)
     value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
@@ -214,9 +191,11 @@ def intra_modal_total(embs, clusters: ClusterAssignment, tau: float):
     return value, _norm_rows_backward(g_u, u, norms)
 
 
-def inter_modal_total(img_embs, txt_embs, clusters: ClusterAssignment, tau: float):
-    """Sum over all samples of :func:`inter_modal_loss`, with gradients for
-    both modalities."""
+def inter_modal_total(img_embs, txt_embs, labels, tau: float):
+    """Cross-modal counterpart of :func:`intra_modal_total`: each image
+    anchor against the text embeddings sharing its pseudo-label, denominator
+    over all text embeddings; summed over samples, with gradients for both
+    modalities."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     u, nu = _norm_rows(img_embs, "image embeddings")
@@ -224,7 +203,7 @@ def inter_modal_total(img_embs, txt_embs, clusters: ClusterAssignment, tau: floa
     if u.shape != v.shape:
         raise ValueError("image/text embedding counts must match")
     n = len(u)
-    mask, counts = _cluster_mask(clusters, n)
+    mask, counts = _cluster_mask(labels, n)
     scores = u @ v.T / tau
     lse = logsumexp(scores, axis=1)
     value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
@@ -235,16 +214,16 @@ def inter_modal_total(img_embs, txt_embs, clusters: ClusterAssignment, tau: floa
     return value, _norm_rows_backward(g_u, u, nu), _norm_rows_backward(g_v, v, nv)
 
 
-def clustering_total_loss(img_embs, txt_embs, clusters: ClusterAssignment, tau: float):
+def clustering_total_loss(img_embs, txt_embs, labels, tau: float):
     """Clustering-model objective: retrieval task loss plus the summed
     intra-modal (both modalities) and inter-modal contrastive losses.
 
     Returns (value, grad_img, grad_txt).
     """
     task, g_img, g_txt = retrieval_task_loss(img_embs, txt_embs, tau)
-    intra_i, gi = intra_modal_total(img_embs, clusters, tau)
-    intra_t, gt = intra_modal_total(txt_embs, clusters, tau)
-    inter, hi, ht = inter_modal_total(img_embs, txt_embs, clusters, tau)
+    intra_i, gi = intra_modal_total(img_embs, labels, tau)
+    intra_t, gt = intra_modal_total(txt_embs, labels, tau)
+    inter, hi, ht = inter_modal_total(img_embs, txt_embs, labels, tau)
     value = task + intra_i + intra_t + inter
     return value, g_img + gi + hi, g_txt + gt + ht
 

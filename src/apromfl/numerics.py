@@ -9,7 +9,6 @@ depend on call ordering across purposes, threads or processes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,38 +89,6 @@ def kl_divergence(p, q) -> float:
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """A pseudo-label partition of a sample set.
-
-    ``members[k]`` holds the sorted sample indices carrying pseudo-label k.
-    The member sets partition ``range(len(pseudo_labels))`` and are never
-    empty.
-    """
-
-    pseudo_labels: np.ndarray
-    members: dict[int, np.ndarray]
-
-    @classmethod
-    def from_labels(cls, labels) -> "ClusterAssignment":
-        labels = np.asarray(labels, dtype=int)
-        if labels.size == 0:
-            raise ValueError("cannot build an assignment from zero samples")
-        members = {int(k): np.flatnonzero(labels == k) for k in np.unique(labels)}
-        return cls(pseudo_labels=labels, members=members)
-
-    def restrict(self, indices) -> "ClusterAssignment":
-        """Assignment for the subset ``indices``, reindexed to 0..m-1."""
-        indices = np.asarray(indices, dtype=int)
-        return ClusterAssignment.from_labels(self.pseudo_labels[indices])
-
-    def cluster_of(self, i: int) -> np.ndarray:
-        return self.members[int(self.pseudo_labels[i])]
-
-    def __len__(self) -> int:
-        return int(self.pseudo_labels.size)
-
-
 #: Independent k-means++ initialisations per call; the lowest-SSE run wins.
 #: Tiny instances get extra restarts: they are nearly free to re-run and are
 #: exactly where a single init is most likely to land in a local optimum.
@@ -133,23 +100,14 @@ KMEANS_SMALL_N = 32
 def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
     """Greedy k-means++ init (best of a few restarts) plus Lloyd iterations.
 
-    Returns ``(assignments, centroids)``. Deterministic given the generator;
-    every cluster is non-empty on return. See :func:`kmeans_trace` for the
-    per-iteration SSE.
-    """
-    assignments, centroids, _ = kmeans_trace(points, k, rng, max_iters)
-    return assignments, centroids
-
-
-def kmeans_trace(points, k: int, rng: Rng, max_iters: int = 100):
-    """Like :func:`kmeans` but also returns the winning restart's SSE history.
-
-    ``history[0]`` is the SSE of the k-means++ centroids under their induced
-    assignment; each later entry is measured after a full Lloyd update. The
-    sequence is non-increasing by construction: empty clusters are repaired
-    at the assignment level (the point fitting its own cluster worst moves
-    into the empty cluster) before centroids are recomputed as means, which
-    can only lower the objective.
+    Returns ``(labels, centroids, history)``. Deterministic given the
+    generator; every label in ``0..k-1`` is used on return. ``history`` is
+    the winning restart's SSE: ``history[0]`` is the SSE of the k-means++
+    centroids under their induced assignment; each later entry is measured
+    after a full Lloyd update. The sequence is non-increasing by
+    construction: empty clusters are repaired at the assignment level (the
+    point fitting its own cluster worst moves into the empty cluster) before
+    centroids are recomputed as means, which can only lower the objective.
     """
     pts = require_finite(points, "kmeans points")
     if pts.ndim == 1:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _serde
-from .numerics import ClusterAssignment, Rng, kmeans, require_finite
+from .numerics import Rng, kmeans, require_finite
 
 ORIGIN_MULTIMODAL = "multimodal-client"
 ORIGIN_COMPLETED = "completed-from-unimodal"
@@ -125,28 +125,32 @@ def fuse(e_img, e_txt) -> np.ndarray:
     return (e_img + e_txt) / 2.0
 
 
+def _cluster_pairs(imgs, txts, k: int, rng: Rng, origin: str):
+    """k-means on the fused pairs, then one (image mean, text mean) pair per
+    cluster, in ascending label order. Returns ``(pairs, labels)``."""
+    labels, _, _ = kmeans(fuse(imgs, txts), k, rng)
+    pairs = [
+        PrototypePair(
+            image_vec=imgs[labels == c].mean(axis=0),
+            text_vec=txts[labels == c].mean(axis=0),
+            origin=origin,
+        )
+        for c in range(k)
+    ]
+    return pairs, labels
+
+
 def clustering_prototype_pairs(
     img_embs, txt_embs, k: int, rng: Rng
-) -> tuple[list[PrototypePair], ClusterAssignment]:
+) -> tuple[list[PrototypePair], np.ndarray]:
     """Cluster fused embeddings into k pseudo-labels; per cluster, pair the
-    mean image embedding with the mean text embedding."""
+    mean image embedding with the mean text embedding. Returns the pairs and
+    the pseudo-label of every sample."""
     img_embs = require_finite(img_embs, "image embeddings")
     txt_embs = require_finite(txt_embs, "text embeddings")
     if img_embs.shape != txt_embs.shape:
         raise ValueError("image/text embeddings must align pairwise")
-    labels, _ = kmeans(fuse(img_embs, txt_embs), k, rng)
-    assignment = ClusterAssignment.from_labels(labels)
-    pairs = []
-    for cluster in sorted(assignment.members):
-        idx = assignment.members[cluster]
-        pairs.append(
-            PrototypePair(
-                image_vec=img_embs[idx].mean(axis=0),
-                text_vec=txt_embs[idx].mean(axis=0),
-                origin=ORIGIN_MULTIMODAL,
-            )
-        )
-    return pairs, assignment
+    return _cluster_pairs(img_embs, txt_embs, k, rng, ORIGIN_MULTIMODAL)
 
 
 def semantic_complete(
@@ -194,18 +198,7 @@ def build_global_prototypes(
         raise ValueError(f"need at least k={k} pairs, got {len(all_pairs)}")
     imgs = np.stack([p.image_vec for p in all_pairs])
     txts = np.stack([p.text_vec for p in all_pairs])
-    labels, _ = kmeans(fuse(imgs, txts), k, rng)
-    assignment = ClusterAssignment.from_labels(labels)
-    pairs = []
-    for cluster in sorted(assignment.members):
-        idx = assignment.members[cluster]
-        pairs.append(
-            PrototypePair(
-                image_vec=imgs[idx].mean(axis=0),
-                text_vec=txts[idx].mean(axis=0),
-                origin=ORIGIN_GLOBAL,
-            )
-        )
+    pairs, _ = _cluster_pairs(imgs, txts, k, rng, ORIGIN_GLOBAL)
     return GlobalPrototypeSet(pairs=tuple(pairs), round_index=round_index)
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from apromfl.nn import flatten_module, unflatten_module
+from apromfl.numerics import logsumexp
 
 
 def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
@@ -81,6 +82,31 @@ def fd_wrt_modules(loss_of_modules, modules: list, h: float = 1e-5) -> np.ndarra
         return loss_of_modules(rebuilt)
 
     return finite_difference(f, np.concatenate(flats), h)
+
+
+def _unit_rows(embs) -> np.ndarray:
+    embs = np.asarray(embs, dtype=float)
+    return embs / np.linalg.norm(embs, axis=1, keepdims=True)
+
+
+def intra_modal_loss(embs, labels, i: int, tau: float) -> float:
+    """Contrastive loss of sample i against the samples sharing its
+    pseudo-label, with the denominator running over all samples of the
+    modality: the per-sample term that ``losses.intra_modal_total`` sums."""
+    labels = np.asarray(labels)
+    u = _unit_rows(embs)
+    sims = u @ u[i] / tau
+    return float(logsumexp(sims) - sims[labels == labels[i]].mean())
+
+
+def inter_modal_loss(img_embs, txt_embs, labels, i: int, tau: float) -> float:
+    """Cross-modal counterpart of :func:`intra_modal_loss`: image anchor i
+    against the text embeddings sharing its pseudo-label, denominator over
+    all text embeddings (the term ``losses.inter_modal_total`` sums)."""
+    labels = np.asarray(labels)
+    u, v = _unit_rows(img_embs), _unit_rows(txt_embs)
+    sims = v @ u[i] / tau
+    return float(logsumexp(sims) - sims[labels == labels[i]].mean())
 
 
 def min_abs_preact(module, x) -> float:

@@ -47,10 +47,9 @@ from apromfl.nn import (
     init_mapping_module,
 )
 from apromfl.numerics import (
-    ClusterAssignment,
     cosine_similarity,
     kl_divergence,
-    kmeans_trace,
+    kmeans,
     seeded_rng,
 )
 from apromfl.prototypes import (
@@ -105,7 +104,7 @@ def _check(loss_of_modules, analytic_of_modules, modules):
 def _gradient_cases(depth: int, key: int):
     tau = 0.5
     ctx = TransferContext(tau=tau, distill_tau=0.7)
-    clusters = ClusterAssignment.from_labels([0, 1, 0, 1])
+    clusters = np.array([0, 1, 0, 1])
 
     mods, xs, rng = _instance(depth, key)
     head = init_classifier_head(4, 3, seeded_rng(1002, depth, key))
@@ -295,7 +294,7 @@ def test_c03_kmeans_quality():
         n = int(rng.integers(k, 9))
         d = int(rng.integers(2, 4))
         pts = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
-        _, _, history = kmeans_trace(pts, k, seeded_rng(1200, "run", trial))
+        _, _, history = kmeans(pts, k, seeded_rng(1200, "run", trial))
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:])), "SSE increased"
         if abs(history[-1] - exhaustive_kmeans_sse(pts, k)) <= 1e-9:
             optimal += 1

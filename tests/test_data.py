@@ -6,9 +6,7 @@ from apromfl.data import (
     SyntheticSpec,
     assign_roles,
     dirichlet_partition,
-    dump_dataset,
     generate,
-    load_dataset,
     role_partition,
     train_eval_split,
 )
@@ -186,15 +184,3 @@ class TestAssignRoles:
                 text_views=np.ones((2, 3)),
                 labels=np.array([0, 1]),
             )
-
-
-class TestDatasetPersistence:
-    def test_bit_exact_round_trip(self, tmp_path):
-        ds = generate(spec())
-        path = tmp_path / "data.json"
-        dump_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.spec == ds.spec
-        assert np.array_equal(loaded.images, ds.images)
-        assert np.array_equal(loaded.texts, ds.texts)
-        assert np.array_equal(loaded.labels, ds.labels)

@@ -23,7 +23,6 @@ from apromfl.federation import (
 from apromfl.losses import TransferContext
 from apromfl.metrics import acc_at_k
 from apromfl.nn import (
-    Encoder,
     flatten_module,
     forward_head,
     forward_map,
@@ -184,7 +183,6 @@ class TestMessages:
                     label_prototypes=None,
                     pair_prototypes=None,
                     module_params={"image": np.ones(3)},
-                    task_loss=0.0,
                     loss_terms={},
                 )
             )
@@ -198,7 +196,6 @@ class TestMessages:
                     label_prototypes=None,
                     pair_prototypes=(),
                     module_params={"image": np.ones(3), "text": np.ones(3), "cluster": np.ones(3)},
-                    task_loss=0.0,
                     loss_terms={},
                 )
             )
@@ -218,7 +215,6 @@ def make_unimodal_state(n=24, separable=False, key=0):
     return UnimodalClientState(
         client_id=0,
         modality="image",
-        encoder=Encoder(kind="identity"),
         mapper=init_mapping_module((6, 8, 4), seeded_rng(902, key)),
         head=init_classifier_head(4, 3, seeded_rng(903, key)),
         features=feats,
@@ -230,8 +226,6 @@ def make_multimodal_state(n=20, key=0):
     rng = seeded_rng(904, key)
     return MultimodalClientState(
         client_id=1,
-        image_encoder=Encoder(kind="identity"),
-        text_encoder=Encoder(kind="identity"),
         image_mapper=init_mapping_module((6, 8, 4), seeded_rng(905, key)),
         text_mapper=init_mapping_module((5, 8, 4), seeded_rng(906, key)),
         cluster_image_mapper=init_mapping_module((6, 8, 4), seeded_rng(905, key)),

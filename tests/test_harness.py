@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from apromfl.config import (
     parse_config_text,
     serialize_config,
 )
+from apromfl.federation import RoundFailure
 from apromfl.harness import apply_axis, load_summary, run, summarize_reports, sweep
 from apromfl.metrics import EvalReport
 
@@ -33,6 +36,11 @@ synthetic.image_dim = 10
 synthetic.text_dim = 8
 synthetic.samples_per_class = 15
 """
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.txt"
+
+#: The tiny config diverges at this step size after a few finished rounds.
+DIVERGENT = {"lr": 3.0, "rounds": 20}
 
 
 @pytest.fixture
@@ -179,6 +187,66 @@ class TestRunDirectory:
         out = run(config, tmp_path / "zero")
         summary = load_summary(out)
         assert summary["acc1_mean"] != ""
+
+
+def rounds_without_wall_time(out) -> list[dict]:
+    records = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    for record in records:
+        del record["wall_time"]
+    return records
+
+
+class TestFailedRun:
+    def test_divergence_in_round_one_is_located(self, tmp_path, capsys):
+        text = DEFAULT_CONFIG.read_text()
+        assert "\nlr = 0.05\n" in text
+        config_file = tmp_path / "lr05.txt"
+        config_file.write_text(text.replace("\nlr = 0.05\n", "\nlr = 0.5\n"))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == {
+            "round": 1,
+            "client": 3,
+            "phase": "client round",
+            "message": "logits contains non-finite entries",
+        }
+        err = capsys.readouterr().err
+        assert "client round failed in round 1 on client 3: logits" in err
+        assert (out / "rounds.jsonl").read_text() == ""
+        assert not (out / "summary.csv").exists()
+
+    def test_finished_rounds_are_kept(self, tiny_config_file, tmp_path):
+        config = load_config(tiny_config_file, overrides=DIVERGENT)
+        out = tmp_path / "run"
+        with pytest.raises(RoundFailure) as info:
+            run(config, out)
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure == info.value.to_dict()
+        assert failure["round"] > 1
+        kept = rounds_without_wall_time(out)
+        assert [r["round_index"] for r in kept] == list(range(1, failure["round"]))
+        # the same rounds without the failing one, rerun into the same directory
+        run(replace(config, rounds=failure["round"] - 1), out)
+        assert not (out / "failure.json").exists()
+        assert rounds_without_wall_time(out) == kept
+
+    def test_workers_name_the_same_failure(self, tiny_config_file, tmp_path):
+        for workers in (1, 2):
+            config = load_config(tiny_config_file, overrides={**DIVERGENT, "workers": workers})
+            with pytest.raises(RoundFailure):
+                run(config, tmp_path / f"w{workers}")
+        serial = (tmp_path / "w1" / "failure.json").read_bytes()
+        assert (tmp_path / "w2" / "failure.json").read_bytes() == serial
+        assert json.loads(serial)["client"] is not None
+
+    def test_server_failure_names_no_client(self, tiny_config_file, tmp_path):
+        config = load_config(tiny_config_file, overrides={**DIVERGENT, "lr": 2.0})
+        with pytest.raises(RoundFailure, match="server failed in round"):
+            run(config, tmp_path / "run")
+        failure = json.loads((tmp_path / "run" / "failure.json").read_text())
+        assert failure["phase"] == "server"
+        assert failure["client"] is None
 
 
 class TestSweep:

@@ -6,11 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apromfl.numerics import (
-    ClusterAssignment,
     cosine_similarity,
     kl_divergence,
     kmeans,
-    kmeans_trace,
     seeded_rng,
     softmax_temp,
 )
@@ -103,21 +101,20 @@ class TestKLDivergence:
 class TestKMeans:
     def test_two_obvious_clusters(self):
         pts = np.array([[0, 0], [0.1, 0], [10, 10], [10.1, 10]], dtype=float)
-        labels, centroids = kmeans(pts, 2, seeded_rng(1))
+        labels, _, history = kmeans(pts, 2, seeded_rng(1))
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
-        _, _, history = kmeans_trace(pts, 2, seeded_rng(1))
         assert history[-1] == pytest.approx(exhaustive_kmeans_sse(pts, 2), abs=1e-9)
 
     def test_single_point(self):
-        labels, centroids = kmeans(np.array([[2.0, 3.0]]), 1, seeded_rng(0))
+        labels, centroids, _ = kmeans(np.array([[2.0, 3.0]]), 1, seeded_rng(0))
         assert labels.tolist() == [0]
         assert np.allclose(centroids[0], [2.0, 3.0])
 
     def test_k_equals_n(self):
         pts = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
-        labels, centroids = kmeans(pts, 4, seeded_rng(5))
+        labels, centroids, _ = kmeans(pts, 4, seeded_rng(5))
         assert sorted(labels.tolist()) == [0, 1, 2, 3]
         assert ((pts - centroids[labels]) ** 2).sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -127,14 +124,23 @@ class TestKMeans:
 
     def test_duplicate_points_still_fill_clusters(self):
         pts = np.zeros((3, 2))
-        labels, _ = kmeans(pts, 2, seeded_rng(3))
+        labels, _, _ = kmeans(pts, 2, seeded_rng(3))
         assert set(labels.tolist()) == {0, 1}
+
+    def test_labels_use_every_cluster(self):
+        for trial in range(20):
+            rng = seeded_rng(9, trial)
+            k = int(rng.integers(1, 6))
+            pts = rng.standard_normal((int(rng.integers(k, 40)), 3))
+            labels, _, _ = kmeans(pts, k, seeded_rng(10, trial))
+            assert labels.shape == (len(pts),)
+            assert np.array_equal(np.unique(labels), np.arange(k))
 
     def test_deterministic_given_seed(self):
         rng = seeded_rng(42, "pts")
         pts = rng.standard_normal((30, 4))
-        a1, c1 = kmeans(pts, 5, seeded_rng(42, "km"))
-        a2, c2 = kmeans(pts, 5, seeded_rng(42, "km"))
+        a1, c1, _ = kmeans(pts, 5, seeded_rng(42, "km"))
+        a2, c2, _ = kmeans(pts, 5, seeded_rng(42, "km"))
         assert np.array_equal(a1, a2)
         assert np.array_equal(c1, c2)
 
@@ -142,13 +148,13 @@ class TestKMeans:
         for trial in range(20):
             rng = seeded_rng(7, trial)
             pts = rng.standard_normal((int(rng.integers(3, 30)), 3))
-            _, _, history = kmeans_trace(pts, 3, seeded_rng(8, trial))
+            _, _, history = kmeans(pts, 3, seeded_rng(8, trial))
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_final_sse_at_most_init_sse(self):
         rng = seeded_rng(11)
         pts = rng.standard_normal((25, 2))
-        _, _, history = kmeans_trace(pts, 4, seeded_rng(12))
+        _, _, history = kmeans(pts, 4, seeded_rng(12))
         assert history[-1] <= history[0] + 1e-12
 
 
@@ -162,21 +168,3 @@ class TestSeededRng:
         a = seeded_rng(1, "x").standard_normal(5)
         b = seeded_rng(1, "y").standard_normal(5)
         assert not np.array_equal(a, b)
-
-
-class TestClusterAssignment:
-    def test_partition(self):
-        ca = ClusterAssignment.from_labels([0, 1, 0, 2, 1])
-        covered = np.sort(np.concatenate(list(ca.members.values())))
-        assert covered.tolist() == [0, 1, 2, 3, 4]
-        assert all(len(v) > 0 for v in ca.members.values())
-
-    def test_restrict_reindexes(self):
-        ca = ClusterAssignment.from_labels([0, 1, 0, 2, 1])
-        sub = ca.restrict([1, 3, 4])
-        assert sub.pseudo_labels.tolist() == [1, 2, 1]
-        assert sub.cluster_of(0).tolist() == [0, 2]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterAssignment.from_labels([])

@@ -94,34 +94,32 @@ class TestClusteringPrototypePairs:
     def test_k1_is_global_mean(self):
         rng = seeded_rng(603)
         img, txt = rng.standard_normal((7, 3)) + 1, rng.standard_normal((7, 3)) - 1
-        pairs, assignment = clustering_prototype_pairs(img, txt, 1, seeded_rng(604))
+        pairs, labels = clustering_prototype_pairs(img, txt, 1, seeded_rng(604))
         assert len(pairs) == 1
         assert np.allclose(pairs[0].image_vec, img.mean(axis=0))
         assert np.allclose(pairs[0].text_vec, txt.mean(axis=0))
-        assert len(assignment.members[0]) == 7
+        assert labels.tolist() == [0] * 7
 
     def test_two_separated_groups(self):
         img = np.array([[0.0, 0.1], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
         txt = img[:, ::-1].copy()
-        pairs, assignment = clustering_prototype_pairs(img, txt, 2, seeded_rng(605))
+        pairs, labels = clustering_prototype_pairs(img, txt, 2, seeded_rng(605))
         fused = fuse(img, txt)
-        sse = sum(
-            float(((fused[idx] - fused[idx].mean(axis=0)) ** 2).sum())
-            for idx in assignment.members.values()
-        )
+        members = [np.flatnonzero(labels == c) for c in range(2)]
+        sse = sum(float(((fused[idx] - fused[idx].mean(axis=0)) ** 2).sum()) for idx in members)
         assert sse == pytest.approx(exhaustive_kmeans_sse(fused, 2), abs=1e-9)
-        for idx, pair in zip(
-            (assignment.members[c] for c in sorted(assignment.members)), pairs
-        ):
+        for idx, pair in zip(members, pairs):
             assert np.allclose(pair.image_vec, img[idx].mean(axis=0))
             assert np.allclose(pair.text_vec, txt[idx].mean(axis=0))
 
     def test_assignment_partitions_indices(self):
         rng = seeded_rng(606)
         img, txt = rng.standard_normal((12, 4)) + 0.5, rng.standard_normal((12, 4)) + 0.5
-        _, assignment = clustering_prototype_pairs(img, txt, 3, seeded_rng(607))
-        covered = np.sort(np.concatenate(list(assignment.members.values())))
-        assert covered.tolist() == list(range(12))
+        pairs, labels = clustering_prototype_pairs(img, txt, 3, seeded_rng(607))
+        assert labels.shape == (12,)
+        assert np.array_equal(np.unique(labels), np.arange(3))
+        for c, pair in enumerate(pairs):
+            assert np.array_equal(pair.image_vec, img[labels == c].mean(axis=0))
 
 
 class TestSemanticComplete:
