@@ -208,7 +208,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir) -> Path:
     header = f"{axis},status," + ",".join(SUMMARY_COLUMNS)
     lines = [header]
     for value, status, summary in rows:
-        cells = [str(value), status.split(",")[0]]
+        cells = [str(value), status.split(",")[0].splitlines()[0]]  # one CSV cell
         if summary is None:
             cells.extend("" for _ in SUMMARY_COLUMNS)
         else:

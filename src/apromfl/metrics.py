@@ -1,6 +1,8 @@
 """Evaluation metrics: top-k classification accuracy and bidirectional
 retrieval recall over cosine rankings. Ties break toward the lower class or
-gallery index (stable sort), so results are fully deterministic.
+gallery index (stable sort), so results are fully deterministic. Each
+query's true item is ranked once, by counting the scores ahead of it, and
+that rank serves every k.
 """
 
 from __future__ import annotations
@@ -53,57 +55,78 @@ class EvalReport:
         )
 
 
-def acc_at_k(logits_list, labels, k: int) -> float:
-    """Fraction of samples whose true label ranks among the k largest logits."""
-    logits = require_finite(logits_list, "logits")
-    labels = np.asarray(labels, dtype=int)
+def _true_ranks(scores: np.ndarray, truth, what: str) -> np.ndarray:
+    """Position of each row's true column under a stable descending sort of
+    that row: the count of strictly greater scores plus the equal scores at a
+    lower column. A row is a top-k hit exactly when its rank is below k."""
+    truth = np.asarray(truth, dtype=int)
+    if len(truth) != len(scores):
+        raise ValueError(f"{what} must align with the score rows")
+    width = scores.shape[1]
+    if truth.min() < 0 or truth.max() >= width:
+        raise ValueError(
+            f"{what} must lie in [0, {width}), got values in [{truth.min()}, {truth.max()}]"
+        )
+    own = scores[np.arange(len(scores)), truth][:, None]
+    lower = np.arange(width) < truth[:, None]
+    ahead = np.count_nonzero(scores > own, axis=1)
+    return ahead + np.count_nonzero((scores == own) & lower, axis=1)
+
+
+def _hit_rate(ranks: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return float((ranks < k).mean())
+
+
+def _label_ranks(logits_list, labels) -> np.ndarray:
+    logits = require_finite(logits_list, "logits")
     if logits.ndim != 2 or len(logits) == 0:
         raise ValueError("need a non-empty (N, C) logits array")
-    if len(labels) != len(logits):
-        raise ValueError("logits and labels must align")
-    top = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-    hits = (top == labels[:, None]).any(axis=1)
-    return float(hits.mean())
+    return _true_ranks(logits, labels, "labels")
 
 
-def recall_at_k(query_embs, gallery_embs, ground_truth, k: int) -> float:
-    """Fraction of queries whose true gallery item ranks in the cosine top-k."""
+def _retrieval_ranks(query_embs, gallery_embs, ground_truth) -> np.ndarray:
     queries = require_finite(query_embs, "query embeddings")
     gallery = require_finite(gallery_embs, "gallery embeddings")
-    truth = np.asarray(ground_truth, dtype=int)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if gallery.ndim != 2 or len(gallery) == 0:
         raise ValueError("gallery must be non-empty")
     if queries.ndim != 2 or len(queries) == 0:
         raise ValueError("queries must be non-empty")
-    if len(truth) != len(queries):
-        raise ValueError("ground truth must align with queries")
     qn = np.linalg.norm(queries, axis=1, keepdims=True)
     gn = np.linalg.norm(gallery, axis=1, keepdims=True)
     if np.any(qn == 0) or np.any(gn == 0):
         raise ValueError("zero-norm embedding in retrieval evaluation")
     sims = (queries / qn) @ (gallery / gn).T
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    hits = (top == truth[:, None]).any(axis=1)
-    return float(hits.mean())
+    return _true_ranks(sims, ground_truth, "ground truth")
+
+
+def acc_at_k(logits_list, labels, k: int) -> float:
+    """Fraction of samples whose true label ranks among the k largest logits.
+    Every label must be a class index in ``[0, C)``."""
+    return _hit_rate(_label_ranks(logits_list, labels), k)
+
+
+def recall_at_k(query_embs, gallery_embs, ground_truth, k: int) -> float:
+    """Fraction of queries whose true gallery item ranks in the cosine top-k.
+    Every ground-truth entry must be a gallery index in ``[0, len(gallery))``."""
+    return _hit_rate(_retrieval_ranks(query_embs, gallery_embs, ground_truth), k)
 
 
 def classification_report(logits, labels, ks=(1, 5)) -> EvalReport:
-    return EvalReport(
-        acc_at={int(k): acc_at_k(logits, labels, k) for k in ks},
-        n_eval=len(labels),
-    )
+    ranks = _label_ranks(logits, labels)
+    return EvalReport(acc_at={int(k): _hit_rate(ranks, k) for k in ks}, n_eval=len(labels))
 
 
 def retrieval_report(img_embs, txt_embs, ks=(1, 5)) -> EvalReport:
-    """Bidirectional retrieval with identity ground truth (aligned pairs)."""
+    """Bidirectional retrieval with identity ground truth (aligned pairs):
+    one cosine matrix per direction serves every k."""
     n = len(img_embs)
     identity = np.arange(n)
+    i2t = _retrieval_ranks(img_embs, txt_embs, identity)
+    t2i = _retrieval_ranks(txt_embs, img_embs, identity)
     return EvalReport(
-        recall_i2t_at={int(k): recall_at_k(img_embs, txt_embs, identity, k) for k in ks},
-        recall_t2i_at={int(k): recall_at_k(txt_embs, img_embs, identity, k) for k in ks},
+        recall_i2t_at={int(k): _hit_rate(i2t, k) for k in ks},
+        recall_t2i_at={int(k): _hit_rate(t2i, k) for k in ks},
         n_eval=n,
     )

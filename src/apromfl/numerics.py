@@ -108,6 +108,11 @@ def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
     construction: empty clusters are repaired at the assignment level (the
     point fitting its own cluster worst moves into the empty cluster) before
     centroids are recomputed as means, which can only lower the objective.
+
+    Each mean is a sum accumulated point by point in index order (``np.add.at``)
+    divided by the cluster size. For d >= 2 that is bit-for-bit
+    ``pts[labels == c].mean(axis=0)``; for one-dimensional points numpy's
+    ``mean`` sums pairwise instead, so the two may differ in the last bit.
     """
     pts = require_finite(points, "kmeans points")
     if pts.ndim == 1:
@@ -146,8 +151,9 @@ def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iters: int):
             counts[empty] = 1
         if iteration == 0:
             history.append(float(((pts - centroids[assignments]) ** 2).sum()))
-        for c in range(k):
-            centroids[c] = pts[assignments == c].mean(axis=0)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, pts)
+        centroids = sums / counts[:, None]
         history.append(float(((pts - centroids[assignments]) ** 2).sum()))
         if prev is not None and np.array_equal(assignments, prev):
             break
@@ -162,12 +168,16 @@ def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     """Greedy k-means++: each new centroid is sampled D^2-proportionally from
-    a few candidates and the one shrinking the potential most is kept."""
+    a few candidates and the one shrinking the potential most is kept. All
+    candidates are scored in one ``(candidates, n, d)`` array; ties go to the
+    first candidate drawn."""
     n = len(pts)
     n_candidates = 2 + int(np.log(k))
     centroids = np.empty((k, pts.shape[1]), dtype=float)
     centroids[0] = pts[int(rng.integers(n))]
     closest = ((pts - centroids[0]) ** 2).sum(axis=1)
+    if not np.isfinite(closest.sum()):
+        raise ValueError("kmeans points are too large: their squared distances overflow")
     for i in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -175,13 +185,8 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng) -> np.ndarray:
         else:
             # all remaining points coincide with a chosen centroid
             candidates = np.asarray([int(rng.integers(n))])
-        best_idx, best_potential = int(candidates[0]), np.inf
-        for idx in candidates:
-            potential = float(
-                np.minimum(closest, ((pts - pts[int(idx)]) ** 2).sum(axis=1)).sum()
-            )
-            if potential < best_potential:
-                best_idx, best_potential = int(idx), potential
-        centroids[i] = pts[best_idx]
-        closest = np.minimum(closest, ((pts - centroids[i]) ** 2).sum(axis=1))
+        d2 = ((pts[None, :, :] - pts[candidates][:, None, :]) ** 2).sum(axis=2)
+        best = int(np.argmin(np.minimum(closest, d2).sum(axis=1)))  # first strict minimum
+        centroids[i] = pts[candidates[best]]
+        closest = np.minimum(closest, d2[best])
     return centroids

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from apromfl.nn import flatten_module, unflatten_module
-from apromfl.numerics import logsumexp
+from apromfl.numerics import KMEANS_RESTARTS, KMEANS_RESTARTS_SMALL, KMEANS_SMALL_N, logsumexp
 
 
 def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
@@ -29,6 +29,73 @@ def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
                 sse += float(((members - members.mean(axis=0)) ** 2).sum())
         best = min(best, sse)
     return best
+
+
+def loop_kmeans(points, k: int, rng, max_iters: int = 100):
+    """``numerics.kmeans`` in its loop form: each greedy k-means++ candidate
+    is scored on its own, and each Lloyd centroid is the ``mean`` of its
+    members. Returns ``(labels, centroids, history, repairs)``, where
+    ``repairs`` counts the empty clusters the winning restart refilled."""
+    pts = np.asarray(points, dtype=float)
+    restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
+    best = None
+    for _ in range(restarts):
+        result = _loop_lloyd(pts, _loop_kmeans_pp_init(pts, k, rng), max_iters)
+        if best is None or result[2][-1] < best[2][-1]:
+            best = result
+    return best
+
+
+def _loop_kmeans_pp_init(pts, k, rng):
+    n = len(pts)
+    n_candidates = 2 + int(np.log(k))
+    centroids = np.empty((k, pts.shape[1]), dtype=float)
+    centroids[0] = pts[int(rng.integers(n))]
+    closest = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            candidates = rng.choice(n, size=n_candidates, p=closest / total)
+        else:
+            candidates = np.asarray([int(rng.integers(n))])
+        best_idx, best_potential = int(candidates[0]), np.inf
+        for idx in candidates:
+            potential = float(
+                np.minimum(closest, ((pts - pts[int(idx)]) ** 2).sum(axis=1)).sum()
+            )
+            if potential < best_potential:
+                best_idx, best_potential = int(idx), potential
+        centroids[i] = pts[best_idx]
+        closest = np.minimum(closest, ((pts - centroids[i]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _loop_lloyd(pts, centroids, max_iters):
+    n, k = len(pts), len(centroids)
+    history, prev, repairs = [], None, 0
+    assignments = np.zeros(n, dtype=int)
+    for iteration in range(max_iters):
+        diff = pts[:, None, :] - centroids[None, :, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        assignments = np.argmin(d2, axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            movable = counts[assignments] > 1
+            candidate = np.where(movable, d2[np.arange(n), assignments], -np.inf)
+            worst = int(np.argmax(candidate))
+            counts[assignments[worst]] -= 1
+            assignments[worst] = empty
+            counts[empty] = 1
+            repairs += 1
+        if iteration == 0:
+            history.append(float(((pts - centroids[assignments]) ** 2).sum()))
+        for c in range(k):
+            centroids[c] = pts[assignments == c].mean(axis=0)
+        history.append(float(((pts - centroids[assignments]) ** 2).sum()))
+        if prev is not None and np.array_equal(assignments, prev):
+            break
+        prev = assignments.copy()
+    return assignments, centroids, history, repairs
 
 
 def finite_difference(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:

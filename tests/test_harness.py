@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from apromfl import harness
 from apromfl.cli import main
 from apromfl.config import (
     ExperimentConfig,
@@ -297,6 +298,23 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1].split(",")[1].startswith("error")
         assert lines[2].split(",")[1] == "ok"
+
+    def test_multiline_error_keeps_one_line_per_value(self, tiny_config_file, tmp_path, monkeypatch):
+        config = load_config(tiny_config_file, overrides={"rounds": 1})
+        real_run = harness.run
+
+        def run_or_fail(cfg, run_dir):
+            if cfg.num_global_prototypes == 2:
+                raise ValueError("first line\nsecond line, with a comma")
+            return real_run(cfg, run_dir)
+
+        monkeypatch.setattr(harness, "run", run_or_fail)
+        out = sweep(config, "K", [2, 3], tmp_path / "sweep")
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].split(",")[:2] == ["2", "error: first line"]
+        assert lines[2].split(",")[1] == "ok"
+        assert {len(line.split(",")) for line in lines} == {len(lines[0].split(","))}
 
 
 class TestCli:

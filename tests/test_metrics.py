@@ -32,6 +32,26 @@ def ranking_oracle_recall(queries, gallery, truth, k):
     return hits / len(queries)
 
 
+def argsort_recall(queries, gallery, truth, k):
+    """The stable-argsort ranking over the same cosine matrix the metric
+    builds, so exactly tied similarities are tied for both."""
+    q = np.asarray(queries, dtype=float)
+    g = np.asarray(gallery, dtype=float)
+    sims = (q / np.linalg.norm(q, axis=1, keepdims=True)) @ (
+        g / np.linalg.norm(g, axis=1, keepdims=True)
+    ).T
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return float((top == np.asarray(truth)[:, None]).any(axis=1).mean())
+
+
+def tied_embeddings(rng, n, d):
+    """Nonzero integer rows in {-1, 0, 1}^d: few distinct directions, so
+    many cosines tie exactly (for d = 1 every cosine is +-1)."""
+    embs = rng.integers(-1, 2, (n, d)).astype(float)
+    embs[~embs.any(axis=1), 0] = 1.0
+    return embs
+
+
 class TestAccAtK:
     def test_k_at_least_num_classes(self):
         logits = seeded_rng(800).standard_normal((7, 4))
@@ -74,6 +94,21 @@ class TestAccAtK:
         with pytest.raises(ValueError):
             acc_at_k(np.zeros((0, 3)), [], 1)
 
+    def test_tie_heavy_integer_logits_match_sort_oracle(self):
+        rng = seeded_rng(813)
+        for trial in range(60):
+            n, c = int(rng.integers(1, 15)), int(rng.integers(1, 8))
+            logits = rng.integers(0, 3, (n, c)).astype(float)
+            labels = rng.integers(0, c, n)
+            for k in range(1, c + 3):  # k >= C included
+                assert acc_at_k(logits, labels, k) == sort_oracle_acc(logits, labels, k)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_label_outside_classes_rejected(self, bad):
+        logits = seeded_rng(814).standard_normal((3, 4))
+        with pytest.raises(ValueError, match="labels"):
+            acc_at_k(logits, [0, bad, 2], 1)
+
 
 class TestRecallAtK:
     def test_gallery_equals_queries(self):
@@ -114,6 +149,22 @@ class TestRecallAtK:
         with pytest.raises(ValueError):
             recall_at_k(np.ones((1, 2)), np.zeros((0, 2)), [0], 1)
 
+    def test_tie_heavy_integer_embeddings_match_sort_oracle(self):
+        rng = seeded_rng(815)
+        for trial in range(60):
+            nq, ng, d = int(rng.integers(1, 12)), int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            q, g = tied_embeddings(rng, nq, d), tied_embeddings(rng, ng, d)
+            truth = rng.integers(0, ng, nq)
+            for k in range(1, ng + 3):  # k >= gallery size included
+                assert recall_at_k(q, g, truth, k) == argsort_recall(q, g, truth, k)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_truth_outside_gallery_rejected(self, bad):
+        rng = seeded_rng(816)
+        q, g = rng.standard_normal((2, 3)), rng.standard_normal((6, 3))
+        with pytest.raises(ValueError, match="ground truth"):
+            recall_at_k(q, g, [bad, 0], 1)
+
     @given(st.integers(1, 6))
     def test_monotone_in_k(self, k):
         rng = seeded_rng(810)
@@ -139,6 +190,27 @@ class TestReports:
         assert report.r1_sum == report.recall_i2t_at[1] + report.recall_t2i_at[1]
         assert report.r5_sum == report.recall_i2t_at[5] + report.recall_t2i_at[5]
         assert 0 <= report.r1_sum <= 2
+
+    def test_classification_report_matches_sort_oracle(self):
+        rng = seeded_rng(817)
+        for trial in range(20):
+            n, c = int(rng.integers(1, 15)), int(rng.integers(1, 8))
+            logits = rng.integers(0, 3, (n, c)).astype(float)
+            labels = rng.integers(0, c, n)
+            ks = tuple(range(1, c + 3))
+            report = classification_report(logits, labels, ks=ks)
+            assert report.acc_at == {k: sort_oracle_acc(logits, labels, k) for k in ks}
+
+    def test_retrieval_report_matches_sort_oracle(self):
+        rng = seeded_rng(818)
+        for trial in range(20):
+            n, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            img, txt = tied_embeddings(rng, n, d), tied_embeddings(rng, n, d)
+            identity = np.arange(n)
+            ks = tuple(range(1, n + 3))
+            report = retrieval_report(img, txt, ks=ks)
+            assert report.recall_i2t_at == {k: argsort_recall(img, txt, identity, k) for k in ks}
+            assert report.recall_t2i_at == {k: argsort_recall(txt, img, identity, k) for k in ks}
 
     def test_round_trip_dict(self):
         report = EvalReport(acc_at={1: 0.5, 5: 0.9}, n_eval=10)

@@ -12,7 +12,7 @@ from apromfl.numerics import (
     seeded_rng,
     softmax_temp,
 )
-from oracles import exhaustive_kmeans_sse
+from oracles import exhaustive_kmeans_sse, loop_kmeans
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -156,6 +156,43 @@ class TestKMeans:
         pts = rng.standard_normal((25, 2))
         _, _, history = kmeans(pts, 4, seeded_rng(12))
         assert history[-1] <= history[0] + 1e-12
+
+
+class TestKMeansLoopOracle:
+    """The vectorised kernels give the loop forms' exact bits."""
+
+    @staticmethod
+    def instance(trial):
+        rng = seeded_rng(31, trial)
+        d = (2, 16, 32)[trial % 3]
+        k = int(rng.integers(1, 81 if trial % 8 == 0 else 21))
+        n = int(rng.integers(k, k + 40))
+        kind = trial % 4
+        if kind == 1:  # rounded coordinates: many tied distances
+            pts = np.round(rng.standard_normal((n, d)), 1)
+        elif kind == 2:  # at most k distinct points: empty clusters get repaired
+            base = rng.standard_normal((int(rng.integers(1, k + 1)), d))
+            pts = base[rng.integers(0, len(base), n)]
+        else:
+            pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        return pts, k
+
+    def test_matches_loop_form_bit_for_bit(self):
+        repairs = 0
+        for trial in range(200):
+            pts, k = self.instance(trial)
+            labels, centroids, history = kmeans(pts, k, seeded_rng(32, trial))
+            o_labels, o_centroids, o_history, o_repairs = loop_kmeans(pts, k, seeded_rng(32, trial))
+            assert np.array_equal(labels, o_labels), trial
+            assert centroids.tobytes() == o_centroids.tobytes(), trial
+            assert history == o_history, trial
+            repairs += o_repairs
+        assert repairs > 0
+
+    def test_overflowing_points_named(self):
+        pts = seeded_rng(33).standard_normal((20, 3)) * 1e160
+        with pytest.raises(ValueError, match="kmeans points"):
+            kmeans(pts, 3, seeded_rng(34))
 
 
 class TestSeededRng:
