@@ -42,17 +42,9 @@ class SyntheticSpec:
 
 
 @dataclass(frozen=True)
-class Sample:
-    image_view: np.ndarray
-    text_view: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class SyntheticDataset:
-    """Array-backed sample collection; indexing yields :class:`Sample`."""
+    """Paired views and labels, one row per sample."""
 
-    spec: SyntheticSpec
     images: np.ndarray  # (N, image_dim)
     texts: np.ndarray  # (N, text_dim)
     labels: np.ndarray  # (N,) int
@@ -60,14 +52,9 @@ class SyntheticDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.images[i], self.texts[i], int(self.labels[i]))
-
     def subset(self, indices) -> "SyntheticDataset":
         indices = np.asarray(indices, dtype=int)
-        return SyntheticDataset(
-            self.spec, self.images[indices], self.texts[indices], self.labels[indices]
-        )
+        return SyntheticDataset(self.images[indices], self.texts[indices], self.labels[indices])
 
 
 def generate(spec: SyntheticSpec) -> SyntheticDataset:
@@ -93,7 +80,6 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
         )
         labels.append(np.full(n, c, dtype=int))
     return SyntheticDataset(
-        spec=spec,
         images=require_finite(np.concatenate(images), "image views"),
         texts=require_finite(np.concatenate(texts), "text views"),
         labels=np.concatenate(labels),

@@ -8,10 +8,10 @@ Three methods share one client-side training path:
   modality through a client-relationship graph (cosine similarity of flat
   parameters, clamped and row-normalised). Each client receives its own
   personalised aggregate, adopts it, and distills against it next round.
-* ``local`` - the same client rounds with a forever-empty transfer context
-  and no exchange at all.
-* ``fediot`` - empty transfer context; the server uniformly averages
-  mapping modules (and classifier heads) per modality.
+* ``local`` - the same client rounds with no exchange at all, so no
+  transfer loss ever applies.
+* ``fediot`` - no transfer losses; the server uniformly averages mapping
+  modules (and classifier heads) per modality.
 
 Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
@@ -31,7 +31,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import assign_roles, generate, role_partition, train_eval_split
 from .losses import (
-    TransferContext,
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
@@ -144,31 +143,26 @@ def validate_message(msg: RoundMessage) -> None:
 
 @dataclass(frozen=True)
 class ClientRoundConfig:
-    """Per-round training knobs plus the seeding contract inputs."""
+    """One round's input to every client: the run's config, the round index
+    (part of the seeding contract) and the global prototype set the server
+    built after the previous round (``None`` before the first apromfl server
+    phase, and under every other method)."""
 
-    seed: int
+    config: ExperimentConfig
     round_index: int
-    epochs: int
-    lr: float
-    batch_size: int
-    beta1: float
-    beta2: float
-    lmr_weight: float
-    local_clusters: int
+    global_prototypes: GlobalPrototypeSet | None = None
 
     @classmethod
     def from_experiment(cls, config: ExperimentConfig, round_index: int) -> "ClientRoundConfig":
-        return cls(
-            seed=config.seed,
-            round_index=round_index,
-            epochs=config.local_epochs,
-            lr=config.lr,
-            batch_size=config.batch_size,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            lmr_weight=config.lmr_weight,
-            local_clusters=config.num_global_prototypes,
-        )
+        return cls(config=config, round_index=round_index)
+
+    @property
+    def distill(self) -> bool:
+        """Whether clients distill toward the mapping modules they start the
+        round with. Under apromfl every client uploads its modules each round,
+        so after any server phase every client holds its personalised
+        aggregate."""
+        return self.config.method == "apromfl" and self.round_index > 1
 
 
 def _batches(order: np.ndarray, batch_size: int, min_size: int) -> list[np.ndarray]:
@@ -201,25 +195,25 @@ class _LossMeter:
 
 
 def unimodal_client_round(
-    state: UnimodalClientState, ctx: TransferContext, rc: ClientRoundConfig
+    state: UnimodalClientState, rc: ClientRoundConfig
 ) -> tuple[UnimodalClientState, RoundMessage]:
-    """Local epochs of minibatch SGD on cross-entropy plus (when the context
-    carries global artifacts) the prototype- and model-transfer losses, then
-    label-guided prototype extraction."""
+    """Local epochs of minibatch SGD on cross-entropy plus (once the server
+    has broadcast global artifacts) the prototype- and model-transfer
+    losses, then label-guided prototype extraction."""
+    cfg = rc.config
     mapper, head = state.mapper, state.head
     feats, labels = state.features, state.labels
     n = len(labels)
-    use_gpt = ctx.global_prototypes is not None and rc.beta1 > 0
-    global_mapper = ctx.module_for(state.modality)
-    use_gmt = global_mapper is not None and rc.beta2 > 0
+    use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
+    use_gmt = rc.distill and cfg.beta2 > 0
     if use_gpt:
-        img_protos = ctx.global_prototypes.image_matrix()
-        txt_protos = ctx.global_prototypes.text_matrix()
+        img_protos = rc.global_prototypes.image_matrix()
+        txt_protos = rc.global_prototypes.text_matrix()
     meter = _LossMeter()
-    batch_rng = seeded_rng(rc.seed, "client", state.client_id, "round", rc.round_index, "batches")
-    for _ in range(rc.epochs):
+    batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
+    for _ in range(cfg.local_epochs):
         order = batch_rng.permutation(n)
-        for batch in _batches(order, rc.batch_size, min_size=1):
+        for batch in _batches(order, cfg.batch_size, min_size=1):
             x, y = feats[batch], labels[batch]
             emb, trace = forward_map_trace(mapper, x)
             logits = forward_head(head, emb)
@@ -227,16 +221,19 @@ def unimodal_client_round(
             head_grad, d_emb = backward_head(head, emb, d_logits)
             gpt_value = gmt_value = 0.0
             if use_gpt:
-                gpt_value, grad = gpt_loss_batch(emb, img_protos, txt_protos, ctx.tau)
-                d_emb = d_emb + rc.beta1 * grad
+                gpt_value, grad = gpt_loss_batch(emb, img_protos, txt_protos, cfg.tau)
+                d_emb = d_emb + cfg.beta1 * grad
             if use_gmt:
-                global_emb = forward_map(global_mapper, x)
+                # the round started from the aggregate the server broadcast
+                global_emb = forward_map(state.mapper, x)
                 global_task = cross_entropy_batch(forward_head(head, global_emb), y)[0]
-                gmt_value, grad = gmt_loss_batch(emb, global_emb, task, global_task, ctx)
-                d_emb = d_emb + rc.beta2 * grad
+                gmt_value, grad = gmt_loss_batch(
+                    emb, global_emb, task, global_task, cfg.nu_max, cfg.distill_tau
+                )
+                d_emb = d_emb + cfg.beta2 * grad
             grad, _ = backward(mapper, trace, d_emb)
-            mapper = sgd_step(mapper, grad, rc.lr)
-            head = sgd_step_head(head, head_grad, rc.lr)
+            mapper = sgd_step(mapper, grad, cfg.lr)
+            head = sgd_step_head(head, head_grad, cfg.lr)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=0.0)
     terms = meter.means()
     protos = label_guided_prototypes(
@@ -255,73 +252,79 @@ def unimodal_client_round(
 
 
 def multimodal_client_round(
-    state: MultimodalClientState, ctx: TransferContext, rc: ClientRoundConfig
+    state: MultimodalClientState, rc: ClientRoundConfig
 ) -> tuple[MultimodalClientState, RoundMessage]:
     """(a) refresh the private clustering model on the clustering objective,
     re-deriving pseudo-labels each epoch, and build local prototype pairs;
     (b) train the task model on retrieval + transfer losses plus the
     regulariser tying it to the clustering model's modules."""
+    cfg = rc.config
     xi, xt = state.image_features, state.text_features
     n = len(xi)
-    k_local = max(1, min(rc.local_clusters, n))
-    key = (rc.seed, "client", state.client_id, "round", rc.round_index)
+    k_local = max(1, min(cfg.num_global_prototypes, n))
+    key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
 
     # (a) clustering model refresh (warm start from the previous round)
     c_img, c_txt = state.cluster_image_mapper, state.cluster_text_mapper
     cluster_rng = seeded_rng(*key, "cluster-batches")
-    for epoch in range(rc.epochs):
+    for epoch in range(cfg.local_epochs):
         fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
         pseudo, _, _ = kmeans(fused, k_local, seeded_rng(*key, "kmeans", epoch))
         order = cluster_rng.permutation(n)
-        for batch in _batches(order, rc.batch_size, min_size=2):
+        for batch in _batches(order, cfg.batch_size, min_size=2):
             e_img, tr_img = forward_map_trace(c_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
-            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], ctx.tau)
-            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img)[0], rc.lr)
-            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt)[0], rc.lr)
+            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
+            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img)[0], cfg.lr)
+            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt)[0], cfg.lr)
     pairs, _ = clustering_prototype_pairs(
         forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
     )
 
     # (b) task model training
     mapper_img, mapper_txt = state.image_mapper, state.text_mapper
-    use_gpt = ctx.global_prototypes is not None and rc.beta1 > 0
-    use_gmt = ctx.image_module is not None and ctx.text_module is not None and rc.beta2 > 0
+    use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
+    use_gmt = rc.distill and cfg.beta2 > 0
     if use_gpt:
-        img_protos = ctx.global_prototypes.image_matrix()
-        txt_protos = ctx.global_prototypes.text_matrix()
+        img_protos = rc.global_prototypes.image_matrix()
+        txt_protos = rc.global_prototypes.text_matrix()
     meter = _LossMeter()
     task_rng = seeded_rng(*key, "task-batches")
-    for _ in range(rc.epochs):
+    for _ in range(cfg.local_epochs):
         order = task_rng.permutation(n)
-        for batch in _batches(order, rc.batch_size, min_size=2):
+        for batch in _batches(order, cfg.batch_size, min_size=2):
             e_img, tr_img = forward_map_trace(mapper_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(mapper_txt, xt[batch])
-            task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, ctx.tau)
+            task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
             if use_gpt:
                 gpt_value, a_img, a_txt = gpt_loss_paired_batch(
-                    e_img, e_txt, img_protos, txt_protos, ctx.tau
+                    e_img, e_txt, img_protos, txt_protos, cfg.tau
                 )
-                g_img = g_img + rc.beta1 * a_img
-                g_txt = g_txt + rc.beta1 * a_txt
+                g_img = g_img + cfg.beta1 * a_img
+                g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
-                ge_img = forward_map(ctx.image_module, xi[batch])
-                ge_txt = forward_map(ctx.text_module, xt[batch])
-                global_task = retrieval_task_loss(ge_img, ge_txt, ctx.tau)[0]
-                v_img, a_img = gmt_loss_batch(e_img, ge_img, task, global_task, ctx)
-                v_txt, a_txt = gmt_loss_batch(e_txt, ge_txt, task, global_task, ctx)
+                # the round started from the aggregates the server broadcast
+                ge_img = forward_map(state.image_mapper, xi[batch])
+                ge_txt = forward_map(state.text_mapper, xt[batch])
+                global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
+                v_img, a_img = gmt_loss_batch(
+                    e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
+                )
+                v_txt, a_txt = gmt_loss_batch(
+                    e_txt, ge_txt, task, global_task, cfg.nu_max, cfg.distill_tau
+                )
                 gmt_value = 0.5 * (v_img + v_txt)
-                g_img = g_img + 0.5 * rc.beta2 * a_img
-                g_txt = g_txt + 0.5 * rc.beta2 * a_txt
-            lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, rc.lmr_weight)
-            lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, rc.lmr_weight)
+                g_img = g_img + 0.5 * cfg.beta2 * a_img
+                g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
+            lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, cfg.lmr_weight)
+            lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, cfg.lmr_weight)
             grad_img, _ = backward(mapper_img, tr_img, g_img)
             grad_txt, _ = backward(mapper_txt, tr_txt, g_txt)
             grad_img += lmr_grad_img
             grad_txt += lmr_grad_txt
-            mapper_img = sgd_step(mapper_img, grad_img, rc.lr)
-            mapper_txt = sgd_step(mapper_txt, grad_txt, rc.lr)
+            mapper_img = sgd_step(mapper_img, grad_img, cfg.lr)
+            mapper_txt = sgd_step(mapper_txt, grad_txt, cfg.lr)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=lmr_img + lmr_txt)
     terms = meter.means()
     message = RoundMessage(
@@ -348,10 +351,10 @@ def multimodal_client_round(
     )
 
 
-def client_round(state: ClientState, ctx: TransferContext, rc: ClientRoundConfig):
+def client_round(state: ClientState, rc: ClientRoundConfig):
     if isinstance(state, UnimodalClientState):
-        return unimodal_client_round(state, ctx, rc)
-    return multimodal_client_round(state, ctx, rc)
+        return unimodal_client_round(state, rc)
+    return multimodal_client_round(state, rc)
 
 
 def _client_round_task(args):
@@ -433,8 +436,10 @@ class TestBundle:
 class Experiment:
     config: ExperimentConfig
     clients: list[ClientState]
-    contexts: list[TransferContext]
     test: TestBundle
+    #: the last apromfl server phase's global pairs; None before the first
+    #: and when no multimodal client uploaded any pair
+    global_prototypes: GlobalPrototypeSet | None = None
 
 
 def _encoder_for(config: ExperimentConfig, modality: str, view_dim: int) -> Encoder:
@@ -455,12 +460,6 @@ def _module_dims(config: ExperimentConfig, modality: str) -> tuple[int, ...]:
     if config.mapping_layers == 1:
         return (in_dim, config.embed_dim)
     return (in_dim, config.hidden_dim, config.hidden_dim, config.embed_dim)
-
-
-def _empty_context(config: ExperimentConfig) -> TransferContext:
-    return TransferContext(
-        tau=config.tau, nu_max=config.nu_max, distill_tau=config.distill_tau
-    )
 
 
 def setup_experiment(config: ExperimentConfig) -> Experiment:
@@ -533,8 +532,7 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
         text_features=encode(text_encoder, eval_set.texts),
         labels=eval_set.labels,
     )
-    contexts = [_empty_context(config) for _ in clients]
-    return Experiment(config=config, clients=clients, contexts=contexts, test=test)
+    return Experiment(config=config, clients=clients, test=test)
 
 
 # -- server phase ---------------------------------------------------------------
@@ -575,11 +573,23 @@ def _received_modules(
     )
 
 
+def _adopt(state: ClientState, modules: dict[str, MappingModule]) -> ClientState:
+    """``state`` with its task modules replaced by the received ones; a
+    modality with no received module keeps the client's own."""
+    if isinstance(state, UnimodalClientState):
+        return replace(state, mapper=modules.get(state.modality, state.mapper))
+    return replace(
+        state,
+        image_mapper=modules.get("image", state.image_mapper),
+        text_mapper=modules.get("text", state.text_mapper),
+    )
+
+
 def _apromfl_server(
     experiment: Experiment, messages: list[RoundMessage], round_index: int
 ) -> None:
     config = experiment.config
-    global_set = _aggregate_prototypes(messages, config, round_index)
+    experiment.global_prototypes = _aggregate_prototypes(messages, config, round_index)
     personalized: dict[int, dict[str, MappingModule]] = {m.client_id: {} for m in messages}
     for modality in ("image", "text"):
         ids, modules = _received_modules(messages, config, modality)
@@ -588,23 +598,8 @@ def _apromfl_server(
         graph = relationship_weights(modules, modality=modality)
         for cid, aggregated in zip(ids, aggregate_modules(graph, modules)):
             personalized[cid][modality] = aggregated
-
-    broadcast = replace(_empty_context(config), global_prototypes=global_set)
     for idx, state in enumerate(experiment.clients):
-        mods = personalized.get(state.client_id, {})
-        if isinstance(state, UnimodalClientState):
-            new_mapper = mods.get(state.modality, state.mapper)
-            experiment.clients[idx] = replace(state, mapper=new_mapper)
-            experiment.contexts[idx] = replace(
-                broadcast, **{f"{state.modality}_module": new_mapper}
-            )
-        else:
-            new_img = mods.get("image", state.image_mapper)
-            new_txt = mods.get("text", state.text_mapper)
-            experiment.clients[idx] = replace(state, image_mapper=new_img, text_mapper=new_txt)
-            experiment.contexts[idx] = replace(
-                broadcast, image_module=new_img, text_module=new_txt
-            )
+        experiment.clients[idx] = _adopt(state, personalized.get(state.client_id, {}))
 
 
 def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None:
@@ -623,18 +618,10 @@ def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None
         if heads:
             shared_heads[modality] = _average_heads(heads)
     for idx, state in enumerate(experiment.clients):
+        state = _adopt(state, shared)
         if isinstance(state, UnimodalClientState):
-            experiment.clients[idx] = replace(
-                state,
-                mapper=shared.get(state.modality, state.mapper),
-                head=shared_heads.get(state.modality, state.head),
-            )
-        else:
-            experiment.clients[idx] = replace(
-                state,
-                image_mapper=shared.get("image", state.image_mapper),
-                text_mapper=shared.get("text", state.text_mapper),
-            )
+            state = replace(state, head=shared_heads.get(state.modality, state.head))
+        experiment.clients[idx] = state
 
 
 # -- evaluation and the round loop ----------------------------------------------
@@ -730,13 +717,14 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
     try:
         for round_index in range(1, config.rounds + 1):
             start = time.perf_counter()
-            rc = ClientRoundConfig.from_experiment(config, round_index)
-            tasks = [
-                (state, ctx, rc) for state, ctx in zip(experiment.clients, experiment.contexts)
-            ]
+            rc = replace(
+                ClientRoundConfig.from_experiment(config, round_index),
+                global_prototypes=experiment.global_prototypes,
+            )
+            tasks = [(state, rc) for state in experiment.clients]
             outcomes = (map if pool is None else pool.map)(_client_round_task, tasks)
             messages = []
-            for idx, (state, _, _) in enumerate(tasks):
+            for idx, (state, _) in enumerate(tasks):
                 with _located(round_index, "client round", state.client_id, records):
                     experiment.clients[idx], message = next(outcomes)
                 messages.append(message)

@@ -14,54 +14,15 @@ every sample in the batch including the anchor itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import MappingModule, same_architecture
 from .numerics import KL_EPS, logsumexp, require_finite
-from .prototypes import GlobalPrototypeSet
 
 LN2 = float(np.log(2.0))
 
 #: Floor for the global task loss in the transfer ratio.
 TASK_LOSS_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class TransferContext:
-    """Per-round snapshot of the global artifacts a client trains against.
-
-    Empty in round 1 (no global prototypes or aggregated modules exist yet),
-    after which it carries the broadcast global prototype set and the
-    client's personalised aggregated module(s).
-    """
-
-    tau: float
-    nu_max: float = 10.0
-    distill_tau: float = 1.0
-    global_prototypes: GlobalPrototypeSet | None = None
-    image_module: MappingModule | None = None
-    text_module: MappingModule | None = None
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.distill_tau <= 0:
-            raise ValueError(f"distill_tau must be positive, got {self.distill_tau}")
-        if self.nu_max < 1:
-            raise ValueError(f"nu_max must be >= 1, got {self.nu_max}")
-
-    @property
-    def is_empty(self) -> bool:
-        return (
-            self.global_prototypes is None
-            and self.image_module is None
-            and self.text_module is None
-        )
-
-    def module_for(self, modality: str) -> MappingModule | None:
-        return self.image_module if modality == "image" else self.text_module
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -94,23 +55,6 @@ def _softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 # -- classification ----------------------------------------------------------
-
-
-def cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
-    """Negative log softmax probability of the true class.
-
-    grad = softmax(logits) - onehot(label).
-    """
-    logits = require_finite(logits, "logits")
-    if logits.ndim != 1:
-        raise ValueError("logits must be a vector")
-    label = int(label)
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} classes")
-    value = float(logsumexp(logits) - logits[label])
-    grad = _softmax_rows(logits[None, :])[0]
-    grad[label] -= 1.0
-    return value, grad
 
 
 def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
@@ -247,25 +191,6 @@ def lmr_loss(module: MappingModule, anchor: MappingModule, weight: float):
 # -- global prototype transfer -----------------------------------------------
 
 
-def assignment_probs(e, protos, tau: float) -> np.ndarray:
-    """Softmax over temperature-scaled cosine similarities to each prototype.
-
-    Invariant under positive rescaling of e and of each prototype.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    protos = np.asarray(protos, dtype=float)
-    if protos.ndim != 2 or len(protos) < 1:
-        raise ValueError("need a non-empty (K, d) prototype matrix")
-    p_unit, _ = _norm_rows(protos, "prototypes")
-    e = require_finite(e, "embedding")
-    norm = np.linalg.norm(e)
-    if norm == 0:
-        raise ValueError("embedding has zero norm")
-    sims = p_unit @ (e / norm)
-    return _softmax_rows(sims[None, :] / tau)[0]
-
-
 #: Smallest positive double; floors softmax outputs inside logs so that an
 #: underflowed probability contributes exactly 0 * finite instead of 0 * inf.
 _TINY = np.finfo(float).tiny
@@ -304,13 +229,6 @@ def gpt_loss_batch(embs, image_protos, text_protos, tau: float):
     return value, _norm_rows_backward(g_u, u, norms) / n
 
 
-def gpt_loss(e, image_protos, text_protos, tau: float):
-    """Single-embedding form of :func:`gpt_loss_batch`."""
-    e = np.asarray(e, dtype=float)
-    value, grad = gpt_loss_batch(e[None, :], image_protos, text_protos, tau)
-    return value, grad[0]
-
-
 def gpt_loss_paired_batch(img_embs, txt_embs, image_protos, text_protos, tau: float):
     """Multimodal variant: the image embedding is assigned to the image
     prototypes and its paired text embedding to the text prototypes.
@@ -345,29 +263,35 @@ def gpt_loss_paired_batch(img_embs, txt_embs, image_protos, text_protos, tau: fl
 def transfer_ratio(task_loss_local: float, task_loss_global: float, nu_max: float) -> float:
     """Scale factor for distillation: local/global task-loss ratio, with the
     denominator floored and the result clamped into [0, nu_max]."""
+    if nu_max < 1:
+        raise ValueError(f"nu_max must be >= 1, got {nu_max}")
     ratio = task_loss_local / max(task_loss_global, TASK_LOSS_FLOOR)
     if not np.isfinite(ratio):
         raise ValueError(f"non-finite transfer ratio from {task_loss_local}/{task_loss_global}")
     return float(np.clip(ratio, 0.0, nu_max))
 
 
-def gmt_loss_batch(local_embs, global_embs, task_loss_local, task_loss_global, ctx: TransferContext):
+def gmt_loss_batch(
+    local_embs, global_embs, task_loss_local, task_loss_global, nu_max: float, distill_tau: float
+):
     """Ratio-scaled KL distillation of local embeddings toward the global
     module's embeddings.
 
     Embeddings are L2-normalised and become distributions via a softmax at
-    ``ctx.distill_tau`` (normalising first keeps the distillation stable:
-    the cosine-based task losses leave embedding norms free to grow, and raw
-    norms would saturate the softmax). The ratio is treated as a constant,
-    so gradient flows only into the local embeddings. Returns (mean value,
-    grad of the mean w.r.t. local_embs).
+    ``distill_tau`` (normalising first keeps the distillation stable: the
+    cosine-based task losses leave embedding norms free to grow, and raw
+    norms would saturate the softmax). The ratio is clamped at ``nu_max`` and
+    treated as a constant, so gradient flows only into the local embeddings.
+    Returns (mean value, grad of the mean w.r.t. local_embs).
     """
+    if distill_tau <= 0:
+        raise ValueError(f"distill_tau must be positive, got {distill_tau}")
     if np.asarray(local_embs).shape != np.asarray(global_embs).shape:
         raise ValueError("local/global embedding shapes must match")
     u, norms = _norm_rows(local_embs, "local embeddings")
     v, _ = _norm_rows(global_embs, "global embeddings")
-    nu = transfer_ratio(task_loss_local, task_loss_global, ctx.nu_max)
-    t = ctx.distill_tau
+    nu = transfer_ratio(task_loss_local, task_loss_global, nu_max)
+    t = distill_tau
     n = len(u)
     p = _softmax_rows(u / t)
     q = np.maximum(_softmax_rows(v / t), KL_EPS)
@@ -376,13 +300,3 @@ def gmt_loss_batch(local_embs, global_embs, task_loss_local, task_loss_global, c
     value = nu * max(float(kl_rows.mean()), 0.0)
     g_unit = (nu / (t * n)) * p * (log_ratio - kl_rows[:, None])
     return value, _norm_rows_backward(g_unit, u, norms)
-
-
-def gmt_loss(local_emb, global_emb, task_loss_local, task_loss_global, ctx: TransferContext):
-    """Single-embedding form of :func:`gmt_loss_batch`."""
-    local_emb = np.asarray(local_emb, dtype=float)
-    global_emb = np.asarray(global_emb, dtype=float)
-    value, grad = gmt_loss_batch(
-        local_emb[None, :], global_emb[None, :], task_loss_local, task_loss_global, ctx
-    )
-    return value, grad[0]

@@ -45,15 +45,6 @@ class EvalReport:
             "n_eval": self.n_eval,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            acc_at={int(k): float(v) for k, v in d["acc_at"].items()},
-            recall_i2t_at={int(k): float(v) for k, v in d["recall_i2t_at"].items()},
-            recall_t2i_at={int(k): float(v) for k, v in d["recall_t2i_at"].items()},
-            n_eval=int(d["n_eval"]),
-        )
-
 
 def _true_ranks(scores: np.ndarray, truth, what: str) -> np.ndarray:
     """Position of each row's true column under a stable descending sort of

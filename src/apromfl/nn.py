@@ -266,10 +266,6 @@ class Encoder:
         if self.kind == "projection" and self.matrix is None:
             raise ValueError("projection encoder needs a matrix")
 
-    @property
-    def out_dim(self) -> int | None:
-        return None if self.kind == "identity" else self.matrix.shape[1]
-
 
 def make_projection_encoder(seed: int, in_dim: int, out_dim: int) -> Encoder:
     rng = seeded_rng(seed, "encoder-projection", in_dim, out_dim)

@@ -59,36 +59,6 @@ def logsumexp(a, axis: int = -1) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def softmax_temp(v, tau: float) -> np.ndarray:
-    """Temperature softmax along the last axis, with max-subtraction.
-
-    Output entries are non-negative and sum to 1 (within 1e-9 per row); the
-    result is invariant to adding a constant to every input.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    v = np.asarray(v, dtype=float)
-    z = (v - np.max(v, axis=-1, keepdims=True)) / tau
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats, with q floored at :data:`KL_EPS` and 0 log 0 = 0.
-
-    The result is clamped at 0 so that float round-off on p == q can never
-    surface as a negative divergence.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    q_floor = np.maximum(q, KL_EPS)
-    mask = p > 0
-    value = float(np.sum(p[mask] * np.log(p[mask] / q_floor[mask])))
-    return max(value, 0.0)
-
-
 #: Independent k-means++ initialisations per call; the lowest-SSE run wins.
 #: Tiny instances get extra restarts: they are nearly free to re-run and are
 #: exactly where a single init is most likely to land in a local optimum.

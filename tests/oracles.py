@@ -2,7 +2,9 @@
 
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
-paths they check.
+paths they check. The last section holds the forms only tests use: the
+single-sample wrappers of the batched losses and a few reference
+reductions.
 """
 
 from __future__ import annotations
@@ -12,8 +14,17 @@ import math
 
 import numpy as np
 
+from apromfl.losses import gmt_loss_batch, gpt_loss_batch
+from apromfl.metrics import EvalReport
 from apromfl.nn import flatten_module, unflatten_module
-from apromfl.numerics import KMEANS_RESTARTS, KMEANS_RESTARTS_SMALL, KMEANS_SMALL_N, logsumexp
+from apromfl.numerics import (
+    KL_EPS,
+    KMEANS_RESTARTS,
+    KMEANS_RESTARTS_SMALL,
+    KMEANS_SMALL_N,
+    logsumexp,
+    require_finite,
+)
 
 
 def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
@@ -189,3 +200,107 @@ def min_abs_preact(module, x) -> float:
         else:
             h = z
     return worst
+
+
+# -- single-sample and reference forms ------------------------------------------
+# The program trains on batches only; these per-sample forms and reductions
+# pin down the batched kernels' semantics in the tests.
+
+
+def softmax_temp(v, tau: float) -> np.ndarray:
+    """Temperature softmax along the last axis, with max-subtraction.
+
+    Output entries are non-negative and sum to 1 (within 1e-9 per row); the
+    result is invariant to adding a constant to every input.
+    """
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    v = np.asarray(v, dtype=float)
+    z = (v - np.max(v, axis=-1, keepdims=True)) / tau
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q) in nats, with q floored at ``KL_EPS`` and 0 log 0 = 0.
+
+    The result is clamped at 0 so that float round-off on p == q can never
+    surface as a negative divergence.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
+    q_floor = np.maximum(q, KL_EPS)
+    mask = p > 0
+    value = float(np.sum(p[mask] * np.log(p[mask] / q_floor[mask])))
+    return max(value, 0.0)
+
+
+def cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
+    """Negative log softmax probability of the true class.
+
+    grad = softmax(logits) - onehot(label).
+    """
+    logits = require_finite(logits, "logits")
+    if logits.ndim != 1:
+        raise ValueError("logits must be a vector")
+    label = int(label)
+    if not 0 <= label < logits.size:
+        raise ValueError(f"label {label} out of range for {logits.size} classes")
+    value = float(logsumexp(logits) - logits[label])
+    grad = softmax_temp(logits, 1.0)
+    grad[label] -= 1.0
+    return value, grad
+
+
+def assignment_probs(e, protos, tau: float) -> np.ndarray:
+    """Softmax over temperature-scaled cosine similarities to each prototype.
+
+    Invariant under positive rescaling of e and of each prototype.
+    """
+    protos = np.asarray(protos, dtype=float)
+    if protos.ndim != 2 or len(protos) < 1:
+        raise ValueError("need a non-empty (K, d) prototype matrix")
+    p_norms = np.linalg.norm(protos, axis=1, keepdims=True)
+    if np.any(p_norms == 0):
+        raise ValueError("prototypes contain a zero-norm row")
+    e = require_finite(e, "embedding")
+    norm = np.linalg.norm(e)
+    if norm == 0:
+        raise ValueError("embedding has zero norm")
+    return softmax_temp((protos / p_norms) @ (e / norm), tau)
+
+
+def gpt_loss(e, image_protos, text_protos, tau: float):
+    """Single-embedding form of ``losses.gpt_loss_batch``."""
+    e = np.asarray(e, dtype=float)
+    value, grad = gpt_loss_batch(e[None, :], image_protos, text_protos, tau)
+    return value, grad[0]
+
+
+def gmt_loss(
+    local_emb, global_emb, task_loss_local, task_loss_global, nu_max: float, distill_tau: float
+):
+    """Single-embedding form of ``losses.gmt_loss_batch``."""
+    local_emb = np.asarray(local_emb, dtype=float)
+    global_emb = np.asarray(global_emb, dtype=float)
+    value, grad = gmt_loss_batch(
+        local_emb[None, :],
+        global_emb[None, :],
+        task_loss_local,
+        task_loss_global,
+        nu_max,
+        distill_tau,
+    )
+    return value, grad[0]
+
+
+def eval_report_from_dict(d: dict) -> EvalReport:
+    """Inverse of ``EvalReport.to_dict`` (the derived recall sums are dropped)."""
+    return EvalReport(
+        acc_at={int(k): float(v) for k, v in d["acc_at"].items()},
+        recall_i2t_at={int(k): float(v) for k, v in d["recall_i2t_at"].items()},
+        recall_t2i_at={int(k): float(v) for k, v in d["recall_t2i_at"].items()},
+        n_eval=int(d["n_eval"]),
+    )

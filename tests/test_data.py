@@ -71,12 +71,6 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(SyntheticSpec(seed=None))
 
-    def test_sample_indexing(self):
-        ds = generate(spec())
-        sample = ds[3]
-        assert sample.label == int(ds.labels[3])
-        assert np.array_equal(sample.image_view, ds.images[3])
-
 
 class TestTrainEvalSplit:
     def test_fraction_and_disjointness(self):

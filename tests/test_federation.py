@@ -20,7 +20,6 @@ from apromfl.federation import (
     unimodal_client_round,
     validate_message,
 )
-from apromfl.losses import TransferContext
 from apromfl.metrics import acc_at_k
 from apromfl.nn import (
     flatten_module,
@@ -37,24 +36,11 @@ def modules(count, dims=(4, 6, 3), key=0):
     return [init_mapping_module(dims, seeded_rng(900, key, i)) for i in range(count)]
 
 
-def empty_ctx(tau=0.5):
-    return TransferContext(tau=tau)
-
-
 def round_cfg(**kwargs):
-    base = dict(
-        seed=0,
-        round_index=1,
-        epochs=2,
-        lr=0.05,
-        batch_size=8,
-        beta1=1.0,
-        beta2=1.0,
-        lmr_weight=0.1,
-        local_clusters=3,
-    )
+    """Round-1 input: no global prototypes and no distillation yet."""
+    base = dict(local_epochs=2, batch_size=8, lmr_weight=0.1, num_global_prototypes=3)
     base.update(kwargs)
-    return ClientRoundConfig(**base)
+    return ClientRoundConfig(ExperimentConfig(**base), round_index=1)
 
 
 def tiny_config(**kwargs):
@@ -238,14 +224,14 @@ def make_multimodal_state(n=20, key=0):
 class TestUnimodalClientRound:
     def test_empty_context_trains_on_task_only(self):
         state = make_unimodal_state()
-        _, msg = unimodal_client_round(state, empty_ctx(), round_cfg())
+        _, msg = unimodal_client_round(state, round_cfg())
         assert msg.loss_terms["gpt"] == 0.0
         assert msg.loss_terms["gmt"] == 0.0
         assert msg.loss_terms["task"] > 0.0
 
     def test_zero_epochs_leaves_model_and_uses_initial_embeddings(self):
         state = make_unimodal_state()
-        new_state, msg = unimodal_client_round(state, empty_ctx(), round_cfg(epochs=0))
+        new_state, msg = unimodal_client_round(state, round_cfg(local_epochs=0))
         assert np.array_equal(
             flatten_module(new_state.mapper), flatten_module(state.mapper)
         )
@@ -256,7 +242,7 @@ class TestUnimodalClientRound:
 
     def test_converges_on_separable_data(self):
         state = make_unimodal_state(n=40, separable=True)
-        trained, _ = unimodal_client_round(state, empty_ctx(), round_cfg(epochs=20))
+        trained, _ = unimodal_client_round(state, round_cfg(local_epochs=20))
         logits = forward_head(trained.head, forward_map(trained.mapper, state.features))
         assert acc_at_k(logits, state.labels, 1) >= 0.95
 
@@ -264,14 +250,14 @@ class TestUnimodalClientRound:
 class TestMultimodalClientRound:
     def test_message_contains_only_task_modules(self):
         state = make_multimodal_state()
-        _, msg = multimodal_client_round(state, empty_ctx(), round_cfg())
+        _, msg = multimodal_client_round(state, round_cfg())
         assert set(msg.module_params) == {"image", "text"}
         assert msg.pair_prototypes and msg.label_prototypes is None
 
     def test_k1_pair_is_means(self):
         state = make_multimodal_state()
         new_state, msg = multimodal_client_round(
-            state, empty_ctx(), round_cfg(epochs=0, local_clusters=1)
+            state, round_cfg(local_epochs=0, num_global_prototypes=1)
         )
         (pair,) = msg.pair_prototypes
         e_img = forward_map(new_state.cluster_image_mapper, state.image_features)
@@ -284,12 +270,19 @@ class TestMultimodalClientRound:
         for weight in (0.0, 0.3, 3.0):
             state = make_multimodal_state(key=3)
             trained, _ = multimodal_client_round(
-                state, empty_ctx(), round_cfg(lmr_weight=weight, epochs=3)
+                state, round_cfg(lmr_weight=weight, local_epochs=3)
             )
             gap_img = trained.image_mapper.params - trained.cluster_image_mapper.params
             gap_txt = trained.text_mapper.params - trained.cluster_text_mapper.params
             gaps.append(float(gap_img @ gap_img + gap_txt @ gap_txt))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def task_modules(state) -> dict:
+    """A client's transmitted mapping modules by modality."""
+    if isinstance(state, UnimodalClientState):
+        return {state.modality: state.mapper}
+    return {"image": state.image_mapper, "text": state.text_mapper}
 
 
 def strip_wall_time(records):
@@ -328,13 +321,12 @@ class TestRunTraining:
     def test_local_equals_isolated_training(self):
         cfg = tiny_config(method="local", rounds=3)
         result = run_training(cfg)
-        # drive the same clients by hand with a forever-empty context
+        # drive the same clients by hand, never with any global input
         experiment = setup_experiment(cfg)
         states = list(experiment.clients)
         for round_index in range(1, 4):
             rc = ClientRoundConfig.from_experiment(cfg, round_index)
-            ctx = TransferContext(tau=cfg.tau, nu_max=cfg.nu_max, distill_tau=cfg.distill_tau)
-            states = [client_round(s, ctx, rc)[0] for s in states]
+            states = [client_round(s, rc)[0] for s in states]
         for ran, manual in zip(result.experiment.clients, states):
             if isinstance(ran, UnimodalClientState):
                 assert np.array_equal(
@@ -351,23 +343,32 @@ class TestRunTraining:
     def test_apromfl_broadcast_replaces_modules(self):
         cfg = tiny_config(method="apromfl", rounds=1)
         result = run_training(cfg)
-        # after the server phase every context carries the personalised module
-        for ctx, state in zip(result.experiment.contexts, result.experiment.clients):
-            assert ctx.global_prototypes is not None
-            if isinstance(state, UnimodalClientState):
-                own = ctx.module_for(state.modality)
-                assert own is not None
-                assert np.array_equal(flatten_module(own), flatten_module(state.mapper))
-            else:
-                assert np.array_equal(
-                    flatten_module(ctx.image_module), flatten_module(state.image_mapper)
-                )
+        assert result.experiment.global_prototypes is not None
+        # recompute the round-1 uploads by hand: after the server phase each
+        # client holds its own row of the relationship-graph aggregate
+        rc = ClientRoundConfig.from_experiment(cfg, 1)
+        uploaded = [task_modules(client_round(s, rc)[0]) for s in setup_experiment(cfg).clients]
+        for modality in ("image", "text"):
+            ids = [i for i, mods in enumerate(uploaded) if modality in mods]
+            modules = [uploaded[i][modality] for i in ids]
+            expected = aggregate_modules(relationship_weights(modules), modules)
+            for i, module in zip(ids, expected):
+                adopted = task_modules(result.experiment.clients[i])[modality]
+                assert np.array_equal(adopted.params, module.params)
+
+    @pytest.mark.parametrize("method", ["apromfl", "local", "fediot"])
+    def test_only_apromfl_broadcasts_prototypes_and_distills(self, method):
+        cfg = tiny_config(method=method, rounds=1)
+        result = run_training(cfg)
+        assert (result.experiment.global_prototypes is not None) == (method == "apromfl")
+        assert not ClientRoundConfig.from_experiment(cfg, 1).distill
+        assert ClientRoundConfig.from_experiment(cfg, 2).distill == (method == "apromfl")
 
     def test_no_multimodal_clients_still_runs(self):
         cfg = tiny_config(method="apromfl", clients_multimodal=0, clients_image=2, clients_text=2)
         result = run_training(cfg)
         # no pairs exist, so no global prototypes; aggregation still happens
-        assert all(ctx.global_prototypes is None for ctx in result.experiment.contexts)
+        assert result.experiment.global_prototypes is None
         assert len(result.records) == cfg.rounds
 
     def test_evaluate_client_shapes(self):

@@ -16,6 +16,7 @@ from apromfl.config import (
 from apromfl.federation import RoundFailure
 from apromfl.harness import apply_axis, load_summary, run, summarize_reports, sweep
 from apromfl.metrics import EvalReport
+from oracles import eval_report_from_dict
 
 TINY = """
 method = apromfl
@@ -176,7 +177,7 @@ class TestRunDirectory:
         out = run(config, tmp_path / "run")
         last = json.loads((out / "rounds.jsonl").read_text().splitlines()[-1])
         reports = {
-            int(cid): EvalReport.from_dict(blob) for cid, blob in last["reports"].items()
+            int(cid): eval_report_from_dict(blob) for cid, blob in last["reports"].items()
         }
         recomputed = summarize_reports(reports)
         summary = load_summary(out)

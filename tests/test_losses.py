@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 
 from apromfl.losses import (
     LN2,
-    TransferContext,
-    assignment_probs,
     clustering_total_loss,
-    cross_entropy,
     cross_entropy_batch,
-    gmt_loss,
     gmt_loss_batch,
-    gpt_loss,
     gpt_loss_batch,
     gpt_loss_paired_batch,
     inter_modal_total,
@@ -24,13 +19,20 @@ from apromfl.losses import (
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
 from apromfl.numerics import seeded_rng
-from oracles import fd_wrt_arrays, grad_rel_error, inter_modal_loss, intra_modal_loss
+from oracles import (
+    assignment_probs,
+    cross_entropy,
+    fd_wrt_arrays,
+    gmt_loss,
+    gpt_loss,
+    grad_rel_error,
+    inter_modal_loss,
+    intra_modal_loss,
+)
 
 TAU = 0.5
-
-
-def ctx(**kwargs):
-    return TransferContext(tau=TAU, **kwargs)
+NU_MAX = 10.0
+DISTILL_TAU = 1.0
 
 
 def rand_embs(n, d, key, scale=1.0):
@@ -341,49 +343,48 @@ class TestGptLoss:
 class TestGmtLoss:
     def test_identical_embeddings_zero(self):
         emb = np.array([0.2, -0.4, 1.0])
-        value, grad = gmt_loss(emb, emb.copy(), 1.0, 1.0, ctx())
+        value, grad = gmt_loss(emb, emb.copy(), 1.0, 1.0, NU_MAX, DISTILL_TAU)
         assert value == 0.0
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_equal_task_losses_give_unit_ratio(self):
         local, glob = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        v1, _ = gmt_loss(local, glob, 0.37, 0.37, ctx())
-        v_base, _ = gmt_loss(local, glob, 1.0, 1.0, ctx())
+        v1, _ = gmt_loss(local, glob, 0.37, 0.37, NU_MAX, DISTILL_TAU)
+        v_base, _ = gmt_loss(local, glob, 1.0, 1.0, NU_MAX, DISTILL_TAU)
         assert v1 == pytest.approx(v_base, rel=1e-12)
 
     def test_ratio_scales_linearly_below_clamp(self):
         local, glob = np.array([1.0, 0.2]), np.array([0.1, 0.9])
-        v1, _ = gmt_loss(local, glob, 1.0, 1.0, ctx())
-        v2, _ = gmt_loss(local, glob, 2.0, 1.0, ctx())
+        v1, _ = gmt_loss(local, glob, 1.0, 1.0, NU_MAX, DISTILL_TAU)
+        v2, _ = gmt_loss(local, glob, 2.0, 1.0, NU_MAX, DISTILL_TAU)
         assert v2 == pytest.approx(2 * v1, rel=1e-12)
 
     def test_ratio_clamped(self):
         local, glob = np.array([1.0, 0.2]), np.array([0.1, 0.9])
-        v_cap, _ = gmt_loss(local, glob, 1e9, 1.0, ctx(nu_max=5.0))
-        v_unit, _ = gmt_loss(local, glob, 1.0, 1.0, ctx(nu_max=5.0))
+        v_cap, _ = gmt_loss(local, glob, 1e9, 1.0, 5.0, DISTILL_TAU)
+        v_unit, _ = gmt_loss(local, glob, 1.0, 1.0, 5.0, DISTILL_TAU)
         assert v_cap == pytest.approx(5.0 * v_unit, rel=1e-12)
 
     def test_gradient_flows_only_into_local(self):
         local, glob = rand_embs(3, 4, 30), rand_embs(3, 4, 31)
-        _, grad = gmt_loss_batch(local, glob, 0.8, 0.5, ctx())
+        _, grad = gmt_loss_batch(local, glob, 0.8, 0.5, NU_MAX, DISTILL_TAU)
         numeric = fd_wrt_arrays(
-            lambda l: gmt_loss_batch(l, glob, 0.8, 0.5, ctx())[0], [local]
+            lambda l: gmt_loss_batch(l, glob, 0.8, 0.5, NU_MAX, DISTILL_TAU)[0], [local]
         )[0]
         assert grad_rel_error(grad, numeric) < 1e-4
 
     def test_non_finite_ratio_rejected(self):
         with pytest.raises(ValueError):
-            gmt_loss(np.ones(2), np.ones(2), float("nan"), 1.0, ctx())
+            gmt_loss(np.ones(2), np.ones(2), float("nan"), 1.0, NU_MAX, DISTILL_TAU)
 
-
-class TestTransferContext:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TransferContext(tau=0.0)
-        with pytest.raises(ValueError):
-            TransferContext(tau=1.0, distill_tau=0.0)
-        with pytest.raises(ValueError):
-            TransferContext(tau=1.0, nu_max=0.5)
-
-    def test_empty(self):
-        assert ctx().is_empty
+        local, glob = rand_embs(2, 3, 32), rand_embs(2, 3, 33)
+        with pytest.raises(ValueError, match="distill_tau"):
+            gmt_loss_batch(local, glob, 1.0, 1.0, NU_MAX, 0.0)
+        with pytest.raises(ValueError, match="nu_max"):
+            gmt_loss_batch(local, glob, 1.0, 1.0, 0.5, DISTILL_TAU)
+        # the losses that take a temperature still reject tau <= 0
+        with pytest.raises(ValueError, match="tau"):
+            retrieval_task_loss(local, glob, 0.0)
+        with pytest.raises(ValueError, match="tau"):
+            gpt_loss_batch(local, glob, glob, 0.0)

