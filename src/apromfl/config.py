@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import SyntheticSpec
+from .data import ROLE_ORDER, SyntheticSpec, deal_role_classes, eval_cut
 
 METHODS = ("apromfl", "local", "fediot")
 
@@ -112,6 +112,39 @@ def validate_config(config: ExperimentConfig) -> None:
         config.synthetic.validate()
     except ValueError as err:
         raise ValueError(str(err)) from None
+    _validate_split(config, fail)
+
+
+def _validate_split(config: ExperimentConfig, fail) -> None:
+    """The checks set-up would otherwise fail without naming a field: the
+    evaluation holdout (``data.train_eval_split``) must hold a sample of
+    each class, and the training samples must cover every client of each
+    partition pool (``data.role_partition``)."""
+    spec = config.synthetic
+    held_out = eval_cut(spec.samples_per_class, config.eval_fraction)
+    if held_out == 0:
+        fail(
+            "eval_fraction",
+            f"holds out int({config.eval_fraction} * {spec.samples_per_class}) = 0 samples "
+            "per class, so the evaluation split is empty; raise eval_fraction or "
+            "synthetic.samples_per_class",
+        )
+    train_per_class = spec.samples_per_class - held_out
+    if config.disjoint_role_classes:
+        dealt = deal_role_classes(range(spec.num_classes), config.client_counts)
+        pools = [
+            (f"{ROLE_ORDER[r]} clients", len(classes) * train_per_class, config.client_counts[r])
+            for r, classes in dealt.items()
+        ]
+    else:
+        pools = [("clients", spec.num_classes * train_per_class, config.num_clients)]
+    for who, samples, clients in pools:
+        if samples < clients:
+            fail(
+                "synthetic.samples_per_class",
+                f"{samples} training samples cannot cover {clients} {who}; raise "
+                "samples_per_class or lower the client counts",
+            )
 
 
 def finalize_config(config: ExperimentConfig) -> ExperimentConfig:

@@ -86,6 +86,11 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     )
 
 
+def eval_cut(class_size: int, eval_fraction: float) -> int:
+    """How many samples of a class :func:`train_eval_split` holds out."""
+    return int(eval_fraction * class_size)
+
+
 def train_eval_split(dataset: SyntheticDataset, eval_fraction: float):
     """Per-class holdout taken before any partitioning, so eval membership
     never depends on the client split. Returns (train, eval)."""
@@ -94,7 +99,7 @@ def train_eval_split(dataset: SyntheticDataset, eval_fraction: float):
     eval_idx, train_idx = [], []
     for c in np.unique(dataset.labels):
         idx = np.flatnonzero(dataset.labels == c)
-        cut = int(eval_fraction * len(idx))
+        cut = eval_cut(len(idx), eval_fraction)
         eval_idx.append(idx[:cut])
         train_idx.append(idx[cut:])
     return dataset.subset(np.concatenate(train_idx)), dataset.subset(np.concatenate(eval_idx))
@@ -180,6 +185,16 @@ def _repair_empty_clients(plan: list[dict[int, np.ndarray]]) -> None:
         sizes[client] += 1
 
 
+def deal_role_classes(classes, counts: tuple[int, int, int]) -> dict[int, list[int]]:
+    """The classes of each role that has clients when roles get disjoint
+    classes: dealt round-robin, in the given order, across those roles."""
+    active = [r for r, m in enumerate(counts) if m > 0]
+    dealt: dict[int, list[int]] = {r: [] for r in active}
+    for j, c in enumerate(classes):
+        dealt[active[j % len(active)]].append(int(c))
+    return dealt
+
+
 def role_partition(
     labels,
     counts: tuple[int, int, int],
@@ -200,18 +215,14 @@ def role_partition(
     if not disjoint_classes:
         return dirichlet_partition(labels, num_clients, alpha, rng)
 
-    active = [r for r, m in enumerate(counts) if m > 0]
-    classes = np.unique(labels)
-    role_classes = {r: set() for r in active}
-    for j, c in enumerate(classes):
-        role_classes[active[j % len(active)]].add(int(c))
+    role_classes = deal_role_classes(np.unique(labels), counts)
 
     merged: list[dict[int, np.ndarray]] = [dict() for _ in range(num_clients)]
     offset = 0
     for role_id, role_count in enumerate(counts):
         if role_count == 0:
             continue
-        pool = np.flatnonzero(np.isin(labels, sorted(role_classes[role_id])))
+        pool = np.flatnonzero(np.isin(labels, role_classes[role_id]))
         sub = dirichlet_partition(labels[pool], role_count, alpha, rng)
         for local, share in enumerate(sub.client_shares):
             merged[offset + local] = {c: pool[v] for c, v in share.items()}

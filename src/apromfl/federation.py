@@ -17,6 +17,13 @@ Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
 parallel client execution cannot change any result. Server reductions
 iterate clients in ascending id.
+
+A client round trains in place. It copies each model it trains once into a
+private writable buffer, steps that buffer, and freezes it when the round
+ends; the frozen models a client state holds (at set-up, every client
+shares the same initial ones) are never written. A multimodal client's
+image and text modules train as one ``(2, P)`` stack, so each step makes
+one forward, backward and SGD call for both towers.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import assign_roles, generate, role_partition, train_eval_split
 from .losses import (
+    UnitPrototypes,
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
@@ -38,11 +46,13 @@ from .losses import (
     gpt_loss_paired_batch,
     lmr_loss,
     retrieval_task_loss,
+    unit_prototypes,
 )
 from .metrics import EvalReport, classification_report, retrieval_report
 from .nn import (
     ClassifierHead,
     Encoder,
+    ForwardTrace,
     MappingModule,
     backward,
     backward_head,
@@ -51,13 +61,17 @@ from .nn import (
     forward_head,
     forward_map,
     forward_map_trace,
+    freeze,
     init_classifier_head,
     init_mapping_module,
     make_projection_encoder,
     same_architecture,
     sgd_step,
     sgd_step_head,
+    stack,
+    trainable,
     unflatten_module,
+    unstack,
 )
 from .numerics import cosine_similarity, kmeans, require_finite, seeded_rng
 from .prototypes import (
@@ -152,9 +166,22 @@ class ClientRoundConfig:
     round_index: int
     global_prototypes: GlobalPrototypeSet | None = None
 
+    def __post_init__(self):
+        # checked once per round: in-place SGD steps do not check it again
+        if self.config.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.config.lr}")
+
     @classmethod
     def from_experiment(cls, config: ExperimentConfig, round_index: int) -> "ClientRoundConfig":
         return cls(config=config, round_index=round_index)
+
+    def gpt_prototypes(self) -> UnitPrototypes | None:
+        """The global prototypes, normalised once for the whole round, when
+        the prototype-transfer loss applies; else None."""
+        if self.global_prototypes is None or self.config.beta1 <= 0:
+            return None
+        gp = self.global_prototypes
+        return unit_prototypes(gp.image_matrix(), gp.text_matrix())
 
     @property
     def distill(self) -> bool:
@@ -201,14 +228,11 @@ def unimodal_client_round(
     has broadcast global artifacts) the prototype- and model-transfer
     losses, then label-guided prototype extraction."""
     cfg = rc.config
-    mapper, head = state.mapper, state.head
+    mapper, head = trainable(state.mapper), trainable(state.head)
     feats, labels = state.features, state.labels
     n = len(labels)
-    use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
+    protos = rc.gpt_prototypes()
     use_gmt = rc.distill and cfg.beta2 > 0
-    if use_gpt:
-        img_protos = rc.global_prototypes.image_matrix()
-        txt_protos = rc.global_prototypes.text_matrix()
     meter = _LossMeter()
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
     for _ in range(cfg.local_epochs):
@@ -220,8 +244,8 @@ def unimodal_client_round(
             task, d_logits = cross_entropy_batch(logits, y)
             head_grad, d_emb = backward_head(head, emb, d_logits)
             gpt_value = gmt_value = 0.0
-            if use_gpt:
-                gpt_value, grad = gpt_loss_batch(emb, img_protos, txt_protos, cfg.tau)
+            if protos is not None:
+                gpt_value, grad = gpt_loss_batch(emb, protos, cfg.tau)
                 d_emb = d_emb + cfg.beta1 * grad
             if use_gmt:
                 # the round started from the aggregate the server broadcast
@@ -232,9 +256,10 @@ def unimodal_client_round(
                 )
                 d_emb = d_emb + cfg.beta2 * grad
             grad, _ = backward(mapper, trace, d_emb)
-            mapper = sgd_step(mapper, grad, cfg.lr)
-            head = sgd_step_head(head, head_grad, cfg.lr)
+            sgd_step(mapper, grad, cfg.lr)
+            sgd_step_head(head, head_grad, cfg.lr)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=0.0)
+    mapper, head = freeze(mapper), freeze(head)
     terms = meter.means()
     protos = label_guided_prototypes(
         forward_map(mapper, feats), labels, modality=state.modality, client_id=state.client_id
@@ -251,6 +276,70 @@ def unimodal_client_round(
     return replace(state, mapper=mapper, head=head), message
 
 
+@dataclass(frozen=True)
+class _Towers:
+    """A multimodal client's image and text modules, run together as stacks:
+    one ``(2, P)`` stack when the two share their dims (always under
+    projection encoders), else a one-tower stack each. ``inputs`` holds each
+    stack's features, stacked the same way. Embeddings and their gradients
+    are ``(2, N, d)`` arrays, image first."""
+
+    stacks: tuple[MappingModule, ...]
+    inputs: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, image_module, text_module, image_features, text_features) -> "_Towers":
+        if same_architecture(image_module, text_module):
+            inputs = (np.stack([image_features, text_features]),)
+        else:
+            inputs = (image_features[None], text_features[None])
+        return cls((), inputs).with_modules(image_module, text_module)
+
+    def with_modules(self, image_module, text_module) -> "_Towers":
+        """Other modules of the same dims over the same inputs."""
+        if len(self.inputs) == 1:
+            return _Towers((stack(image_module, text_module),), self.inputs)
+        return _Towers((stack(image_module), stack(text_module)), self.inputs)
+
+    def trainable(self) -> "_Towers":
+        return _Towers(tuple(trainable(s) for s in self.stacks), self.inputs)
+
+    def modules(self) -> tuple[MappingModule, MappingModule]:
+        """The (image, text) modules, frozen."""
+        image, text = (m for s in self.stacks for m in unstack(s))
+        return image, text
+
+    def embed(self, rows=slice(None)) -> np.ndarray:
+        out = [forward_map(s, x[:, rows]) for s, x in zip(self.stacks, self.inputs)]
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    def embed_trace(self, rows) -> tuple[np.ndarray, list[ForwardTrace]]:
+        runs = [forward_map_trace(s, x[:, rows]) for s, x in zip(self.stacks, self.inputs)]
+        embs = [e for e, _ in runs]
+        return (embs[0] if len(embs) == 1 else np.concatenate(embs)), [t for _, t in runs]
+
+    def lmr(self, anchor: "_Towers", weight: float) -> tuple[list[float], list[np.ndarray]]:
+        """Each tower's regulariser value toward ``anchor`` and each stack's
+        parameter gradient."""
+        values, grads = [], []
+        for s, a in zip(self.stacks, anchor.stacks):
+            value, grad = lmr_loss(s, a, weight)
+            values += value
+            grads.append(grad)
+        return values, grads
+
+    def descend(self, traces, upstream: np.ndarray, lr: float, extra=None) -> None:
+        """Backpropagate the embedding gradient ``upstream`` through each
+        trainable stack, add ``extra[i]`` to stack i's parameter gradient if
+        given, and step every stack in place."""
+        parts = [upstream] if len(self.stacks) == 1 else [upstream[:1], upstream[1:]]
+        for i, (s, trace, g) in enumerate(zip(self.stacks, traces, parts)):
+            grad, _ = backward(s, trace, g)
+            if extra is not None:
+                grad += extra[i]
+            sgd_step(s, grad, lr)
+
+
 def multimodal_client_round(
     state: MultimodalClientState, rc: ClientRoundConfig
 ) -> tuple[MultimodalClientState, RoundMessage]:
@@ -259,54 +348,48 @@ def multimodal_client_round(
     (b) train the task model on retrieval + transfer losses plus the
     regulariser tying it to the clustering model's modules."""
     cfg = rc.config
-    xi, xt = state.image_features, state.text_features
-    n = len(xi)
+    n = len(state.image_features)
     k_local = max(1, min(cfg.num_global_prototypes, n))
     key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
+    # the round-start task modules: the distillation target of (b)
+    start = _Towers.of(
+        state.image_mapper, state.text_mapper, state.image_features, state.text_features
+    )
 
     # (a) clustering model refresh (warm start from the previous round)
-    c_img, c_txt = state.cluster_image_mapper, state.cluster_text_mapper
+    cluster = start.with_modules(state.cluster_image_mapper, state.cluster_text_mapper).trainable()
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
-        fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
-        pseudo, _, _ = kmeans(fused, k_local, seeded_rng(*key, "kmeans", epoch))
+        e_img, e_txt = cluster.embed()
+        pseudo, _, _ = kmeans(fuse(e_img, e_txt), k_local, seeded_rng(*key, "kmeans", epoch))
         order = cluster_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
-            e_img, tr_img = forward_map_trace(c_img, xi[batch])
-            e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
+            (e_img, e_txt), traces = cluster.embed_trace(batch)
             _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
-            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img)[0], cfg.lr)
-            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt)[0], cfg.lr)
+            cluster.descend(traces, np.stack([g_img, g_txt]), cfg.lr)
+    e_img, e_txt = cluster.embed()
     pairs, _ = clustering_prototype_pairs(
-        forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
+        e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final")
     )
 
     # (b) task model training
-    mapper_img, mapper_txt = state.image_mapper, state.text_mapper
-    use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
+    mappers = start.trainable()
+    protos = rc.gpt_prototypes()
     use_gmt = rc.distill and cfg.beta2 > 0
-    if use_gpt:
-        img_protos = rc.global_prototypes.image_matrix()
-        txt_protos = rc.global_prototypes.text_matrix()
     meter = _LossMeter()
     task_rng = seeded_rng(*key, "task-batches")
     for _ in range(cfg.local_epochs):
         order = task_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
-            e_img, tr_img = forward_map_trace(mapper_img, xi[batch])
-            e_txt, tr_txt = forward_map_trace(mapper_txt, xt[batch])
+            (e_img, e_txt), traces = mappers.embed_trace(batch)
             task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
-            if use_gpt:
-                gpt_value, a_img, a_txt = gpt_loss_paired_batch(
-                    e_img, e_txt, img_protos, txt_protos, cfg.tau
-                )
+            if protos is not None:
+                gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
-                # the round started from the aggregates the server broadcast
-                ge_img = forward_map(state.image_mapper, xi[batch])
-                ge_txt = forward_map(state.text_mapper, xt[batch])
+                ge_img, ge_txt = start.embed(batch)
                 global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
                 v_img, a_img = gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
@@ -317,16 +400,12 @@ def multimodal_client_round(
                 gmt_value = 0.5 * (v_img + v_txt)
                 g_img = g_img + 0.5 * cfg.beta2 * a_img
                 g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
-            lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, cfg.lmr_weight)
-            lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, cfg.lmr_weight)
-            grad_img, _ = backward(mapper_img, tr_img, g_img)
-            grad_txt, _ = backward(mapper_txt, tr_txt, g_txt)
-            grad_img += lmr_grad_img
-            grad_txt += lmr_grad_txt
-            mapper_img = sgd_step(mapper_img, grad_img, cfg.lr)
-            mapper_txt = sgd_step(mapper_txt, grad_txt, cfg.lr)
+            (lmr_img, lmr_txt), lmr_grads = mappers.lmr(cluster, cfg.lmr_weight)
+            mappers.descend(traces, np.stack([g_img, g_txt]), cfg.lr, extra=lmr_grads)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=lmr_img + lmr_txt)
     terms = meter.means()
+    mapper_img, mapper_txt = mappers.modules()
+    c_img, c_txt = cluster.modules()
     message = RoundMessage(
         client_id=state.client_id,
         kind="multimodal",

@@ -14,6 +14,8 @@ every sample in the batch including the anchor itself.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .nn import MappingModule, same_architecture
@@ -32,8 +34,9 @@ def _norm_rows(x, what: str = "embeddings") -> tuple[np.ndarray, np.ndarray]:
     x = require_finite(x, what)
     if x.ndim != 2:
         raise ValueError(f"{what} must be (N, d)")
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0):
+    # what np.linalg.norm(x, axis=1, keepdims=True) computes, minus its dispatch
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    if (norms == 0).any():
         raise ValueError(f"{what} contain a zero-norm row")
     return x / norms, norms
 
@@ -178,14 +181,20 @@ def clustering_total_loss(img_embs, txt_embs, labels, tau: float):
 def lmr_loss(module: MappingModule, anchor: MappingModule, weight: float):
     """weight * ||theta - theta_anchor||^2 with gradient w.r.t. theta only.
 
-    The anchor (the private clustering model's module) is frozen.
+    The anchor (the private clustering model's module) is frozen. For a
+    stack of modules and a stack of anchors the value is a list with one
+    entry per row, and the gradient is stacked likewise.
     """
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
-    if not same_architecture(module, anchor):
+    if not same_architecture(module, anchor) or module.params.shape != anchor.params.shape:
         raise ValueError(f"architecture mismatch: {module.dims} vs {anchor.dims}")
     diff = module.params - anchor.params
-    return weight * float(diff @ diff), 2.0 * weight * diff
+    if diff.ndim == 1:
+        value = weight * float(diff @ diff)
+    else:
+        value = [weight * float(row @ row) for row in diff]
+    return value, 2.0 * weight * diff
 
 
 # -- global prototype transfer -----------------------------------------------
@@ -205,7 +214,23 @@ def _js_rows(p: np.ndarray, q: np.ndarray):
     return rows, 0.5 * log_p, 0.5 * log_q
 
 
-def gpt_loss_batch(embs, image_protos, text_protos, tau: float):
+@dataclass(frozen=True)
+class UnitPrototypes:
+    """The global image and text prototype matrices, checked and scaled to
+    unit rows once per round by :func:`unit_prototypes`, so the round's
+    ``gpt_loss_*`` calls share them."""
+
+    image: np.ndarray  # (K, d)
+    text: np.ndarray  # (K, d)
+
+
+def unit_prototypes(image_protos, text_protos) -> UnitPrototypes:
+    image, _ = _norm_rows(np.asarray(image_protos, dtype=float), "image prototypes")
+    text, _ = _norm_rows(np.asarray(text_protos, dtype=float), "text prototypes")
+    return UnitPrototypes(image=image, text=text)
+
+
+def gpt_loss_batch(embs, protos: UnitPrototypes, tau: float):
     """Alignment of each embedding's assignment distributions over the
     paired global image and text prototype sets (a Jensen-Shannon
     divergence, so the value lies in [0, ln 2]).
@@ -217,8 +242,7 @@ def gpt_loss_batch(embs, image_protos, text_protos, tau: float):
         raise ValueError(f"tau must be positive, got {tau}")
     u, norms = _norm_rows(embs)
     n = len(u)
-    pi_unit, _ = _norm_rows(np.asarray(image_protos, dtype=float), "image prototypes")
-    pt_unit, _ = _norm_rows(np.asarray(text_protos, dtype=float), "text prototypes")
+    pi_unit, pt_unit = protos.image, protos.text
     p = _softmax_rows(u @ pi_unit.T / tau)
     q = _softmax_rows(u @ pt_unit.T / tau)
     rows, g_p, g_q = _js_rows(p, q)
@@ -229,7 +253,7 @@ def gpt_loss_batch(embs, image_protos, text_protos, tau: float):
     return value, _norm_rows_backward(g_u, u, norms) / n
 
 
-def gpt_loss_paired_batch(img_embs, txt_embs, image_protos, text_protos, tau: float):
+def gpt_loss_paired_batch(img_embs, txt_embs, protos: UnitPrototypes, tau: float):
     """Multimodal variant: the image embedding is assigned to the image
     prototypes and its paired text embedding to the text prototypes.
 
@@ -242,8 +266,7 @@ def gpt_loss_paired_batch(img_embs, txt_embs, image_protos, text_protos, tau: fl
     if u.shape[0] != v.shape[0]:
         raise ValueError("image/text embedding counts must match")
     n = len(u)
-    pi_unit, _ = _norm_rows(np.asarray(image_protos, dtype=float), "image prototypes")
-    pt_unit, _ = _norm_rows(np.asarray(text_protos, dtype=float), "text prototypes")
+    pi_unit, pt_unit = protos.image, protos.text
     p = _softmax_rows(u @ pi_unit.T / tau)
     q = _softmax_rows(v @ pt_unit.T / tau)
     rows, g_p, g_q = _js_rows(p, q)

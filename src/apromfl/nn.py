@@ -3,12 +3,20 @@ hand-written forward/backward passes and plain SGD.
 
 Weights are stored ``(d_in, d_out)`` so a batch forward is ``x @ W + b``.
 ReLU sits between layers and the final layer is linear. Each model holds
-one contiguous, read-only float64 parameter vector laid out W0, b0, W1, b1,
-...; its per-layer weights and biases are views of that vector, and every
-gradient is a plain vector of the same length. Models are frozen
-dataclasses; every update builds a new value, which keeps concurrent client
-training trivially safe. Encoders are frozen stand-ins for large pretrained
-backbones: either the identity or a fixed seeded random projection.
+one contiguous float64 parameter vector laid out W0, b0, W1, b1, ...; its
+per-layer weights and biases are views of that vector, and every gradient
+is a plain vector of the same length. A *stack* of t models of one
+architecture holds a ``(t, P)`` matrix instead, one vector per row, and its
+views and gradients carry the same leading axis: one forward or backward
+call then runs every tower of the stack.
+
+Models are frozen dataclasses with read-only parameters. A client round
+copies each model it trains once into a private writable buffer
+(:func:`trainable`), steps that buffer in place, and freezes it when the
+round ends (:func:`freeze`, :func:`unstack`); a frozen model shared between
+clients is never written. Encoders are frozen stand-ins for large
+pretrained backbones: either the identity or a fixed seeded random
+projection.
 """
 
 from __future__ import annotations
@@ -38,26 +46,29 @@ def _check_dims(dims) -> tuple[int, ...]:
 
 
 def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer weight and bias views of a vector laid out W0, b0, W1, b1, ..."""
+    """Per-layer weight and bias views of a vector laid out W0, b0, W1, b1,
+    ..., or of a stack of such vectors (one per row)."""
+    lead = flat.shape[:-1]
     weights, biases = [], []
     pos = 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[pos : pos + d_in * d_out].reshape(d_in, d_out))
+        weights.append(flat[..., pos : pos + d_in * d_out].reshape(*lead, d_in, d_out))
         pos += d_in * d_out
-        biases.append(flat[pos : pos + d_out])
+        biases.append(flat[..., pos : pos + d_out])
         pos += d_out
     return tuple(weights), tuple(biases)
 
 
 def _freeze(model, dims, params):
-    """Store checked ``dims`` and a read-only view of ``params`` on a frozen
-    model, and return the per-layer views. A contiguous float64 array is not
-    copied, and its own flags are left alone."""
+    """Store checked ``dims`` and a read-only view of ``params`` (a vector,
+    or a stack of vectors) on a frozen model, and return the per-layer views.
+    A contiguous float64 array is not copied, and its own flags are left
+    alone."""
     dims = _check_dims(dims)
     params = np.ascontiguousarray(params, dtype=float).view()
     count = _param_count(dims)
-    if params.shape != (count,):
-        raise ValueError(f"flat vector length {params.size} != parameter count {count}")
+    if params.ndim not in (1, 2) or params.shape[-1] != count:
+        raise ValueError(f"flat vector length {params.shape[-1]} != parameter count {count}")
     params.flags.writeable = False
     object.__setattr__(model, "dims", dims)
     object.__setattr__(model, "params", params)
@@ -138,6 +149,35 @@ def init_classifier_head(in_dim: int, num_classes: int, rng: Rng) -> ClassifierH
     return ClassifierHead((in_dim, num_classes), params)
 
 
+def trainable(model):
+    """A private, writable copy of ``model`` for one round of in-place
+    training: :func:`sgd_step` and :func:`sgd_step_head` step it in place,
+    and :func:`freeze` or :func:`unstack` end the round."""
+    copy = type(model)(model.dims, model.params.copy())
+    copy.params.flags.writeable = True  # a view of the private copy
+    return copy
+
+
+def freeze(model):
+    """``model`` as a frozen model again: read-only parameters, no copy."""
+    return type(model)(model.dims, model.params)
+
+
+def stack(*models: MappingModule) -> MappingModule:
+    """One frozen model holding ``models`` (one architecture) as the rows of a
+    ``(t, P)`` stack; each forward or backward call on it runs all t."""
+    first = models[0]
+    for m in models[1:]:
+        if not same_architecture(first, m):
+            raise ValueError(f"architecture mismatch: {first.dims} vs {m.dims}")
+    return MappingModule(first.dims, np.stack([m.params for m in models]))
+
+
+def unstack(model: MappingModule) -> tuple[MappingModule, ...]:
+    """The frozen models a stack holds, each viewing its row without a copy."""
+    return tuple(MappingModule(model.dims, row) for row in model.params)
+
+
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -146,14 +186,15 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 
 
 def forward_map(module: MappingModule, x) -> np.ndarray:
-    """Map features to embeddings; accepts a vector or an (N, d) batch."""
+    """Map features to embeddings; accepts a vector or an (N, d) batch, or a
+    (t, N, d) batch for a stack of t modules."""
     batch, squeeze = _as_batch(x)
-    if batch.shape[1] != module.in_dim:
-        raise ValueError(f"input dim {batch.shape[1]} != module in_dim {module.in_dim}")
+    if batch.shape[-1] != module.in_dim:
+        raise ValueError(f"input dim {batch.shape[-1]} != module in_dim {module.in_dim}")
     h = batch
     last = module.num_layers - 1
     for i, (w, b) in enumerate(zip(module.weights, module.biases)):
-        h = h @ w + b
+        h = h @ w + b[..., None, :]
         if i != last:
             h = np.maximum(h, 0.0)
     return h[0] if squeeze else h
@@ -162,14 +203,14 @@ def forward_map(module: MappingModule, x) -> np.ndarray:
 def forward_map_trace(module: MappingModule, x) -> tuple[np.ndarray, ForwardTrace]:
     """Forward pass that records what backward() needs."""
     batch, _ = _as_batch(x)
-    if batch.shape[1] != module.in_dim:
-        raise ValueError(f"input dim {batch.shape[1]} != module in_dim {module.in_dim}")
+    if batch.shape[-1] != module.in_dim:
+        raise ValueError(f"input dim {batch.shape[-1]} != module in_dim {module.in_dim}")
     inputs, preacts = [], []
     h = batch
     last = module.num_layers - 1
     for i, (w, b) in enumerate(zip(module.weights, module.biases)):
         inputs.append(h)
-        z = h @ w + b
+        z = h @ w + b[..., None, :]
         preacts.append(z)
         h = z if i == last else np.maximum(z, 0.0)
     return h, ForwardTrace(inputs, preacts)
@@ -179,20 +220,21 @@ def backward(module: MappingModule, trace: ForwardTrace, upstream) -> tuple[np.n
     """Exact reverse-mode gradients for a recorded forward pass.
 
     ``upstream`` is dL/d(output), shaped like the traced output. Returns
-    dL/d(params), a flat vector in the module's layout, and dL/d(input).
+    dL/d(params), a flat vector in the module's layout (a stack of them for
+    a stack of modules), and dL/d(input).
     """
     g, _ = _as_batch(upstream)
     if len(trace.layer_inputs) != module.num_layers:
         raise ValueError("trace does not match module architecture")
-    grad = np.empty(module.params.size)
+    grad = np.empty(module.params.shape)
     d_weights, d_biases = _layer_views(grad, module.dims)
     last = module.num_layers - 1
     for i in range(last, -1, -1):
         if i != last:
             g = g * (trace.preacts[i] > 0)
-        np.matmul(trace.layer_inputs[i].T, g, out=d_weights[i])
-        g.sum(axis=0, out=d_biases[i])
-        g = g @ module.weights[i].T
+        np.matmul(trace.layer_inputs[i].swapaxes(-1, -2), g, out=d_weights[i])
+        g.sum(axis=-2, out=d_biases[i])
+        g = g @ module.weights[i].swapaxes(-1, -2)
     return grad, g
 
 
@@ -214,21 +256,27 @@ def backward_head(head: ClassifierHead, x, upstream) -> tuple[np.ndarray, np.nda
     return grad, g @ head.weights.T
 
 
-def _descend(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+def _descend(model, grad: np.ndarray, lr: float):
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient; aborting update")
-    return params - lr * grad
+    if model.params.flags.writeable:
+        # a trainable() copy; its round checked lr once. Same bits as
+        # params - lr * grad.
+        np.subtract(model.params, lr * grad, out=model.params)
+        return model
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    return type(model)(model.dims, model.params - lr * grad)
 
 
 def sgd_step(module: MappingModule, grad: np.ndarray, lr: float) -> MappingModule:
-    """theta' = theta - lr * grad, as a new immutable module."""
-    return MappingModule(module.dims, _descend(module.params, grad, lr))
+    """theta' = theta - lr * grad: in place on a :func:`trainable` module
+    (returned), else as a new immutable module."""
+    return _descend(module, grad, lr)
 
 
 def sgd_step_head(head: ClassifierHead, grad: np.ndarray, lr: float) -> ClassifierHead:
-    return ClassifierHead(head.dims, _descend(head.params, grad, lr))
+    return _descend(head, grad, lr)
 
 
 def flatten_module(module: MappingModule) -> np.ndarray:

@@ -54,9 +54,9 @@ def cosine_similarity(a, b) -> float:
 def logsumexp(a, axis: int = -1) -> np.ndarray:
     """Stable log-sum-exp along ``axis``."""
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    return np.squeeze(out, axis=axis)
+    m = a.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
+    return out.squeeze(axis=axis)
 
 
 #: Independent k-means++ initialisations per call; the lowest-SSE run wins.

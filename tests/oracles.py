@@ -2,9 +2,9 @@
 
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
-paths they check. The last section holds the forms only tests use: the
-single-sample wrappers of the batched losses and a few reference
-reductions.
+paths they check. The last sections hold the forms only tests use: the
+per-tower multimodal client round, the single-sample wrappers of the
+batched losses and a few reference reductions.
 """
 
 from __future__ import annotations
@@ -14,17 +14,36 @@ import math
 
 import numpy as np
 
-from apromfl.losses import gmt_loss_batch, gpt_loss_batch
+from apromfl.federation import LOSS_TERMS, _batches
+from apromfl.losses import (
+    clustering_total_loss,
+    gmt_loss_batch,
+    gpt_loss_batch,
+    gpt_loss_paired_batch,
+    lmr_loss,
+    retrieval_task_loss,
+    unit_prototypes,
+)
 from apromfl.metrics import EvalReport
-from apromfl.nn import flatten_module, unflatten_module
+from apromfl.nn import (
+    backward,
+    flatten_module,
+    forward_map,
+    forward_map_trace,
+    sgd_step,
+    unflatten_module,
+)
 from apromfl.numerics import (
     KL_EPS,
     KMEANS_RESTARTS,
     KMEANS_RESTARTS_SMALL,
     KMEANS_SMALL_N,
+    kmeans,
     logsumexp,
     require_finite,
+    seeded_rng,
 )
+from apromfl.prototypes import clustering_prototype_pairs, fuse
 
 
 def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
@@ -202,6 +221,91 @@ def min_abs_preact(module, x) -> float:
     return worst
 
 
+# -- the per-tower multimodal client round ----------------------------------------
+
+
+def per_tower_multimodal_round(state, rc):
+    """``federation.multimodal_client_round`` as it ran before towers were
+    stacked: each tower forwards, backpropagates and steps on its own, every
+    step builds new frozen modules, and every prototype-transfer call
+    normalises the global prototypes again. Returns ``(modules, pairs,
+    loss_terms)``, where ``modules`` maps ``image``, ``text``,
+    ``cluster_image`` and ``cluster_text`` to the trained modules."""
+    cfg = rc.config
+    xi, xt = state.image_features, state.text_features
+    n = len(xi)
+    k_local = max(1, min(cfg.num_global_prototypes, n))
+    key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
+
+    c_img, c_txt = state.cluster_image_mapper, state.cluster_text_mapper
+    cluster_rng = seeded_rng(*key, "cluster-batches")
+    for epoch in range(cfg.local_epochs):
+        fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
+        pseudo, _, _ = kmeans(fused, k_local, seeded_rng(*key, "kmeans", epoch))
+        order = cluster_rng.permutation(n)
+        for batch in _batches(order, cfg.batch_size, min_size=2):
+            e_img, tr_img = forward_map_trace(c_img, xi[batch])
+            e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
+            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
+            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img)[0], cfg.lr)
+            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt)[0], cfg.lr)
+    pairs, _ = clustering_prototype_pairs(
+        forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
+    )
+
+    mapper_img, mapper_txt = state.image_mapper, state.text_mapper
+    use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
+    use_gmt = rc.distill and cfg.beta2 > 0
+    sums, steps = dict.fromkeys(LOSS_TERMS, 0.0), 0
+    task_rng = seeded_rng(*key, "task-batches")
+    for _ in range(cfg.local_epochs):
+        order = task_rng.permutation(n)
+        for batch in _batches(order, cfg.batch_size, min_size=2):
+            e_img, tr_img = forward_map_trace(mapper_img, xi[batch])
+            e_txt, tr_txt = forward_map_trace(mapper_txt, xt[batch])
+            task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
+            gpt_value = gmt_value = 0.0
+            if use_gpt:
+                protos = unit_prototypes(
+                    rc.global_prototypes.image_matrix(), rc.global_prototypes.text_matrix()
+                )
+                gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
+                g_img = g_img + cfg.beta1 * a_img
+                g_txt = g_txt + cfg.beta1 * a_txt
+            if use_gmt:
+                ge_img = forward_map(state.image_mapper, xi[batch])
+                ge_txt = forward_map(state.text_mapper, xt[batch])
+                global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
+                v_img, a_img = gmt_loss_batch(
+                    e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
+                )
+                v_txt, a_txt = gmt_loss_batch(
+                    e_txt, ge_txt, task, global_task, cfg.nu_max, cfg.distill_tau
+                )
+                gmt_value = 0.5 * (v_img + v_txt)
+                g_img = g_img + 0.5 * cfg.beta2 * a_img
+                g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
+            lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, cfg.lmr_weight)
+            lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, cfg.lmr_weight)
+            grad_img, _ = backward(mapper_img, tr_img, g_img)
+            grad_txt, _ = backward(mapper_txt, tr_txt, g_txt)
+            grad_img += lmr_grad_img
+            grad_txt += lmr_grad_txt
+            mapper_img = sgd_step(mapper_img, grad_img, cfg.lr)
+            mapper_txt = sgd_step(mapper_txt, grad_txt, cfg.lr)
+            for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, lmr_img + lmr_txt)):
+                sums[name] += value
+            steps += 1
+    terms = {name: (sums[name] / steps if steps else 0.0) for name in LOSS_TERMS}
+    modules = {
+        "image": mapper_img,
+        "text": mapper_txt,
+        "cluster_image": c_img,
+        "cluster_text": c_txt,
+    }
+    return modules, pairs, terms
+
+
 # -- single-sample and reference forms ------------------------------------------
 # The program trains on batches only; these per-sample forms and reductions
 # pin down the batched kernels' semantics in the tests.
@@ -275,7 +379,7 @@ def assignment_probs(e, protos, tau: float) -> np.ndarray:
 def gpt_loss(e, image_protos, text_protos, tau: float):
     """Single-embedding form of ``losses.gpt_loss_batch``."""
     e = np.asarray(e, dtype=float)
-    value, grad = gpt_loss_batch(e[None, :], image_protos, text_protos, tau)
+    value, grad = gpt_loss_batch(e[None, :], unit_prototypes(image_protos, text_protos), tau)
     return value, grad[0]
 
 

@@ -33,6 +33,7 @@ from apromfl.losses import (
     intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
+    unit_prototypes,
 )
 from apromfl.metrics import acc_at_k, recall_at_k
 from apromfl.nn import (
@@ -130,7 +131,7 @@ def _gradient_cases(depth: int, key: int):
     protos_t = rng.standard_normal((3, 4)) - 0.2
     yield single_emb_case("intra-modal", lambda e: intra_modal_total(e, clusters, tau))
     yield single_emb_case(
-        "prototype-transfer", lambda e: gpt_loss_batch(e, protos_i, protos_t, tau)
+        "prototype-transfer", lambda e: gpt_loss_batch(e, unit_prototypes(protos_i, protos_t), tau)
     )
 
     for attempt in itertools.count():
@@ -164,7 +165,7 @@ def _gradient_cases(depth: int, key: int):
     )
     yield two_emb_case(
         "paired-prototype-transfer",
-        lambda a, b: gpt_loss_paired_batch(a, b, protos_i, protos_t, tau),
+        lambda a, b: gpt_loss_paired_batch(a, b, unit_prototypes(protos_i, protos_t), tau),
     )
 
     anchor = init_mapping_module(mods[0].dims, seeded_rng(1005, depth, key))
@@ -307,8 +308,9 @@ def test_c04_loss_bounds():
         e = rng.standard_normal(d) + 0.05
         value, _ = gpt_loss_batch(
             e[None, :],
-            rng.standard_normal((k, d)) + 0.05,
-            rng.standard_normal((k, d)) - 0.05,
+            unit_prototypes(
+                rng.standard_normal((k, d)) + 0.05, rng.standard_normal((k, d)) - 0.05
+            ),
             float(rng.uniform(0.05, 4.0)),
         )
         assert 0.0 <= value <= LN2 + 1e-12
@@ -317,7 +319,7 @@ def test_c04_loss_bounds():
         q = rng.uniform(0.01, 1.0, size)
         assert kl_divergence(p / p.sum(), q / q.sum()) >= 0.0
     protos = seeded_rng(1301).standard_normal((5, 4)) + 0.1
-    identical, _ = gpt_loss_batch(np.ones((1, 4)), protos, protos.copy(), 0.5)
+    identical, _ = gpt_loss_batch(np.ones((1, 4)), unit_prototypes(protos, protos.copy()), 0.5)
     assert identical == 0.0
     report(4, "prototype-transfer loss within [0, ln 2] on 1000 inputs, zero on "
               "identical assignments; KL non-negative on 1000 inputs")

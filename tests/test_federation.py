@@ -3,6 +3,7 @@ import pytest
 
 from apromfl.config import ExperimentConfig, finalize_config
 from apromfl.data import SyntheticSpec
+from apromfl import federation
 from apromfl.federation import (
     ClientRoundConfig,
     MultimodalClientState,
@@ -19,6 +20,7 @@ from apromfl.federation import (
     setup_experiment,
     unimodal_client_round,
     validate_message,
+    _apromfl_server,
 )
 from apromfl.metrics import acc_at_k
 from apromfl.nn import (
@@ -30,6 +32,7 @@ from apromfl.nn import (
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
+from oracles import per_tower_multimodal_round
 
 
 def modules(count, dims=(4, 6, 3), key=0):
@@ -276,6 +279,97 @@ class TestMultimodalClientRound:
             gap_txt = trained.text_mapper.params - trained.cluster_text_mapper.params
             gaps.append(float(gap_img @ gap_img + gap_txt @ gap_txt))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+class TestStackedTowers:
+    """The stacked-tower round against the per-tower oracle, bit for bit."""
+
+    @pytest.mark.parametrize("encoder_kind", ["projection", "identity"])
+    @pytest.mark.parametrize("mapping_layers", [1, 3])
+    @pytest.mark.parametrize("round_index", [1, 2])
+    def test_matches_per_tower_oracle(self, encoder_kind, mapping_layers, round_index):
+        config = tiny_config(encoder_kind=encoder_kind, mapping_layers=mapping_layers)
+        experiment = setup_experiment(config)
+        rc = ClientRoundConfig.from_experiment(config, 1)
+        if round_index == 2:
+            # a real server phase: global prototypes and adopted aggregates
+            messages = [client_round(s, rc)[1] for s in experiment.clients]
+            _apromfl_server(experiment, messages, 1)
+            rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
+            assert rc.distill and rc.gpt_prototypes() is not None
+        for state in experiment.clients:
+            if not isinstance(state, MultimodalClientState):
+                continue
+            if round_index == 2:
+                gap = state.image_mapper.params - state.cluster_image_mapper.params
+                assert np.any(gap)
+            new_state, msg = multimodal_client_round(state, rc)
+            modules, pairs, terms = per_tower_multimodal_round(state, rc)
+            got = {
+                "image": new_state.image_mapper,
+                "text": new_state.text_mapper,
+                "cluster_image": new_state.cluster_image_mapper,
+                "cluster_text": new_state.cluster_text_mapper,
+            }
+            for name, module in modules.items():
+                assert got[name].params.tobytes() == module.params.tobytes(), name
+            assert msg.module_params["image"].tobytes() == modules["image"].params.tobytes()
+            assert msg.module_params["text"].tobytes() == modules["text"].params.tobytes()
+            assert len(msg.pair_prototypes) == len(pairs)
+            for a, b in zip(msg.pair_prototypes, pairs):
+                assert a.image_vec.tobytes() == b.image_vec.tobytes()
+                assert a.text_vec.tobytes() == b.text_vec.tobytes()
+            assert msg.loss_terms == terms
+            if round_index == 2:
+                assert terms["gpt"] > 0.0 and terms["gmt"] > 0.0
+
+
+def round_models(state) -> list:
+    """Every model a client state holds."""
+    if isinstance(state, UnimodalClientState):
+        return [state.mapper, state.head]
+    return [
+        state.image_mapper,
+        state.text_mapper,
+        state.cluster_image_mapper,
+        state.cluster_text_mapper,
+    ]
+
+
+@pytest.mark.parametrize("method", ["apromfl", "local", "fediot"])
+def test_round_writes_no_shared_model_and_returns_private_frozen_ones(monkeypatch, method):
+    """Set-up hands every client the same initial models (which also seed the
+    clustering models); training in place must copy them first."""
+    starts, snapshots, returned = [], [], []
+    real_setup, real_round = federation.setup_experiment, federation.client_round
+
+    def setup(config):
+        experiment = real_setup(config)
+        starts.extend(experiment.clients)
+        snapshots.extend([m.params.tobytes() for m in round_models(s)] for s in starts)
+        return experiment
+
+    def client_round_spy(state, rc):
+        result = real_round(state, rc)
+        returned.append(result[0])
+        return result
+
+    monkeypatch.setattr(federation, "setup_experiment", setup)
+    monkeypatch.setattr(federation, "client_round", client_round_spy)
+    run_training(tiny_config(method=method, rounds=1))
+
+    mm = [s for s in starts if isinstance(s, MultimodalClientState)]
+    assert mm[0].image_mapper is mm[1].image_mapper is mm[0].cluster_image_mapper
+    for state, before in zip(starts, snapshots):
+        assert [m.params.tobytes() for m in round_models(state)] == before
+    assert len(returned) == len(starts)
+    for i, state in enumerate(returned):
+        for model in round_models(state):
+            assert not model.params.flags.writeable
+            for other in returned[i + 1 :]:
+                assert not any(
+                    np.shares_memory(model.params, m.params) for m in round_models(other)
+                )
 
 
 def task_modules(state) -> dict:

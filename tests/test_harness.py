@@ -13,7 +13,7 @@ from apromfl.config import (
     parse_config_text,
     serialize_config,
 )
-from apromfl.federation import RoundFailure
+from apromfl.federation import RoundFailure, setup_experiment
 from apromfl.harness import apply_axis, load_summary, run, summarize_reports, sweep
 from apromfl.metrics import EvalReport
 from oracles import eval_report_from_dict
@@ -87,6 +87,33 @@ class TestConfigParsing:
             load_config(path)
         path.write_text("batch_size = 1\nclients_multimodal = 0\n")
         assert load_config(path).batch_size == 1
+
+    def test_empty_evaluation_split_names_field(self, tmp_path):
+        # int(0.2 * 4) = 0 samples of each class would be held out
+        path = tmp_path / "bad.txt"
+        path.write_text("synthetic.samples_per_class = 4\neval_fraction = 0.2\n")
+        with pytest.raises(ValueError, match="^eval_fraction: .*evaluation split is empty"):
+            load_config(path)
+        path.write_text("synthetic.samples_per_class = 5\neval_fraction = 0.2\n")
+        setup_experiment(load_config(path))
+
+    @pytest.mark.parametrize("disjoint", [False, True])
+    def test_too_few_training_samples_for_the_clients_names_field(self, tmp_path, disjoint):
+        # 10 classes x (2 - 1) training samples for 3 + 12 + 12 clients; with
+        # disjoint role classes the image and text roles get 3 classes each
+        path = tmp_path / "bad.txt"
+        text = (
+            "synthetic.samples_per_class = 2\neval_fraction = 0.5\n"
+            "clients_multimodal = 3\nclients_image = 12\nclients_text = 12\n"
+            f"disjoint_role_classes = {disjoint}\n"
+        )
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^synthetic.samples_per_class: .*cannot cover"):
+            load_config(path)
+        # the largest counts each pool covers are accepted and set up
+        fits = (3, 3) if disjoint else (6, 1)
+        path.write_text(text + "batch_size = 2\nclients_image = %d\nclients_text = %d\n" % fits)
+        setup_experiment(load_config(path))
 
     def test_round_trip_is_canonical(self, tiny_config_file):
         config = load_config(tiny_config_file)

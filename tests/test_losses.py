@@ -16,6 +16,7 @@ from apromfl.losses import (
     intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
+    unit_prototypes,
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
 from apromfl.numerics import seeded_rng
@@ -325,16 +326,18 @@ class TestGptLoss:
     def test_finite_difference(self):
         img_p, txt_p = rand_embs(4, 3, 23), rand_embs(4, 3, 24)
         embs = rand_embs(3, 3, 25)
-        _, grad = gpt_loss_batch(embs, img_p, txt_p, TAU)
-        numeric = fd_wrt_arrays(lambda e: gpt_loss_batch(e, img_p, txt_p, TAU)[0], [embs])[0]
+        protos = unit_prototypes(img_p, txt_p)
+        _, grad = gpt_loss_batch(embs, protos, TAU)
+        numeric = fd_wrt_arrays(lambda e: gpt_loss_batch(e, protos, TAU)[0], [embs])[0]
         assert grad_rel_error(grad, numeric) < 1e-4
 
     def test_paired_finite_difference(self):
         img_p, txt_p = rand_embs(4, 3, 26), rand_embs(4, 3, 27)
         img_e, txt_e = rand_embs(3, 3, 28), rand_embs(3, 3, 29)
-        _, gi, gt = gpt_loss_paired_batch(img_e, txt_e, img_p, txt_p, TAU)
+        protos = unit_prototypes(img_p, txt_p)
+        _, gi, gt = gpt_loss_paired_batch(img_e, txt_e, protos, TAU)
         ni, nt = fd_wrt_arrays(
-            lambda a, b: gpt_loss_paired_batch(a, b, img_p, txt_p, TAU)[0], [img_e, txt_e]
+            lambda a, b: gpt_loss_paired_batch(a, b, protos, TAU)[0], [img_e, txt_e]
         )
         assert grad_rel_error(gi, ni) < 1e-4
         assert grad_rel_error(gt, nt) < 1e-4
@@ -387,4 +390,4 @@ class TestGmtLoss:
         with pytest.raises(ValueError, match="tau"):
             retrieval_task_loss(local, glob, 0.0)
         with pytest.raises(ValueError, match="tau"):
-            gpt_loss_batch(local, glob, glob, 0.0)
+            gpt_loss_batch(local, unit_prototypes(glob, glob), 0.0)
