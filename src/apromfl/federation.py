@@ -73,7 +73,7 @@ from .nn import (
     unflatten_module,
     unstack,
 )
-from .numerics import cosine_similarity, kmeans, require_finite, seeded_rng
+from .numerics import kmeans, require_finite, seeded_rng
 from .prototypes import (
     GlobalPrototypeSet,
     PrototypePair,
@@ -233,6 +233,8 @@ def unimodal_client_round(
     n = len(labels)
     protos = rc.gpt_prototypes()
     use_gmt = rc.distill and cfg.beta2 > 0
+    # the round started from the aggregate the server broadcast
+    targets = forward_map(state.mapper, feats) if use_gmt else None
     meter = _LossMeter()
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
     for _ in range(cfg.local_epochs):
@@ -248,15 +250,13 @@ def unimodal_client_round(
                 gpt_value, grad = gpt_loss_batch(emb, protos, cfg.tau)
                 d_emb = d_emb + cfg.beta1 * grad
             if use_gmt:
-                # the round started from the aggregate the server broadcast
-                global_emb = forward_map(state.mapper, x)
+                global_emb = targets[batch]
                 global_task = cross_entropy_batch(forward_head(head, global_emb), y)[0]
                 gmt_value, grad = gmt_loss_batch(
                     emb, global_emb, task, global_task, cfg.nu_max, cfg.distill_tau
                 )
                 d_emb = d_emb + cfg.beta2 * grad
-            grad, _ = backward(mapper, trace, d_emb)
-            sgd_step(mapper, grad, cfg.lr)
+            sgd_step(mapper, backward(mapper, trace, d_emb), cfg.lr)
             sgd_step_head(head, head_grad, cfg.lr)
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=0.0)
     mapper, head = freeze(mapper), freeze(head)
@@ -309,8 +309,8 @@ class _Towers:
         image, text = (m for s in self.stacks for m in unstack(s))
         return image, text
 
-    def embed(self, rows=slice(None)) -> np.ndarray:
-        out = [forward_map(s, x[:, rows]) for s, x in zip(self.stacks, self.inputs)]
+    def embed(self) -> np.ndarray:
+        out = [forward_map(s, x) for s, x in zip(self.stacks, self.inputs)]
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def embed_trace(self, rows) -> tuple[np.ndarray, list[ForwardTrace]]:
@@ -334,7 +334,7 @@ class _Towers:
         given, and step every stack in place."""
         parts = [upstream] if len(self.stacks) == 1 else [upstream[:1], upstream[1:]]
         for i, (s, trace, g) in enumerate(zip(self.stacks, traces, parts)):
-            grad, _ = backward(s, trace, g)
+            grad = backward(s, trace, g)
             if extra is not None:
                 grad += extra[i]
             sgd_step(s, grad, lr)
@@ -376,6 +376,7 @@ def multimodal_client_round(
     mappers = start.trainable()
     protos = rc.gpt_prototypes()
     use_gmt = rc.distill and cfg.beta2 > 0
+    targets = start.embed() if use_gmt else None
     meter = _LossMeter()
     task_rng = seeded_rng(*key, "task-batches")
     for _ in range(cfg.local_epochs):
@@ -389,7 +390,7 @@ def multimodal_client_round(
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
-                ge_img, ge_txt = start.embed(batch)
+                ge_img, ge_txt = targets[:, batch]
                 global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
                 v_img, a_img = gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
@@ -467,11 +468,12 @@ def _stack_params(modules: list[MappingModule]) -> np.ndarray:
 
 def relationship_weights(modules: list[MappingModule], modality: str = "image") -> RelationshipGraph:
     flats = _stack_params(modules)
-    n = len(flats)
-    sim = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim[i, j] = sim[j, i] = cosine_similarity(flats[i], flats[j])
+    norms = np.linalg.norm(flats, axis=1, keepdims=True)
+    if (norms == 0).any():
+        raise ValueError("cosine similarity undefined for a zero-norm module")
+    unit = flats / norms
+    sim = np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(sim, 1.0)
     clamped = np.maximum(sim, 0.0)
     weights = clamped / clamped.sum(axis=1, keepdims=True)
     return RelationshipGraph(modality=modality, sim=sim, weights=weights)
@@ -485,20 +487,19 @@ def aggregate_modules(graph: RelationshipGraph, modules: list[MappingModule]) ->
     return [unflatten_module(m.dims, row @ flats) for m, row in zip(modules, graph.weights)]
 
 
+def _uniform_mean(models):
+    """Uniform parameter mean (FedAvg semantics) of models of one
+    architecture, mapping modules or classifier heads, as one model of their
+    type. It is the weighted-sum kernel of :func:`aggregate_modules`, so the
+    two agree bit-for-bit under uniform weights."""
+    flats = _stack_params(models)
+    uniform = np.full(len(models), 1.0 / len(models))
+    return type(models[0])(models[0].dims, uniform @ flats)
+
+
 def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
-    """Uniform parameter mean (FedAvg semantics), one shared module.
-
-    Computed through the same weighted-sum kernel as
-    :func:`aggregate_modules` so the two agree bit-for-bit under uniform
-    weights.
-    """
-    flats = _stack_params(modules)
-    uniform = np.full(len(modules), 1.0 / len(modules))
-    return unflatten_module(modules[0].dims, uniform @ flats)
-
-
-def _average_heads(heads: list[ClassifierHead]) -> ClassifierHead:
-    return ClassifierHead(heads[0].dims, np.mean([h.params for h in heads], axis=0))
+    """One shared module: the uniform mean of the received ones."""
+    return _uniform_mean(modules)
 
 
 # -- experiment setup ----------------------------------------------------------
@@ -695,7 +696,7 @@ def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None
             if isinstance(c, UnimodalClientState) and c.modality == modality
         ]
         if heads:
-            shared_heads[modality] = _average_heads(heads)
+            shared_heads[modality] = _uniform_mean(heads)
     for idx, state in enumerate(experiment.clients):
         state = _adopt(state, shared)
         if isinstance(state, UnimodalClientState):

@@ -123,26 +123,16 @@ def _cluster_mask(labels, n: int) -> tuple[np.ndarray, np.ndarray]:
 def intra_modal_total(embs, labels, tau: float):
     """Contrastive loss of each sample against the samples sharing its
     pseudo-label (itself included), with the denominator running over all
-    samples of the modality; summed over samples, with gradients."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u, norms = _norm_rows(embs)
-    n = len(u)
-    mask, counts = _cluster_mask(labels, n)
-    scores = u @ u.T / tau
-    lse = logsumexp(scores, axis=1)
-    value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
-    probs = np.exp(scores - lse[:, None])
-    g_scores = (probs - mask / counts[:, None]) / tau
-    g_u = (g_scores + g_scores.T) @ u
-    return value, _norm_rows_backward(g_u, u, norms)
+    samples of the modality; summed over samples, with gradients. This is
+    :func:`inter_modal_total` with the one modality on both sides."""
+    value, g_anchor, g_other = inter_modal_total(embs, embs, labels, tau)
+    return value, g_anchor + g_other
 
 
 def inter_modal_total(img_embs, txt_embs, labels, tau: float):
-    """Cross-modal counterpart of :func:`intra_modal_total`: each image
-    anchor against the text embeddings sharing its pseudo-label, denominator
-    over all text embeddings; summed over samples, with gradients for both
-    modalities."""
+    """Contrastive loss of each image anchor against the text embeddings
+    sharing its pseudo-label, with the denominator running over all text
+    embeddings; summed over samples, with gradients for both modalities."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     u, nu = _norm_rows(img_embs, "image embeddings")
@@ -231,31 +221,18 @@ def unit_prototypes(image_protos, text_protos) -> UnitPrototypes:
 
 
 def gpt_loss_batch(embs, protos: UnitPrototypes, tau: float):
-    """Alignment of each embedding's assignment distributions over the
-    paired global image and text prototype sets (a Jensen-Shannon
-    divergence, so the value lies in [0, ln 2]).
-
-    Used by unimodal clients: the same embedding is assigned to both sets.
-    Returns (mean value, grad of the mean w.r.t. the embeddings).
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u, norms = _norm_rows(embs)
-    n = len(u)
-    pi_unit, pt_unit = protos.image, protos.text
-    p = _softmax_rows(u @ pi_unit.T / tau)
-    q = _softmax_rows(u @ pt_unit.T / tau)
-    rows, g_p, g_q = _js_rows(p, q)
-    value = max(float(rows.mean()), 0.0)
-    d_img = _softmax_rows_backward(p, g_p) / tau
-    d_txt = _softmax_rows_backward(q, g_q) / tau
-    g_u = d_img @ pi_unit + d_txt @ pt_unit
-    return value, _norm_rows_backward(g_u, u, norms) / n
+    """Unimodal form of :func:`gpt_loss_paired_batch`: the same embedding is
+    assigned to both prototype sets. Returns (mean value, grad of the mean
+    w.r.t. the embeddings)."""
+    value, g_img, g_txt = gpt_loss_paired_batch(embs, embs, protos, tau)
+    return value, g_img + g_txt
 
 
 def gpt_loss_paired_batch(img_embs, txt_embs, protos: UnitPrototypes, tau: float):
-    """Multimodal variant: the image embedding is assigned to the image
-    prototypes and its paired text embedding to the text prototypes.
+    """Alignment of assignment distributions over the paired global image
+    and text prototype sets: each image embedding is assigned to the image
+    prototypes and its paired text embedding to the text prototypes, and the
+    value is their Jensen-Shannon divergence, so it lies in [0, ln 2].
 
     Returns (mean value, grad_img, grad_txt).
     """

@@ -21,16 +21,11 @@ projection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import _serde
-from .numerics import Rng, require_finite, seeded_rng
-
-MODULE_FORMAT = "mapping-module/v1"
+from .numerics import Rng, seeded_rng
 
 
 def _param_count(dims) -> int:
@@ -188,20 +183,14 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 def forward_map(module: MappingModule, x) -> np.ndarray:
     """Map features to embeddings; accepts a vector or an (N, d) batch, or a
     (t, N, d) batch for a stack of t modules."""
-    batch, squeeze = _as_batch(x)
-    if batch.shape[-1] != module.in_dim:
-        raise ValueError(f"input dim {batch.shape[-1]} != module in_dim {module.in_dim}")
-    h = batch
-    last = module.num_layers - 1
-    for i, (w, b) in enumerate(zip(module.weights, module.biases)):
-        h = h @ w + b[..., None, :]
-        if i != last:
-            h = np.maximum(h, 0.0)
-    return h[0] if squeeze else h
+    x = np.asarray(x, dtype=float)
+    out, _ = forward_map_trace(module, x)
+    return out[0] if x.ndim == 1 else out
 
 
 def forward_map_trace(module: MappingModule, x) -> tuple[np.ndarray, ForwardTrace]:
-    """Forward pass that records what backward() needs."""
+    """Forward pass that records what backward() needs; a vector input is
+    returned as a one-row batch."""
     batch, _ = _as_batch(x)
     if batch.shape[-1] != module.in_dim:
         raise ValueError(f"input dim {batch.shape[-1]} != module in_dim {module.in_dim}")
@@ -216,26 +205,25 @@ def forward_map_trace(module: MappingModule, x) -> tuple[np.ndarray, ForwardTrac
     return h, ForwardTrace(inputs, preacts)
 
 
-def backward(module: MappingModule, trace: ForwardTrace, upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients for a recorded forward pass.
+def backward(module: MappingModule, trace: ForwardTrace, upstream) -> np.ndarray:
+    """Exact reverse-mode parameter gradient for a recorded forward pass.
 
     ``upstream`` is dL/d(output), shaped like the traced output. Returns
     dL/d(params), a flat vector in the module's layout (a stack of them for
-    a stack of modules), and dL/d(input).
+    a stack of modules). The input gradient is not computed: the inputs are
+    frozen encoder features.
     """
     g, _ = _as_batch(upstream)
     if len(trace.layer_inputs) != module.num_layers:
         raise ValueError("trace does not match module architecture")
     grad = np.empty(module.params.shape)
     d_weights, d_biases = _layer_views(grad, module.dims)
-    last = module.num_layers - 1
-    for i in range(last, -1, -1):
-        if i != last:
-            g = g * (trace.preacts[i] > 0)
+    for i in range(module.num_layers - 1, -1, -1):
         np.matmul(trace.layer_inputs[i].swapaxes(-1, -2), g, out=d_weights[i])
         g.sum(axis=-2, out=d_biases[i])
-        g = g @ module.weights[i].swapaxes(-1, -2)
-    return grad, g
+        if i:
+            g = (g @ module.weights[i].swapaxes(-1, -2)) * (trace.preacts[i - 1] > 0)
+    return grad
 
 
 def forward_head(head: ClassifierHead, x) -> np.ndarray:
@@ -332,24 +320,3 @@ def encode(encoder: Encoder, x) -> np.ndarray:
             )
         out = batch @ encoder.matrix
     return out[0] if squeeze else out
-
-
-# checkpointing --------------------------------------------------------------
-
-
-def save_mapping_module(module: MappingModule, path) -> None:
-    """Versioned checkpoint: architecture descriptor plus flat parameters."""
-    payload = {
-        "format": MODULE_FORMAT,
-        "dims": list(module.dims),
-        "params": _serde.encode_array(flatten_module(module)),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_mapping_module(path) -> MappingModule:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != MODULE_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
-    flat = require_finite(_serde.decode_array(payload["params"]), "checkpoint params")
-    return unflatten_module(payload["dims"], flat)

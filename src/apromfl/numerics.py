@@ -38,19 +38,6 @@ def require_finite(arr, what: str) -> np.ndarray:
     return arr
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clipped into [-1, 1]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(np.clip(float(a @ b) / (norm_a * norm_b), -1.0, 1.0))
-
-
 def logsumexp(a, axis: int = -1) -> np.ndarray:
     """Stable log-sum-exp along ``axis``."""
     a = np.asarray(a, dtype=float)

@@ -9,20 +9,15 @@ multimodal pairs, then clusters everything into K global pairs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import _serde
 from .numerics import Rng, kmeans, require_finite
 
 ORIGIN_MULTIMODAL = "multimodal-client"
 ORIGIN_COMPLETED = "completed-from-unimodal"
 ORIGIN_GLOBAL = "global"
-
-EXCHANGE_FORMAT = "prototype-exchange/v1"
 
 #: Below this total weight, completion falls back to uniform weights.
 WEIGHT_EPS = 1e-12
@@ -200,87 +195,3 @@ def build_global_prototypes(
     txts = np.stack([p.text_vec for p in all_pairs])
     pairs, _ = _cluster_pairs(imgs, txts, k, rng, ORIGIN_GLOBAL)
     return GlobalPrototypeSet(pairs=tuple(pairs), round_index=round_index)
-
-
-# exchange records -----------------------------------------------------------
-
-
-def _uni_to_dict(p: UnimodalPrototype) -> dict:
-    return {
-        "modality": p.modality,
-        "vector": _serde.encode_array(p.vector),
-        "class_id": p.class_id,
-        "client_id": p.client_id,
-    }
-
-
-def _pair_to_dict(p: PrototypePair) -> dict:
-    return {
-        "image_vec": _serde.encode_array(p.image_vec),
-        "text_vec": _serde.encode_array(p.text_vec),
-        "origin": p.origin,
-    }
-
-
-def dump_prototype_exchange(
-    path,
-    *,
-    unimodal: list[UnimodalPrototype] = (),
-    pairs: list[PrototypePair] = (),
-    global_set: GlobalPrototypeSet | None = None,
-) -> None:
-    """Write a versioned prototype exchange record (bit-exact round trip)."""
-    payload = {
-        "format": EXCHANGE_FORMAT,
-        "unimodal": [_uni_to_dict(p) for p in unimodal],
-        "pairs": [_pair_to_dict(p) for p in pairs],
-        "global_set": None
-        if global_set is None
-        else {
-            "round_index": global_set.round_index,
-            "pairs": [_pair_to_dict(p) for p in global_set.pairs],
-        },
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_prototype_exchange(path):
-    """Read a record written by :func:`dump_prototype_exchange`.
-
-    Returns ``(unimodal, pairs, global_set)``.
-    """
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != EXCHANGE_FORMAT:
-        raise ValueError(f"unsupported exchange format {payload.get('format')!r}")
-    unimodal = [
-        UnimodalPrototype(
-            modality=d["modality"],
-            vector=_serde.decode_array(d["vector"]),
-            class_id=int(d["class_id"]),
-            client_id=int(d["client_id"]),
-        )
-        for d in payload["unimodal"]
-    ]
-    pairs = [
-        PrototypePair(
-            image_vec=_serde.decode_array(d["image_vec"]),
-            text_vec=_serde.decode_array(d["text_vec"]),
-            origin=d["origin"],
-        )
-        for d in payload["pairs"]
-    ]
-    global_set = None
-    if payload["global_set"] is not None:
-        blob = payload["global_set"]
-        global_set = GlobalPrototypeSet(
-            pairs=tuple(
-                PrototypePair(
-                    image_vec=_serde.decode_array(d["image_vec"]),
-                    text_vec=_serde.decode_array(d["text_vec"]),
-                    origin=d["origin"],
-                )
-                for d in blob["pairs"]
-            ),
-            round_index=int(blob["round_index"]),
-        )
-    return unimodal, pairs, global_set

@@ -128,6 +128,20 @@ def _loop_lloyd(pts, centroids, max_iters):
     return assignments, centroids, history, repairs
 
 
+def cosine_similarity(a, b) -> float:
+    """Cosine of the angle between two vectors, clipped into [-1, 1]: the
+    pairwise form of the Gram matrix in ``federation.relationship_weights``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm input")
+    return float(np.clip(float(a @ b) / (norm_a * norm_b), -1.0, 1.0))
+
+
 def finite_difference(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector."""
     x0 = np.asarray(x0, dtype=float)
@@ -247,8 +261,8 @@ def per_tower_multimodal_round(state, rc):
             e_img, tr_img = forward_map_trace(c_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
             _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
-            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img)[0], cfg.lr)
-            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt)[0], cfg.lr)
+            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img), cfg.lr)
+            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt), cfg.lr)
     pairs, _ = clustering_prototype_pairs(
         forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
     )
@@ -287,8 +301,8 @@ def per_tower_multimodal_round(state, rc):
                 g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
             lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, cfg.lmr_weight)
             lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, cfg.lmr_weight)
-            grad_img, _ = backward(mapper_img, tr_img, g_img)
-            grad_txt, _ = backward(mapper_txt, tr_txt, g_txt)
+            grad_img = backward(mapper_img, tr_img, g_img)
+            grad_txt = backward(mapper_txt, tr_txt, g_txt)
             grad_img += lmr_grad_img
             grad_txt += lmr_grad_txt
             mapper_img = sgd_step(mapper_img, grad_img, cfg.lr)

@@ -46,7 +46,7 @@ from apromfl.nn import (
     init_classifier_head,
     init_mapping_module,
 )
-from apromfl.numerics import cosine_similarity, kmeans, seeded_rng
+from apromfl.numerics import kmeans, seeded_rng
 from apromfl.prototypes import (
     PrototypePair,
     UnimodalPrototype,
@@ -54,6 +54,7 @@ from apromfl.prototypes import (
     semantic_complete,
 )
 from oracles import (
+    cosine_similarity,
     exhaustive_kmeans_sse,
     fd_wrt_modules,
     grad_rel_error,
@@ -112,7 +113,7 @@ def _gradient_cases(depth: int, key: int):
         emb, trace = forward_map_trace(ms[0], xs[0])
         _, d_logits = cross_entropy_batch(forward_head(head, emb), labels)
         _, d_emb = backward_head(head, emb, d_logits)
-        return [backward(ms[0], trace, d_emb)[0]]
+        return [backward(ms[0], trace, d_emb)]
 
     yield "cross-entropy", [mods[0]], ce_loss, ce_analytic
 
@@ -123,7 +124,7 @@ def _gradient_cases(depth: int, key: int):
         def analytic(ms):
             emb, trace = forward_map_trace(ms[0], xs[0])
             _, grad = value_grad(emb)
-            return [backward(ms[0], trace, grad)[0]]
+            return [backward(ms[0], trace, grad)]
 
         return name, [mods[0]], loss, analytic
 
@@ -154,7 +155,7 @@ def _gradient_cases(depth: int, key: int):
             e0, tr0 = forward_map_trace(ms[0], pair_xs[0])
             e1, tr1 = forward_map_trace(ms[1], pair_xs[1])
             _, g0, g1 = value_grads(e0, e1)
-            return [backward(ms[0], tr0, g0)[0], backward(ms[1], tr1, g1)[0]]
+            return [backward(ms[0], tr0, g0), backward(ms[1], tr1, g1)]
 
         return name, pair_mods, loss, analytic
 

@@ -32,7 +32,7 @@ from apromfl.nn import (
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
-from oracles import per_tower_multimodal_round
+from oracles import cosine_similarity, per_tower_multimodal_round
 
 
 def modules(count, dims=(4, 6, 3), key=0):
@@ -108,6 +108,28 @@ class TestRelationshipWeights:
     def test_architecture_mismatch(self):
         with pytest.raises(ValueError):
             relationship_weights([modules(1)[0], modules(1, dims=(4, 5, 3))[0]])
+
+    def test_zero_module_rejected(self):
+        template = modules(1)[0]
+        zero = unflatten_module(template.dims, np.zeros(template.params.size))
+        with pytest.raises(ValueError, match="zero-norm"):
+            relationship_weights([template, zero])
+
+    def test_sim_matches_pairwise_oracle(self):
+        negatives = 0
+        for trial in range(20):
+            rng = seeded_rng(902, trial)
+            count, d_in = int(rng.integers(1, 7)), int(rng.integers(1, 30))
+            # a random sign per module makes about half the pairs negative
+            flats = rng.standard_normal((count, d_in + 1)) * rng.choice([-1.0, 1.0], (count, 1))
+            graph = relationship_weights([unflatten_module((d_in, 1), row) for row in flats])
+            for i in range(count):
+                for j in range(count):
+                    expected = 1.0 if i == j else cosine_similarity(flats[i], flats[j])
+                    assert abs(graph.sim[i, j] - expected) < 1e-12
+                    negatives += expected < 0
+            assert (np.diag(graph.sim) == 1.0).all()
+        assert negatives > 0
 
 
 class TestAggregateModules:
@@ -322,6 +344,28 @@ class TestStackedTowers:
             assert msg.loss_terms == terms
             if round_index == 2:
                 assert terms["gpt"] > 0.0 and terms["gmt"] > 0.0
+
+
+def test_round_start_modules_embed_once_per_round(monkeypatch):
+    """The distillation target is the round-start modules' embedding of all
+    of a client's features, computed once and indexed per batch."""
+    config = tiny_config()
+    experiment = setup_experiment(config)
+    rc = ClientRoundConfig.from_experiment(config, 1)
+    _apromfl_server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
+    rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
+    seen, real = [], federation.forward_map
+
+    def forward_map_spy(module, x):
+        seen.append(module.params.tobytes())
+        return real(module, x)
+
+    monkeypatch.setattr(federation, "forward_map", forward_map_spy)
+    for state in experiment.clients:
+        start = np.stack([m.params for m in task_modules(state).values()])
+        seen.clear()
+        client_round(state, rc)
+        assert seen.count((start if len(start) == 2 else start[0]).tobytes()) == 1
 
 
 def round_models(state) -> list:

@@ -3,17 +3,22 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apromfl import harness
 from apromfl.cli import main
 from apromfl.config import (
+    METHODS,
     ExperimentConfig,
     config_from_mapping,
+    finalize_config,
     load_config,
     parse_config_text,
     serialize_config,
 )
-from apromfl.federation import RoundFailure, setup_experiment
+from apromfl.data import SyntheticSpec
+from apromfl.federation import RoundFailure, run_training, setup_experiment
 from apromfl.harness import apply_axis, load_summary, run, summarize_reports, sweep
 from apromfl.metrics import EvalReport
 from oracles import eval_report_from_dict
@@ -138,6 +143,56 @@ class TestConfigParsing:
         assert config.seed == 11
         assert config.method == "local"
         assert config.synthetic.seed == 11
+
+
+@st.composite
+def tiny_configs(draw):
+    """Configs of a few dozen samples: K, O and the batch size range past the
+    sample counts, and image and text widths differ (identity encoders)."""
+    spec = SyntheticSpec(
+        num_classes=draw(st.integers(1, 3)),
+        latent_dim=2,
+        image_dim=3,
+        text_dim=4,
+        samples_per_class=draw(st.integers(2, 10)),
+    )
+    return ExperimentConfig(
+        method=draw(st.sampled_from(METHODS)),
+        seed=draw(st.integers(0, 9)),
+        rounds=draw(st.integers(1, 2)),
+        local_epochs=1,
+        batch_size=draw(st.integers(1, 30)),
+        clients_multimodal=draw(st.integers(0, 2)),
+        clients_image=draw(st.integers(0, 2)),
+        clients_text=draw(st.integers(0, 2)),
+        num_global_prototypes=draw(st.integers(1, 30)),
+        completion_top_o=draw(st.integers(1, 30)),
+        alpha=draw(st.floats(0.01, 100.0)),
+        mapping_layers=draw(st.sampled_from((1, 3))),
+        hidden_dim=4,
+        embed_dim=3,
+        encoder_kind=draw(st.sampled_from(("projection", "identity"))),
+        encoder_dim=3,
+        eval_fraction=draw(st.sampled_from((0.2, 0.5))),
+        disjoint_role_classes=draw(st.booleans()),
+        synthetic=spec,
+    )
+
+
+class TestAcceptedConfigsRun:
+    @settings(max_examples=100, derandomize=True)
+    @given(tiny_configs())
+    def test_completes_or_fails_located(self, config):
+        """A config that validation accepts either runs or fails with a
+        located ``RoundFailure``, never with another exception."""
+        try:
+            config = finalize_config(config)
+        except ValueError:
+            assume(False)
+        try:
+            run_training(config)
+        except RoundFailure:
+            pass
 
 
 class TestSummaries:

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.numerics import cosine_similarity, kmeans, seeded_rng
-from oracles import exhaustive_kmeans_sse, kl_divergence, loop_kmeans, softmax_temp
+from apromfl.numerics import kmeans, seeded_rng
+from oracles import (
+    cosine_similarity,
+    exhaustive_kmeans_sse,
+    kl_divergence,
+    loop_kmeans,
+    softmax_temp,
+)
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

@@ -12,10 +12,8 @@ from apromfl.prototypes import (
     UnimodalPrototype,
     build_global_prototypes,
     clustering_prototype_pairs,
-    dump_prototype_exchange,
     fuse,
     label_guided_prototypes,
-    load_prototype_exchange,
     semantic_complete,
 )
 from oracles import exhaustive_kmeans_sse
@@ -247,34 +245,3 @@ class TestBuildGlobalPrototypes:
         b = build_global_prototypes(pairs, 3, seeded_rng(615))
         for pa, pb in zip(a.pairs, b.pairs):
             assert np.array_equal(pa.image_vec, pb.image_vec)
-
-
-class TestExchangeSerialization:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = seeded_rng(616)
-        unimodal = [
-            UnimodalPrototype("image", rng.standard_normal(4) + 0.2, class_id=3, client_id=1),
-            UnimodalPrototype("text", rng.standard_normal(4) - 0.2, class_id=0, client_id=2),
-        ]
-        pairs = rand_pairs(3, 4, key=12)
-        global_set = build_global_prototypes(rand_pairs(5, 4, key=13), 2, seeded_rng(617), round_index=7)
-        path = tmp_path / "exchange.json"
-        dump_prototype_exchange(path, unimodal=unimodal, pairs=pairs, global_set=global_set)
-        got_uni, got_pairs, got_global = load_prototype_exchange(path)
-        for a, b in zip(unimodal, got_uni):
-            assert a.modality == b.modality and a.class_id == b.class_id and a.client_id == b.client_id
-            assert np.array_equal(a.vector, b.vector)
-        for a, b in zip(pairs, got_pairs):
-            assert np.array_equal(a.image_vec, b.image_vec)
-            assert np.array_equal(a.text_vec, b.text_vec)
-            assert a.origin == b.origin
-        assert got_global.round_index == 7
-        for a, b in zip(global_set.pairs, got_global.pairs):
-            assert np.array_equal(a.image_vec, b.image_vec)
-            assert np.array_equal(a.text_vec, b.text_vec)
-
-    def test_client_to_server_record_without_global(self, tmp_path):
-        path = tmp_path / "up.json"
-        dump_prototype_exchange(path, pairs=rand_pairs(2, 3, key=14))
-        uni, pairs, global_set = load_prototype_exchange(path)
-        assert uni == [] and len(pairs) == 2 and global_set is None
