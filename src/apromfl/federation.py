@@ -38,7 +38,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import assign_roles, generate, role_partition, train_eval_split
 from .losses import (
-    UnitPrototypes,
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
@@ -46,7 +45,6 @@ from .losses import (
     gpt_loss_paired_batch,
     lmr_loss,
     retrieval_task_loss,
-    unit_prototypes,
 )
 from .metrics import EvalReport, classification_report, retrieval_report
 from .nn import (
@@ -73,7 +71,7 @@ from .nn import (
     unflatten_module,
     unstack,
 )
-from .numerics import kmeans, require_finite, seeded_rng
+from .numerics import UnitRows, kmeans, require_finite, seeded_rng, unit_rows
 from .prototypes import (
     GlobalPrototypeSet,
     PrototypePair,
@@ -175,13 +173,14 @@ class ClientRoundConfig:
     def from_experiment(cls, config: ExperimentConfig, round_index: int) -> "ClientRoundConfig":
         return cls(config=config, round_index=round_index)
 
-    def gpt_prototypes(self) -> UnitPrototypes | None:
-        """The global prototypes, normalised once for the whole round, when
-        the prototype-transfer loss applies; else None."""
+    def gpt_prototypes(self) -> UnitRows | None:
+        """The global image and text prototype matrices as one ``(2, K, d)``
+        stack, image first, normalised once for the whole round, when the
+        prototype-transfer loss applies; else None."""
         if self.global_prototypes is None or self.config.beta1 <= 0:
             return None
         gp = self.global_prototypes
-        return unit_prototypes(gp.image_matrix(), gp.text_matrix())
+        return unit_rows(np.stack([gp.image_matrix(), gp.text_matrix()]), "global prototypes")
 
     @property
     def distill(self) -> bool:
@@ -235,6 +234,7 @@ def unimodal_client_round(
     use_gmt = rc.distill and cfg.beta2 > 0
     # the round started from the aggregate the server broadcast
     targets = forward_map(state.mapper, feats) if use_gmt else None
+    target_rows = unit_rows(targets, "distillation targets") if use_gmt else None
     meter = _LossMeter()
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
     for _ in range(cfg.local_epochs):
@@ -246,14 +246,15 @@ def unimodal_client_round(
             task, d_logits = cross_entropy_batch(logits, y)
             head_grad, d_emb = backward_head(head, emb, d_logits)
             gpt_value = gmt_value = 0.0
+            if protos is not None or use_gmt:
+                rows = unit_rows(emb)
             if protos is not None:
-                gpt_value, grad = gpt_loss_batch(emb, protos, cfg.tau)
+                gpt_value, grad = gpt_loss_batch(rows, protos, cfg.tau)
                 d_emb = d_emb + cfg.beta1 * grad
             if use_gmt:
-                global_emb = targets[batch]
-                global_task = cross_entropy_batch(forward_head(head, global_emb), y)[0]
+                global_task = cross_entropy_batch(forward_head(head, targets[batch]), y)[0]
                 gmt_value, grad = gmt_loss_batch(
-                    emb, global_emb, task, global_task, cfg.nu_max, cfg.distill_tau
+                    rows, target_rows[batch], task, global_task, cfg.nu_max, cfg.distill_tau
                 )
                 d_emb = d_emb + cfg.beta2 * grad
             sgd_step(mapper, backward(mapper, trace, d_emb), cfg.lr)
@@ -282,7 +283,8 @@ class _Towers:
     one ``(2, P)`` stack when the two share their dims (always under
     projection encoders), else a one-tower stack each. ``inputs`` holds each
     stack's features, stacked the same way. Embeddings and their gradients
-    are ``(2, N, d)`` arrays, image first."""
+    are ``(2, N, d)`` arrays, image first, so one :func:`unit_rows` call
+    normalises both towers."""
 
     stacks: tuple[MappingModule, ...]
     inputs: tuple[np.ndarray, ...]
@@ -364,7 +366,8 @@ def multimodal_client_round(
         pseudo, _, _ = kmeans(fuse(e_img, e_txt), k_local, seeded_rng(*key, "kmeans", epoch))
         order = cluster_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
-            (e_img, e_txt), traces = cluster.embed_trace(batch)
+            embs, traces = cluster.embed_trace(batch)
+            e_img, e_txt = unit_rows(embs)
             _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
             cluster.descend(traces, np.stack([g_img, g_txt]), cfg.lr)
     e_img, e_txt = cluster.embed()
@@ -376,13 +379,14 @@ def multimodal_client_round(
     mappers = start.trainable()
     protos = rc.gpt_prototypes()
     use_gmt = rc.distill and cfg.beta2 > 0
-    targets = start.embed() if use_gmt else None
+    target_rows = unit_rows(start.embed(), "distillation targets") if use_gmt else None
     meter = _LossMeter()
     task_rng = seeded_rng(*key, "task-batches")
     for _ in range(cfg.local_epochs):
         order = task_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
-            (e_img, e_txt), traces = mappers.embed_trace(batch)
+            embs, traces = mappers.embed_trace(batch)
+            e_img, e_txt = unit_rows(embs)
             task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
             if protos is not None:
@@ -390,7 +394,7 @@ def multimodal_client_round(
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
-                ge_img, ge_txt = targets[:, batch]
+                ge_img, ge_txt = target_rows[:, batch]
                 global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
                 v_img, a_img = gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
@@ -467,11 +471,7 @@ def _stack_params(modules: list[MappingModule]) -> np.ndarray:
 
 
 def relationship_weights(modules: list[MappingModule], modality: str = "image") -> RelationshipGraph:
-    flats = _stack_params(modules)
-    norms = np.linalg.norm(flats, axis=1, keepdims=True)
-    if (norms == 0).any():
-        raise ValueError("cosine similarity undefined for a zero-norm module")
-    unit = flats / norms
+    unit = unit_rows(_stack_params(modules), "module parameters").unit
     sim = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     clamped = np.maximum(sim, 0.0)

@@ -24,7 +24,8 @@ from .config import ExperimentConfig, finalize_config, serialize_config
 from .federation import RoundFailure, evaluate_client, run_training
 from .metrics import EvalReport
 
-SUMMARY_COLUMNS = (
+#: summary.csv columns read from the config, then from the :class:`Summary`.
+CONFIG_COLUMNS = (
     "method",
     "seed",
     "rounds",
@@ -35,6 +36,8 @@ SUMMARY_COLUMNS = (
     "num_global_prototypes",
     "completion_top_o",
     "mapping_layers",
+)
+METRIC_COLUMNS = (
     "acc1_mean",
     "acc5_mean",
     "r1_i2t_mean",
@@ -44,6 +47,7 @@ SUMMARY_COLUMNS = (
     "r1_sum",
     "r5_sum",
 )
+SUMMARY_COLUMNS = CONFIG_COLUMNS + METRIC_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -101,29 +105,9 @@ def _fmt(value) -> str:
 
 
 def summary_csv(config: ExperimentConfig, summary: Summary) -> str:
-    row = {
-        "method": config.method,
-        "seed": config.seed,
-        "rounds": config.rounds,
-        "alpha": config.alpha,
-        "clients_multimodal": config.clients_multimodal,
-        "clients_image": config.clients_image,
-        "clients_text": config.clients_text,
-        "num_global_prototypes": config.num_global_prototypes,
-        "completion_top_o": config.completion_top_o,
-        "mapping_layers": config.mapping_layers,
-        "acc1_mean": summary.acc1_mean,
-        "acc5_mean": summary.acc5_mean,
-        "r1_i2t_mean": summary.r1_i2t_mean,
-        "r5_i2t_mean": summary.r5_i2t_mean,
-        "r1_t2i_mean": summary.r1_t2i_mean,
-        "r5_t2i_mean": summary.r5_t2i_mean,
-        "r1_sum": summary.r1_sum,
-        "r5_sum": summary.r5_sum,
-    }
-    header = ",".join(SUMMARY_COLUMNS)
-    values = ",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS)
-    return f"{header}\n{values}\n"
+    values = [getattr(config, c) for c in CONFIG_COLUMNS]
+    values += [getattr(summary, c) for c in METRIC_COLUMNS]
+    return ",".join(SUMMARY_COLUMNS) + "\n" + ",".join(map(_fmt, values)) + "\n"
 
 
 def run(config: ExperimentConfig, out_dir) -> Path:

@@ -7,19 +7,20 @@ module parameters). Gradients are chained through the mapping modules by
 ``nn.backward``; all of them are validated against central finite
 differences in the test suite.
 
-Conventions: embeddings arrive as (N, d) batches, cosine similarities are
-taken after internal L2 normalisation, and contrastive denominators run over
-every sample in the batch including the anchor itself.
+Conventions: every cosine-based loss takes its embeddings as
+:class:`~apromfl.numerics.UnitRows` of an (N, d) batch, which the caller
+builds once per step with :func:`~apromfl.numerics.unit_rows` and shares
+between the losses; each loss returns its gradients with respect to the raw
+embeddings through its own ``rows.backward`` call. Contrastive denominators
+run over every sample in the batch including the anchor itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import MappingModule, same_architecture
-from .numerics import KL_EPS, logsumexp, require_finite
+from .numerics import KL_EPS, UnitRows, logsumexp, require_finite
 
 LN2 = float(np.log(2.0))
 
@@ -28,22 +29,6 @@ TASK_LOSS_FLOOR = 1e-8
 
 
 # -- shared helpers ----------------------------------------------------------
-
-
-def _norm_rows(x, what: str = "embeddings") -> tuple[np.ndarray, np.ndarray]:
-    x = require_finite(x, what)
-    if x.ndim != 2:
-        raise ValueError(f"{what} must be (N, d)")
-    # what np.linalg.norm(x, axis=1, keepdims=True) computes, minus its dispatch
-    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
-    if (norms == 0).any():
-        raise ValueError(f"{what} contain a zero-norm row")
-    return x / norms, norms
-
-
-def _norm_rows_backward(g_unit, unit, norms) -> np.ndarray:
-    # d/dx of u = x/|x|, applied to an upstream gradient on u
-    return (g_unit - (g_unit * unit).sum(axis=1, keepdims=True) * unit) / norms
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -79,17 +64,14 @@ def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
 # -- retrieval ---------------------------------------------------------------
 
 
-def retrieval_task_loss(img_embs, txt_embs, tau: float):
-    """Symmetric InfoNCE over the N x N cosine-similarity matrix.
-
-    Embeddings are L2-normalised internally; the value averages the
-    image-to-text and text-to-image cross entropies against the diagonal.
-    Returns (value, grad_img, grad_txt).
+def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
+    """Symmetric InfoNCE over the N x N cosine-similarity matrix: the value
+    averages the image-to-text and text-to-image cross entropies against the
+    diagonal. Returns (value, grad_img, grad_txt).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u, nu = _norm_rows(img_embs, "image embeddings")
-    v, nv = _norm_rows(txt_embs, "text embeddings")
+    u, v = img.unit, txt.unit
     if u.shape != v.shape:
         raise ValueError("image/text embedding counts must match")
     n = len(u)
@@ -106,7 +88,7 @@ def retrieval_task_loss(img_embs, txt_embs, tau: float):
     d_scores = 0.5 * ((p_rows - eye) + (p_cols - eye)) / n
     g_u = d_scores @ v / tau
     g_v = d_scores.T @ u / tau
-    return value, _norm_rows_backward(g_u, u, nu), _norm_rows_backward(g_v, v, nv)
+    return value, img.backward(g_u), txt.backward(g_v)
 
 
 # -- pseudo-label contrastive losses -----------------------------------------
@@ -120,23 +102,25 @@ def _cluster_mask(labels, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mask, mask.sum(axis=1)
 
 
-def intra_modal_total(embs, labels, tau: float):
+def intra_modal_total(rows: UnitRows, labels, tau: float):
     """Contrastive loss of each sample against the samples sharing its
     pseudo-label (itself included), with the denominator running over all
     samples of the modality; summed over samples, with gradients. This is
     :func:`inter_modal_total` with the one modality on both sides."""
-    value, g_anchor, g_other = inter_modal_total(embs, embs, labels, tau)
+    # the other side gets its own buffer: numpy multiplies an array by its
+    # own transpose with a symmetric kernel, whose last bits differ
+    other = UnitRows(rows.unit.copy(), rows.norms)
+    value, g_anchor, g_other = inter_modal_total(rows, other, labels, tau)
     return value, g_anchor + g_other
 
 
-def inter_modal_total(img_embs, txt_embs, labels, tau: float):
+def inter_modal_total(img: UnitRows, txt: UnitRows, labels, tau: float):
     """Contrastive loss of each image anchor against the text embeddings
     sharing its pseudo-label, with the denominator running over all text
     embeddings; summed over samples, with gradients for both modalities."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u, nu = _norm_rows(img_embs, "image embeddings")
-    v, nv = _norm_rows(txt_embs, "text embeddings")
+    u, v = img.unit, txt.unit
     if u.shape != v.shape:
         raise ValueError("image/text embedding counts must match")
     n = len(u)
@@ -146,21 +130,19 @@ def inter_modal_total(img_embs, txt_embs, labels, tau: float):
     value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
     probs = np.exp(scores - lse[:, None])
     g_scores = (probs - mask / counts[:, None]) / tau
-    g_u = g_scores @ v
-    g_v = g_scores.T @ u
-    return value, _norm_rows_backward(g_u, u, nu), _norm_rows_backward(g_v, v, nv)
+    return value, img.backward(g_scores @ v), txt.backward(g_scores.T @ u)
 
 
-def clustering_total_loss(img_embs, txt_embs, labels, tau: float):
+def clustering_total_loss(img: UnitRows, txt: UnitRows, labels, tau: float):
     """Clustering-model objective: retrieval task loss plus the summed
     intra-modal (both modalities) and inter-modal contrastive losses.
 
     Returns (value, grad_img, grad_txt).
     """
-    task, g_img, g_txt = retrieval_task_loss(img_embs, txt_embs, tau)
-    intra_i, gi = intra_modal_total(img_embs, labels, tau)
-    intra_t, gt = intra_modal_total(txt_embs, labels, tau)
-    inter, hi, ht = inter_modal_total(img_embs, txt_embs, labels, tau)
+    task, g_img, g_txt = retrieval_task_loss(img, txt, tau)
+    intra_i, gi = intra_modal_total(img, labels, tau)
+    intra_t, gt = intra_modal_total(txt, labels, tau)
+    inter, hi, ht = inter_modal_total(img, txt, labels, tau)
     value = task + intra_i + intra_t + inter
     return value, g_img + gi + hi, g_txt + gt + ht
 
@@ -204,57 +186,37 @@ def _js_rows(p: np.ndarray, q: np.ndarray):
     return rows, 0.5 * log_p, 0.5 * log_q
 
 
-@dataclass(frozen=True)
-class UnitPrototypes:
-    """The global image and text prototype matrices, checked and scaled to
-    unit rows once per round by :func:`unit_prototypes`, so the round's
-    ``gpt_loss_*`` calls share them."""
-
-    image: np.ndarray  # (K, d)
-    text: np.ndarray  # (K, d)
-
-
-def unit_prototypes(image_protos, text_protos) -> UnitPrototypes:
-    image, _ = _norm_rows(np.asarray(image_protos, dtype=float), "image prototypes")
-    text, _ = _norm_rows(np.asarray(text_protos, dtype=float), "text prototypes")
-    return UnitPrototypes(image=image, text=text)
-
-
-def gpt_loss_batch(embs, protos: UnitPrototypes, tau: float):
+def gpt_loss_batch(rows: UnitRows, protos: UnitRows, tau: float):
     """Unimodal form of :func:`gpt_loss_paired_batch`: the same embedding is
     assigned to both prototype sets. Returns (mean value, grad of the mean
     w.r.t. the embeddings)."""
-    value, g_img, g_txt = gpt_loss_paired_batch(embs, embs, protos, tau)
+    value, g_img, g_txt = gpt_loss_paired_batch(rows, rows, protos, tau)
     return value, g_img + g_txt
 
 
-def gpt_loss_paired_batch(img_embs, txt_embs, protos: UnitPrototypes, tau: float):
+def gpt_loss_paired_batch(img: UnitRows, txt: UnitRows, protos: UnitRows, tau: float):
     """Alignment of assignment distributions over the paired global image
     and text prototype sets: each image embedding is assigned to the image
     prototypes and its paired text embedding to the text prototypes, and the
     value is their Jensen-Shannon divergence, so it lies in [0, ln 2].
+    ``protos`` stacks the two (K, d) prototype matrices, image first.
 
     Returns (mean value, grad_img, grad_txt).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u, nu = _norm_rows(img_embs, "image embeddings")
-    v, nv = _norm_rows(txt_embs, "text embeddings")
+    u, v = img.unit, txt.unit
     if u.shape[0] != v.shape[0]:
         raise ValueError("image/text embedding counts must match")
     n = len(u)
-    pi_unit, pt_unit = protos.image, protos.text
+    pi_unit, pt_unit = protos.unit
     p = _softmax_rows(u @ pi_unit.T / tau)
     q = _softmax_rows(v @ pt_unit.T / tau)
     rows, g_p, g_q = _js_rows(p, q)
     value = max(float(rows.mean()), 0.0)
     g_u = _softmax_rows_backward(p, g_p) @ pi_unit / tau
     g_v = _softmax_rows_backward(q, g_q) @ pt_unit / tau
-    return (
-        value,
-        _norm_rows_backward(g_u, u, nu) / n,
-        _norm_rows_backward(g_v, v, nv) / n,
-    )
+    return value, img.backward(g_u) / n, txt.backward(g_v) / n
 
 
 # -- global model transfer ---------------------------------------------------
@@ -272,24 +234,28 @@ def transfer_ratio(task_loss_local: float, task_loss_global: float, nu_max: floa
 
 
 def gmt_loss_batch(
-    local_embs, global_embs, task_loss_local, task_loss_global, nu_max: float, distill_tau: float
+    local: UnitRows,
+    target: UnitRows,
+    task_loss_local,
+    task_loss_global,
+    nu_max: float,
+    distill_tau: float,
 ):
     """Ratio-scaled KL distillation of local embeddings toward the global
-    module's embeddings.
+    module's embeddings (``target``).
 
-    Embeddings are L2-normalised and become distributions via a softmax at
-    ``distill_tau`` (normalising first keeps the distillation stable: the
-    cosine-based task losses leave embedding norms free to grow, and raw
-    norms would saturate the softmax). The ratio is clamped at ``nu_max`` and
-    treated as a constant, so gradient flows only into the local embeddings.
-    Returns (mean value, grad of the mean w.r.t. local_embs).
+    The unit rows become distributions via a softmax at ``distill_tau``
+    (normalising first keeps the distillation stable: the cosine-based task
+    losses leave embedding norms free to grow, and raw norms would saturate
+    the softmax). The ratio is clamped at ``nu_max`` and treated as a
+    constant, so gradient flows only into the local embeddings.
+    Returns (mean value, grad of the mean w.r.t. the local embeddings).
     """
     if distill_tau <= 0:
         raise ValueError(f"distill_tau must be positive, got {distill_tau}")
-    if np.asarray(local_embs).shape != np.asarray(global_embs).shape:
+    u, v = local.unit, target.unit
+    if u.shape != v.shape:
         raise ValueError("local/global embedding shapes must match")
-    u, norms = _norm_rows(local_embs, "local embeddings")
-    v, _ = _norm_rows(global_embs, "global embeddings")
     nu = transfer_ratio(task_loss_local, task_loss_global, nu_max)
     t = distill_tau
     n = len(u)
@@ -299,4 +265,4 @@ def gmt_loss_batch(
     kl_rows = (p * log_ratio).sum(axis=1)
     value = nu * max(float(kl_rows.mean()), 0.0)
     g_unit = (nu / (t * n)) * p * (log_ratio - kl_rows[:, None])
-    return value, _norm_rows_backward(g_unit, u, norms)
+    return value, local.backward(g_unit)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import require_finite
+from .numerics import require_finite, unit_rows
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,11 @@ def _label_ranks(logits_list, labels) -> np.ndarray:
     return _true_ranks(logits, labels, "labels")
 
 
-def _retrieval_ranks(query_embs, gallery_embs, ground_truth) -> np.ndarray:
-    queries = require_finite(query_embs, "query embeddings")
-    gallery = require_finite(gallery_embs, "gallery embeddings")
-    if gallery.ndim != 2 or len(gallery) == 0:
-        raise ValueError("gallery must be non-empty")
-    if queries.ndim != 2 or len(queries) == 0:
-        raise ValueError("queries must be non-empty")
-    qn = np.linalg.norm(queries, axis=1, keepdims=True)
-    gn = np.linalg.norm(gallery, axis=1, keepdims=True)
-    if np.any(qn == 0) or np.any(gn == 0):
-        raise ValueError("zero-norm embedding in retrieval evaluation")
-    sims = (queries / qn) @ (gallery / gn).T
-    return _true_ranks(sims, ground_truth, "ground truth")
+def _unit(embs, what: str) -> np.ndarray:
+    unit = unit_rows(embs, what).unit
+    if unit.ndim != 2 or len(unit) == 0:
+        raise ValueError(f"{what} must be a non-empty (N, d) array")
+    return unit
 
 
 def acc_at_k(logits_list, labels, k: int) -> float:
@@ -101,7 +93,9 @@ def acc_at_k(logits_list, labels, k: int) -> float:
 def recall_at_k(query_embs, gallery_embs, ground_truth, k: int) -> float:
     """Fraction of queries whose true gallery item ranks in the cosine top-k.
     Every ground-truth entry must be a gallery index in ``[0, len(gallery))``."""
-    return _hit_rate(_retrieval_ranks(query_embs, gallery_embs, ground_truth), k)
+    queries = _unit(query_embs, "query embeddings")
+    gallery = _unit(gallery_embs, "gallery embeddings")
+    return _hit_rate(_true_ranks(queries @ gallery.T, ground_truth, "ground truth"), k)
 
 
 def classification_report(logits, labels, ks=(1, 5)) -> EvalReport:
@@ -111,11 +105,13 @@ def classification_report(logits, labels, ks=(1, 5)) -> EvalReport:
 
 def retrieval_report(img_embs, txt_embs, ks=(1, 5)) -> EvalReport:
     """Bidirectional retrieval with identity ground truth (aligned pairs):
-    one cosine matrix per direction serves every k."""
-    n = len(img_embs)
+    each side is normalised once, and one cosine matrix per direction serves
+    every k."""
+    img, txt = _unit(img_embs, "image embeddings"), _unit(txt_embs, "text embeddings")
+    n = len(img)
     identity = np.arange(n)
-    i2t = _retrieval_ranks(img_embs, txt_embs, identity)
-    t2i = _retrieval_ranks(txt_embs, img_embs, identity)
+    i2t = _true_ranks(img @ txt.T, identity, "ground truth")
+    t2i = _true_ranks(txt @ img.T, identity, "ground truth")
     return EvalReport(
         recall_i2t_at={int(k): _hit_rate(i2t, k) for k in ks},
         recall_t2i_at={int(k): _hit_rate(t2i, k) for k in ks},

@@ -244,27 +244,18 @@ def backward_head(head: ClassifierHead, x, upstream) -> tuple[np.ndarray, np.nda
     return grad, g @ head.weights.T
 
 
-def _descend(model, grad: np.ndarray, lr: float):
+def sgd_step(model, grad: np.ndarray, lr: float) -> None:
+    """theta -= lr * grad, in place on a :func:`trainable` module, stack or
+    head; a frozen model is rejected. The round checked ``lr`` once."""
+    if not model.params.flags.writeable:
+        raise ValueError("sgd_step steps a trainable() copy in place; this model is frozen")
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient; aborting update")
-    if model.params.flags.writeable:
-        # a trainable() copy; its round checked lr once. Same bits as
-        # params - lr * grad.
-        np.subtract(model.params, lr * grad, out=model.params)
-        return model
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    return type(model)(model.dims, model.params - lr * grad)
+    # same bits as params - lr * grad
+    np.subtract(model.params, lr * grad, out=model.params)
 
 
-def sgd_step(module: MappingModule, grad: np.ndarray, lr: float) -> MappingModule:
-    """theta' = theta - lr * grad: in place on a :func:`trainable` module
-    (returned), else as a new immutable module."""
-    return _descend(module, grad, lr)
-
-
-def sgd_step_head(head: ClassifierHead, grad: np.ndarray, lr: float) -> ClassifierHead:
-    return _descend(head, grad, lr)
+sgd_step_head = sgd_step
 
 
 def flatten_module(module: MappingModule) -> np.ndarray:

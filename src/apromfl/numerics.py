@@ -9,6 +9,7 @@ depend on call ordering across purposes, threads or processes.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,39 @@ def require_finite(arr, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
+
+
+@dataclass(frozen=True)
+class UnitRows:
+    """Rows of an ``(..., N, d)`` array scaled to unit L2 norm, with the norms
+    they were divided by: the form every cosine in the project starts from.
+    Indexing the leading axes gathers both (``rows[:, batch]``, ``rows[0]``),
+    and a stack unpacks along its first axis (``img, txt = rows``), so one
+    normalisation serves any slice of it."""
+
+    unit: np.ndarray  # (..., N, d)
+    norms: np.ndarray  # (..., N, 1)
+
+    def __getitem__(self, index) -> "UnitRows":
+        return UnitRows(self.unit[index], self.norms[index])
+
+    def backward(self, g_unit) -> np.ndarray:
+        """d/dx of u = x/|x|, applied to an upstream gradient on the unit rows."""
+        u = self.unit
+        return (g_unit - (g_unit * u).sum(axis=-1, keepdims=True) * u) / self.norms
+
+
+def unit_rows(x, what: str = "embeddings") -> UnitRows:
+    """``x`` checked finite and scaled to unit rows; raises naming ``what`` on
+    a zero-norm row."""
+    x = require_finite(x, what)
+    if x.ndim < 2:
+        raise ValueError(f"{what} must be (..., N, d)")
+    # what np.linalg.norm(x, axis=-1, keepdims=True) computes, minus its dispatch
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    if (norms == 0).any():
+        raise ValueError(f"{what} contain a zero-norm row")
+    return UnitRows(x / norms, norms)
 
 
 def logsumexp(a, axis: int = -1) -> np.ndarray:

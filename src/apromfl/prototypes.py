@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, kmeans, require_finite
+from .numerics import Rng, kmeans, require_finite, unit_rows
 
 ORIGIN_MULTIMODAL = "multimodal-client"
 ORIGIN_COMPLETED = "completed-from-unimodal"
@@ -171,7 +171,7 @@ def semantic_complete(
         [p.text_vec if uni.modality == "image" else p.image_vec for p in mm_pairs]
     )
     unit = uni.vector / np.linalg.norm(uni.vector)
-    sims = (own / np.linalg.norm(own, axis=1, keepdims=True)) @ unit
+    sims = unit_rows(own, "multimodal prototypes").unit @ unit
     keep = np.argsort(-sims, kind="stable")[:top_o]
     weights = np.maximum(sims[keep], 0.0)
     total = weights.sum()

@@ -22,7 +22,6 @@ from apromfl.losses import (
     gpt_loss_paired_batch,
     lmr_loss,
     retrieval_task_loss,
-    unit_prototypes,
 )
 from apromfl.metrics import EvalReport
 from apromfl.nn import (
@@ -31,6 +30,7 @@ from apromfl.nn import (
     forward_map,
     forward_map_trace,
     sgd_step,
+    trainable,
     unflatten_module,
 )
 from apromfl.numerics import (
@@ -38,10 +38,12 @@ from apromfl.numerics import (
     KMEANS_RESTARTS,
     KMEANS_RESTARTS_SMALL,
     KMEANS_SMALL_N,
+    UnitRows,
     kmeans,
     logsumexp,
     require_finite,
     seeded_rng,
+    unit_rows,
 )
 from apromfl.prototypes import clustering_prototype_pairs, fuse
 
@@ -240,18 +242,20 @@ def min_abs_preact(module, x) -> float:
 
 def per_tower_multimodal_round(state, rc):
     """``federation.multimodal_client_round`` as it ran before towers were
-    stacked: each tower forwards, backpropagates and steps on its own, every
-    step builds new frozen modules, and every prototype-transfer call
-    normalises the global prototypes again. Returns ``(modules, pairs,
-    loss_terms)``, where ``modules`` maps ``image``, ``text``,
-    ``cluster_image`` and ``cluster_text`` to the trained modules."""
+    stacked: each tower forwards, normalises, backpropagates and steps on its
+    own (a :func:`trainable` copy per model, taken at round start), every
+    prototype-transfer call normalises the global prototypes again, and
+    every batch embeds and normalises its distillation targets itself.
+    Returns ``(modules, pairs, loss_terms)``, where ``modules`` maps
+    ``image``, ``text``, ``cluster_image`` and ``cluster_text`` to the
+    trained modules."""
     cfg = rc.config
     xi, xt = state.image_features, state.text_features
     n = len(xi)
     k_local = max(1, min(cfg.num_global_prototypes, n))
     key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
 
-    c_img, c_txt = state.cluster_image_mapper, state.cluster_text_mapper
+    c_img, c_txt = trainable(state.cluster_image_mapper), trainable(state.cluster_text_mapper)
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
@@ -260,14 +264,16 @@ def per_tower_multimodal_round(state, rc):
         for batch in _batches(order, cfg.batch_size, min_size=2):
             e_img, tr_img = forward_map_trace(c_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
-            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
-            c_img = sgd_step(c_img, backward(c_img, tr_img, g_img), cfg.lr)
-            c_txt = sgd_step(c_txt, backward(c_txt, tr_txt, g_txt), cfg.lr)
+            _, g_img, g_txt = clustering_total_loss(
+                unit_rows(e_img), unit_rows(e_txt), pseudo[batch], cfg.tau
+            )
+            sgd_step(c_img, backward(c_img, tr_img, g_img), cfg.lr)
+            sgd_step(c_txt, backward(c_txt, tr_txt, g_txt), cfg.lr)
     pairs, _ = clustering_prototype_pairs(
         forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
     )
 
-    mapper_img, mapper_txt = state.image_mapper, state.text_mapper
+    mapper_img, mapper_txt = trainable(state.image_mapper), trainable(state.text_mapper)
     use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
     use_gmt = rc.distill and cfg.beta2 > 0
     sums, steps = dict.fromkeys(LOSS_TERMS, 0.0), 0
@@ -277,18 +283,19 @@ def per_tower_multimodal_round(state, rc):
         for batch in _batches(order, cfg.batch_size, min_size=2):
             e_img, tr_img = forward_map_trace(mapper_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(mapper_txt, xt[batch])
+            e_img, e_txt = unit_rows(e_img), unit_rows(e_txt)
             task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
             if use_gpt:
-                protos = unit_prototypes(
+                protos = prototype_rows(
                     rc.global_prototypes.image_matrix(), rc.global_prototypes.text_matrix()
                 )
                 gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
-                ge_img = forward_map(state.image_mapper, xi[batch])
-                ge_txt = forward_map(state.text_mapper, xt[batch])
+                ge_img = unit_rows(forward_map(state.image_mapper, xi[batch]))
+                ge_txt = unit_rows(forward_map(state.text_mapper, xt[batch]))
                 global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
                 v_img, a_img = gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
@@ -305,8 +312,8 @@ def per_tower_multimodal_round(state, rc):
             grad_txt = backward(mapper_txt, tr_txt, g_txt)
             grad_img += lmr_grad_img
             grad_txt += lmr_grad_txt
-            mapper_img = sgd_step(mapper_img, grad_img, cfg.lr)
-            mapper_txt = sgd_step(mapper_txt, grad_txt, cfg.lr)
+            sgd_step(mapper_img, grad_img, cfg.lr)
+            sgd_step(mapper_txt, grad_txt, cfg.lr)
             for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, lmr_img + lmr_txt)):
                 sums[name] += value
             steps += 1
@@ -390,10 +397,20 @@ def assignment_probs(e, protos, tau: float) -> np.ndarray:
     return softmax_temp((protos / p_norms) @ (e / norm), tau)
 
 
+def prototype_rows(image_protos, text_protos) -> UnitRows:
+    """The ``(2, K, d)`` prototype stack the GPT losses take, with each
+    matrix normalised on its own."""
+    image = unit_rows(image_protos, "image prototypes")
+    text = unit_rows(text_protos, "text prototypes")
+    return UnitRows(np.stack([image.unit, text.unit]), np.stack([image.norms, text.norms]))
+
+
 def gpt_loss(e, image_protos, text_protos, tau: float):
     """Single-embedding form of ``losses.gpt_loss_batch``."""
     e = np.asarray(e, dtype=float)
-    value, grad = gpt_loss_batch(e[None, :], unit_prototypes(image_protos, text_protos), tau)
+    value, grad = gpt_loss_batch(
+        unit_rows(e[None, :]), prototype_rows(image_protos, text_protos), tau
+    )
     return value, grad[0]
 
 
@@ -404,8 +421,8 @@ def gmt_loss(
     local_emb = np.asarray(local_emb, dtype=float)
     global_emb = np.asarray(global_emb, dtype=float)
     value, grad = gmt_loss_batch(
-        local_emb[None, :],
-        global_emb[None, :],
+        unit_rows(local_emb[None, :]),
+        unit_rows(global_emb[None, :]),
         task_loss_local,
         task_loss_global,
         nu_max,

@@ -33,7 +33,6 @@ from apromfl.losses import (
     intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
-    unit_prototypes,
 )
 from apromfl.metrics import acc_at_k, recall_at_k
 from apromfl.nn import (
@@ -46,7 +45,7 @@ from apromfl.nn import (
     init_classifier_head,
     init_mapping_module,
 )
-from apromfl.numerics import kmeans, seeded_rng
+from apromfl.numerics import kmeans, seeded_rng, unit_rows
 from apromfl.prototypes import (
     PrototypePair,
     UnimodalPrototype,
@@ -60,6 +59,7 @@ from oracles import (
     grad_rel_error,
     kl_divergence,
     min_abs_preact,
+    prototype_rows,
 )
 
 GRAD_TOL = 1e-4
@@ -130,9 +130,10 @@ def _gradient_cases(depth: int, key: int):
 
     protos_i = rng.standard_normal((3, 4)) + 0.2
     protos_t = rng.standard_normal((3, 4)) - 0.2
-    yield single_emb_case("intra-modal", lambda e: intra_modal_total(e, clusters, tau))
+    protos = prototype_rows(protos_i, protos_t)
+    yield single_emb_case("intra-modal", lambda e: intra_modal_total(unit_rows(e), clusters, tau))
     yield single_emb_case(
-        "prototype-transfer", lambda e: gpt_loss_batch(e, unit_prototypes(protos_i, protos_t), tau)
+        "prototype-transfer", lambda e: gpt_loss_batch(unit_rows(e), protos, tau)
     )
 
     for attempt in itertools.count():
@@ -142,7 +143,9 @@ def _gradient_cases(depth: int, key: int):
             break
     yield single_emb_case(
         "model-transfer",
-        lambda e: gmt_loss_batch(e, global_emb, 0.8, 0.5, nu_max=10.0, distill_tau=0.7),
+        lambda e: gmt_loss_batch(
+            unit_rows(e), unit_rows(global_emb), 0.8, 0.5, nu_max=10.0, distill_tau=0.7
+        ),
     )
 
     pair_mods, pair_xs, _ = _instance(depth, key + 7_000, two_modules=True)
@@ -159,14 +162,20 @@ def _gradient_cases(depth: int, key: int):
 
         return name, pair_mods, loss, analytic
 
-    yield two_emb_case("retrieval-infonce", lambda a, b: retrieval_task_loss(a, b, tau))
-    yield two_emb_case("inter-modal", lambda a, b: inter_modal_total(a, b, clusters, tau))
     yield two_emb_case(
-        "clustering-objective", lambda a, b: clustering_total_loss(a, b, clusters, tau)
+        "retrieval-infonce", lambda a, b: retrieval_task_loss(unit_rows(a), unit_rows(b), tau)
+    )
+    yield two_emb_case(
+        "inter-modal",
+        lambda a, b: inter_modal_total(unit_rows(a), unit_rows(b), clusters, tau),
+    )
+    yield two_emb_case(
+        "clustering-objective",
+        lambda a, b: clustering_total_loss(unit_rows(a), unit_rows(b), clusters, tau),
     )
     yield two_emb_case(
         "paired-prototype-transfer",
-        lambda a, b: gpt_loss_paired_batch(a, b, unit_prototypes(protos_i, protos_t), tau),
+        lambda a, b: gpt_loss_paired_batch(unit_rows(a), unit_rows(b), protos, tau),
     )
 
     anchor = init_mapping_module(mods[0].dims, seeded_rng(1005, depth, key))
@@ -308,8 +317,8 @@ def test_c04_loss_bounds():
         k, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         e = rng.standard_normal(d) + 0.05
         value, _ = gpt_loss_batch(
-            e[None, :],
-            unit_prototypes(
+            unit_rows(e[None, :]),
+            prototype_rows(
                 rng.standard_normal((k, d)) + 0.05, rng.standard_normal((k, d)) - 0.05
             ),
             float(rng.uniform(0.05, 4.0)),
@@ -320,7 +329,9 @@ def test_c04_loss_bounds():
         q = rng.uniform(0.01, 1.0, size)
         assert kl_divergence(p / p.sum(), q / q.sum()) >= 0.0
     protos = seeded_rng(1301).standard_normal((5, 4)) + 0.1
-    identical, _ = gpt_loss_batch(np.ones((1, 4)), unit_prototypes(protos, protos.copy()), 0.5)
+    identical, _ = gpt_loss_batch(
+        unit_rows(np.ones((1, 4))), prototype_rows(protos, protos.copy()), 0.5
+    )
     assert identical == 0.0
     report(4, "prototype-transfer loss within [0, ln 2] on 1000 inputs, zero on "
               "identical assignments; KL non-negative on 1000 inputs")

@@ -368,6 +368,38 @@ def test_round_start_modules_embed_once_per_round(monkeypatch):
         assert seen.count((start if len(start) == 2 else start[0]).tobytes()) == 1
 
 
+def test_each_step_normalises_its_embeddings_once(monkeypatch):
+    """A round-2 client round with both transfer losses active makes one
+    ``unit_rows`` call per training step (a multimodal client's two towers
+    together), plus one for its distillation targets and one for the global
+    prototypes."""
+    config = tiny_config()
+    experiment = setup_experiment(config)
+    rc = ClientRoundConfig.from_experiment(config, 1)
+    _apromfl_server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
+    rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
+    seen, real = [], federation.unit_rows
+
+    def unit_rows_spy(x, what="embeddings"):
+        seen.append(what)
+        return real(x, what)
+
+    monkeypatch.setattr(federation, "unit_rows", unit_rows_spy)
+    mm = next(s for s in experiment.clients if isinstance(s, MultimodalClientState))
+    uni = next(s for s in experiment.clients if isinstance(s, UnimodalClientState))
+    # a multimodal round trains twice (clustering refresh, then task model)
+    cases = ((mm, len(mm.image_features), 2, 2), (uni, len(uni.labels), 1, 1))
+    for state, n, phases, min_size in cases:
+        batches = len(federation._batches(np.arange(n), config.batch_size, min_size))
+        seen.clear()
+        _, msg = client_round(state, rc)
+        assert msg.loss_terms["gpt"] > 0.0 and msg.loss_terms["gmt"] > 0.0
+        steps = phases * config.local_epochs * batches
+        assert sorted(seen) == sorted(
+            ["embeddings"] * steps + ["distillation targets", "global prototypes"]
+        )
+
+
 def round_models(state) -> list:
     """Every model a client state holds."""
     if isinstance(state, UnimodalClientState):

@@ -16,10 +16,9 @@ from apromfl.losses import (
     intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
-    unit_prototypes,
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
-from apromfl.numerics import seeded_rng
+from apromfl.numerics import seeded_rng, unit_rows
 from oracles import (
     assignment_probs,
     cross_entropy,
@@ -29,6 +28,7 @@ from oracles import (
     grad_rel_error,
     inter_modal_loss,
     intra_modal_loss,
+    prototype_rows,
 )
 
 TAU = 0.5
@@ -76,12 +76,12 @@ class TestCrossEntropy:
 class TestRetrievalTaskLoss:
     def test_matched_orthogonal_pairs_vanish_at_small_tau(self):
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
-        value, _, _ = retrieval_task_loss(img, img.copy(), tau=0.01)
+        value, _, _ = retrieval_task_loss(unit_rows(img), unit_rows(img.copy()), tau=0.01)
         assert value == pytest.approx(0.0, abs=1e-8)
 
     def test_self_alignment_matches_direct_summation(self):
         embs = rand_embs(5, 4, key=1)
-        value, _, _ = retrieval_task_loss(embs, embs.copy(), TAU)
+        value, _, _ = retrieval_task_loss(unit_rows(embs), unit_rows(embs.copy()), TAU)
         unit = embs / np.linalg.norm(embs, axis=1, keepdims=True)
         sims = unit @ unit.T / TAU
         total = 0.0
@@ -93,19 +93,19 @@ class TestRetrievalTaskLoss:
     def test_permutation_invariance(self):
         img, txt = rand_embs(6, 3, 2), rand_embs(6, 3, 3)
         perm = seeded_rng(503).permutation(6)
-        base, _, _ = retrieval_task_loss(img, txt, TAU)
-        permuted, _, _ = retrieval_task_loss(img[perm], txt[perm], TAU)
+        base, _, _ = retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)
+        permuted, _, _ = retrieval_task_loss(unit_rows(img[perm]), unit_rows(txt[perm]), TAU)
         assert base == pytest.approx(permuted, rel=1e-12)
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):
-            retrieval_task_loss(np.ones((1, 3)), np.ones((1, 3)), TAU)
+            retrieval_task_loss(unit_rows(np.ones((1, 3))), unit_rows(np.ones((1, 3))), TAU)
 
     def test_finite_difference(self):
         img, txt = rand_embs(4, 3, 4), rand_embs(4, 3, 5)
-        _, g_img, g_txt = retrieval_task_loss(img, txt, TAU)
+        _, g_img, g_txt = retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)
         n_img, n_txt = fd_wrt_arrays(
-            lambda a, b: retrieval_task_loss(a, b, TAU)[0], [img, txt]
+            lambda a, b: retrieval_task_loss(unit_rows(a), unit_rows(b), TAU)[0], [img, txt]
         )
         assert grad_rel_error(g_img, n_img) < 1e-4
         assert grad_rel_error(g_txt, n_txt) < 1e-4
@@ -177,11 +177,11 @@ class TestContrastiveLosses:
     def test_totals_match_per_sample_sums(self):
         img, txt = rand_embs(6, 4, 12), rand_embs(6, 4, 13)
         clusters = np.array([0, 1, 0, 2, 1, 2])
-        total_i, _ = intra_modal_total(img, clusters, TAU)
+        total_i, _ = intra_modal_total(unit_rows(img), clusters, TAU)
         assert total_i == pytest.approx(
             sum(intra_modal_loss(img, clusters, i, TAU) for i in range(6)), rel=1e-10
         )
-        total_x, _, _ = inter_modal_total(img, txt, clusters, TAU)
+        total_x, _, _ = inter_modal_total(unit_rows(img), unit_rows(txt), clusters, TAU)
         assert total_x == pytest.approx(
             sum(inter_modal_loss(img, txt, clusters, i, TAU) for i in range(6)), rel=1e-10
         )
@@ -189,41 +189,62 @@ class TestContrastiveLosses:
     def test_total_finite_differences(self):
         img, txt = rand_embs(5, 3, 14), rand_embs(5, 3, 15)
         clusters = np.array([0, 1, 0, 1, 1])
-        _, g = intra_modal_total(img, clusters, TAU)
-        numeric = fd_wrt_arrays(lambda a: intra_modal_total(a, clusters, TAU)[0], [img])[0]
+        _, g = intra_modal_total(unit_rows(img), clusters, TAU)
+        numeric = fd_wrt_arrays(
+            lambda a: intra_modal_total(unit_rows(a), clusters, TAU)[0], [img]
+        )[0]
         assert grad_rel_error(g, numeric) < 1e-4
-        _, gi, gt = inter_modal_total(img, txt, clusters, TAU)
-        ni, nt = fd_wrt_arrays(lambda a, b: inter_modal_total(a, b, clusters, TAU)[0], [img, txt])
+        _, gi, gt = inter_modal_total(unit_rows(img), unit_rows(txt), clusters, TAU)
+        ni, nt = fd_wrt_arrays(
+            lambda a, b: inter_modal_total(unit_rows(a), unit_rows(b), clusters, TAU)[0],
+            [img, txt],
+        )
         assert grad_rel_error(gi, ni) < 1e-4
         assert grad_rel_error(gt, nt) < 1e-4
+
+    def test_intra_gives_the_bits_of_two_normalised_copies(self):
+        """numpy multiplies an array by its own transpose with a symmetric
+        kernel whose last bits differ from the general product's; the
+        intra-modal total must not take it."""
+        for trial in range(40):
+            n = int(seeded_rng(509, trial).integers(2, 33))
+            embs = rand_embs(n, 16, ("intra-bits", trial))
+            clusters = seeded_rng(510, trial).integers(0, 3, n)
+            value, grad = intra_modal_total(unit_rows(embs), clusters, TAU)
+            expected, g_anchor, g_other = inter_modal_total(
+                unit_rows(embs), unit_rows(embs.copy()), clusters, TAU
+            )
+            assert value == expected, trial
+            assert grad.tobytes() == (g_anchor + g_other).tobytes(), trial
 
     def test_labels_must_match_batch(self):
         img, txt = rand_embs(4, 3, 20), rand_embs(4, 3, 21)
         with pytest.raises(ValueError, match="pseudo-labels"):
-            intra_modal_total(img, np.array([0, 1, 0]), TAU)
+            intra_modal_total(unit_rows(img), np.array([0, 1, 0]), TAU)
         with pytest.raises(ValueError, match="pseudo-labels"):
-            inter_modal_total(img, txt, np.array([0, 1, 0, 1, 0]), TAU)
+            inter_modal_total(unit_rows(img), unit_rows(txt), np.array([0, 1, 0, 1, 0]), TAU)
 
 
 class TestClusteringTotalLoss:
     def test_equals_component_sum(self):
         img, txt = rand_embs(6, 4, 16), rand_embs(6, 4, 17)
         clusters = np.array([0, 0, 1, 1, 2, 2])
-        value, _, _ = clustering_total_loss(img, txt, clusters, TAU)
+        value, _, _ = clustering_total_loss(unit_rows(img), unit_rows(txt), clusters, TAU)
         expected = (
-            retrieval_task_loss(img, txt, TAU)[0]
-            + intra_modal_total(img, clusters, TAU)[0]
-            + intra_modal_total(txt, clusters, TAU)[0]
-            + inter_modal_total(img, txt, clusters, TAU)[0]
+            retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)[0]
+            + intra_modal_total(unit_rows(img), clusters, TAU)[0]
+            + intra_modal_total(unit_rows(txt), clusters, TAU)[0]
+            + inter_modal_total(unit_rows(img), unit_rows(txt), clusters, TAU)[0]
         )
         assert value == pytest.approx(expected, abs=1e-10)
 
     def test_finite_difference(self):
         img, txt = rand_embs(4, 3, 18), rand_embs(4, 3, 19)
         clusters = np.array([0, 1, 1, 0])
-        _, gi, gt = clustering_total_loss(img, txt, clusters, TAU)
+        _, gi, gt = clustering_total_loss(unit_rows(img), unit_rows(txt), clusters, TAU)
         ni, nt = fd_wrt_arrays(
-            lambda a, b: clustering_total_loss(a, b, clusters, TAU)[0], [img, txt]
+            lambda a, b: clustering_total_loss(unit_rows(a), unit_rows(b), clusters, TAU)[0],
+            [img, txt],
         )
         assert grad_rel_error(gi, ni) < 1e-4
         assert grad_rel_error(gt, nt) < 1e-4
@@ -326,18 +347,19 @@ class TestGptLoss:
     def test_finite_difference(self):
         img_p, txt_p = rand_embs(4, 3, 23), rand_embs(4, 3, 24)
         embs = rand_embs(3, 3, 25)
-        protos = unit_prototypes(img_p, txt_p)
-        _, grad = gpt_loss_batch(embs, protos, TAU)
-        numeric = fd_wrt_arrays(lambda e: gpt_loss_batch(e, protos, TAU)[0], [embs])[0]
+        protos = prototype_rows(img_p, txt_p)
+        _, grad = gpt_loss_batch(unit_rows(embs), protos, TAU)
+        numeric = fd_wrt_arrays(lambda e: gpt_loss_batch(unit_rows(e), protos, TAU)[0], [embs])[0]
         assert grad_rel_error(grad, numeric) < 1e-4
 
     def test_paired_finite_difference(self):
         img_p, txt_p = rand_embs(4, 3, 26), rand_embs(4, 3, 27)
         img_e, txt_e = rand_embs(3, 3, 28), rand_embs(3, 3, 29)
-        protos = unit_prototypes(img_p, txt_p)
-        _, gi, gt = gpt_loss_paired_batch(img_e, txt_e, protos, TAU)
+        protos = prototype_rows(img_p, txt_p)
+        _, gi, gt = gpt_loss_paired_batch(unit_rows(img_e), unit_rows(txt_e), protos, TAU)
         ni, nt = fd_wrt_arrays(
-            lambda a, b: gpt_loss_paired_batch(a, b, protos, TAU)[0], [img_e, txt_e]
+            lambda a, b: gpt_loss_paired_batch(unit_rows(a), unit_rows(b), protos, TAU)[0],
+            [img_e, txt_e],
         )
         assert grad_rel_error(gi, ni) < 1e-4
         assert grad_rel_error(gt, nt) < 1e-4
@@ -370,9 +392,11 @@ class TestGmtLoss:
 
     def test_gradient_flows_only_into_local(self):
         local, glob = rand_embs(3, 4, 30), rand_embs(3, 4, 31)
-        _, grad = gmt_loss_batch(local, glob, 0.8, 0.5, NU_MAX, DISTILL_TAU)
+        target = unit_rows(glob)
+        _, grad = gmt_loss_batch(unit_rows(local), target, 0.8, 0.5, NU_MAX, DISTILL_TAU)
         numeric = fd_wrt_arrays(
-            lambda l: gmt_loss_batch(l, glob, 0.8, 0.5, NU_MAX, DISTILL_TAU)[0], [local]
+            lambda l: gmt_loss_batch(unit_rows(l), target, 0.8, 0.5, NU_MAX, DISTILL_TAU)[0],
+            [local],
         )[0]
         assert grad_rel_error(grad, numeric) < 1e-4
 
@@ -383,11 +407,11 @@ class TestGmtLoss:
     def test_validation(self):
         local, glob = rand_embs(2, 3, 32), rand_embs(2, 3, 33)
         with pytest.raises(ValueError, match="distill_tau"):
-            gmt_loss_batch(local, glob, 1.0, 1.0, NU_MAX, 0.0)
+            gmt_loss_batch(unit_rows(local), unit_rows(glob), 1.0, 1.0, NU_MAX, 0.0)
         with pytest.raises(ValueError, match="nu_max"):
-            gmt_loss_batch(local, glob, 1.0, 1.0, 0.5, DISTILL_TAU)
+            gmt_loss_batch(unit_rows(local), unit_rows(glob), 1.0, 1.0, 0.5, DISTILL_TAU)
         # the losses that take a temperature still reject tau <= 0
         with pytest.raises(ValueError, match="tau"):
-            retrieval_task_loss(local, glob, 0.0)
+            retrieval_task_loss(unit_rows(local), unit_rows(glob), 0.0)
         with pytest.raises(ValueError, match="tau"):
-            gpt_loss_batch(local, unit_prototypes(glob, glob), 0.0)
+            gpt_loss_batch(unit_rows(local), prototype_rows(glob, glob), 0.0)

@@ -213,6 +213,14 @@ class TestReports:
             assert report.recall_i2t_at == {k: argsort_recall(img, txt, identity, k) for k in ks}
             assert report.recall_t2i_at == {k: argsort_recall(txt, img, identity, k) for k in ks}
 
+    @pytest.mark.parametrize("side", ["image", "text"])
+    def test_retrieval_report_names_a_zero_norm_embedding(self, side):
+        rng = seeded_rng(819)
+        embs = {"image": rng.standard_normal((4, 3)), "text": rng.standard_normal((4, 3))}
+        embs[side][2] = 0.0
+        with pytest.raises(ValueError, match=f"{side} embeddings contain a zero-norm row"):
+            retrieval_report(embs["image"], embs["text"])
+
     def test_round_trip_dict(self):
         report = EvalReport(acc_at={1: 0.5, 5: 0.9}, n_eval=10)
         assert eval_report_from_dict(report.to_dict()) == report

@@ -21,6 +21,7 @@ from apromfl.nn import (
     make_projection_encoder,
     sgd_step,
     sgd_step_head,
+    trainable,
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
@@ -124,27 +125,40 @@ class TestBackward:
 class TestSgd:
     def test_zero_grad_no_change(self):
         m = small_module()
-        stepped = sgd_step(m, np.zeros_like(m.params), lr=0.5)
+        stepped = trainable(m)
+        sgd_step(stepped, np.zeros_like(m.params), lr=0.5)
         assert all(np.array_equal(a, b) for a, b in zip(m.weights, stepped.weights))
 
     def test_scalar_arithmetic(self):
-        m = MappingModule((1, 1), np.array([1.0, 0.0]))
-        assert sgd_step(m, np.array([2.0, 0.0]), lr=0.1).weights[0][0, 0] == pytest.approx(0.8)
+        m = trainable(MappingModule((1, 1), np.array([1.0, 0.0])))
+        sgd_step(m, np.array([2.0, 0.0]), lr=0.1)
+        assert m.weights[0][0, 0] == pytest.approx(0.8)
 
     def test_deterministic(self):
         m = small_module()
         out, trace = forward_map_trace(m, seeded_rng(5).standard_normal((2, 4)))
         grad = backward(m, trace, out)
-        s1 = sgd_step(m, grad, 0.05)
-        s2 = sgd_step(m, grad, 0.05)
-        assert all(np.array_equal(a, b) for a, b in zip(s1.weights, s2.weights))
+        s1, s2 = trainable(m), trainable(m)
+        sgd_step(s1, grad, 0.05)
+        sgd_step(s2, grad, 0.05)
+        assert s1.params.tobytes() == s2.params.tobytes() == (m.params - 0.05 * grad).tobytes()
 
     def test_non_finite_gradient_rejected(self):
-        m = small_module()
+        m = trainable(small_module())
         grad = np.zeros_like(m.params)
         grad[0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             sgd_step(m, grad, 0.1)
+
+    def test_frozen_model_rejected(self):
+        m = small_module()
+        before = m.params.tobytes()
+        with pytest.raises(ValueError, match="trainable"):
+            sgd_step(m, np.ones_like(m.params), 0.1)
+        head = init_classifier_head(4, 3, seeded_rng(8))
+        with pytest.raises(ValueError, match="trainable"):
+            sgd_step_head(head, np.ones_like(head.params), 0.1)
+        assert m.params.tobytes() == before
 
 
 class TestFlatten:
@@ -198,7 +212,7 @@ class TestHead:
         assert dx.shape == x.shape
 
     def test_sgd_head(self):
-        head = ClassifierHead((2, 2), np.concatenate([np.ones(4), np.zeros(2)]))
-        stepped = sgd_step_head(head, np.ones(6), 0.5)
-        assert np.allclose(stepped.weights, 0.5)
-        assert np.allclose(stepped.bias, -0.5)
+        head = trainable(ClassifierHead((2, 2), np.concatenate([np.ones(4), np.zeros(2)])))
+        sgd_step_head(head, np.ones(6), 0.5)
+        assert np.allclose(head.weights, 0.5)
+        assert np.allclose(head.bias, -0.5)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.numerics import kmeans, seeded_rng
+from apromfl.numerics import kmeans, seeded_rng, unit_rows
 from oracles import (
     cosine_similarity,
     exhaustive_kmeans_sse,
+    fd_wrt_arrays,
+    grad_rel_error,
     kl_divergence,
     loop_kmeans,
     softmax_temp,
@@ -193,6 +195,54 @@ class TestKMeansLoopOracle:
         pts = seeded_rng(33).standard_normal((20, 3)) * 1e160
         with pytest.raises(ValueError, match="kmeans points"):
             kmeans(pts, 3, seeded_rng(34))
+
+
+class TestUnitRows:
+    def test_stacked_and_gathered_rows_match_per_slice_bits(self):
+        """One call on a (2, N, d) stack, then gathering rows, gives the bits
+        of one call per slice and one call per gathered batch: the training
+        steps normalise both towers at once and gather their distillation
+        targets from one per-round call."""
+        for trial in range(300):
+            rng = seeded_rng(35, trial)
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 24))
+            x = rng.standard_normal((2, n, d)) * float(rng.uniform(0.01, 100.0))
+            batch = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            g = rng.standard_normal((len(batch), d))
+            stacked = unit_rows(x)
+            for t in range(2):
+                alone = unit_rows(x[t].copy())
+                assert stacked[t].unit.tobytes() == alone.unit.tobytes(), trial
+                assert stacked[t].norms.tobytes() == alone.norms.tobytes(), trial
+                gathered = unit_rows(x[t][batch])
+                rows = stacked[:, batch][t]
+                assert rows.unit.tobytes() == gathered.unit.tobytes(), trial
+                assert rows.norms.tobytes() == gathered.norms.tobytes(), trial
+                assert rows.backward(g).tobytes() == gathered.backward(g).tobytes(), trial
+
+    def test_norms_match_linalg_norm_bits(self):
+        for trial, d in enumerate((3, 16, 7312)):
+            x = seeded_rng(36, trial).standard_normal((5, d))
+            expected = np.linalg.norm(x, axis=1, keepdims=True)
+            assert unit_rows(x).norms.tobytes() == expected.tobytes()
+            assert unit_rows(x).unit.tobytes() == (x / expected).tobytes()
+
+    def test_backward_matches_finite_differences(self):
+        x = seeded_rng(37).standard_normal((4, 3))
+        g = seeded_rng(38).standard_normal((4, 3))
+        numeric = fd_wrt_arrays(lambda a: float((unit_rows(a).unit * g).sum()), [x])[0]
+        assert grad_rel_error(unit_rows(x).backward(g), numeric) < 1e-6
+
+    def test_rejects_zero_norm_and_non_finite_rows_by_name(self):
+        x = np.ones((3, 2))
+        x[1] = 0.0
+        with pytest.raises(ValueError, match="probe rows contain a zero-norm row"):
+            unit_rows(x, "probe rows")
+        x[1] = np.inf
+        with pytest.raises(ValueError, match="probe rows contains non-finite"):
+            unit_rows(x, "probe rows")
+        with pytest.raises(ValueError, match="probe rows must be"):
+            unit_rows(np.ones(3), "probe rows")
 
 
 class TestSeededRng:
