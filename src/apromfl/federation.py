@@ -78,6 +78,7 @@ from .prototypes import (
     UnimodalPrototype,
     build_global_prototypes,
     clustering_prototype_pairs,
+    completion_matrices,
     fuse,
     label_guided_prototypes,
     semantic_complete,
@@ -621,18 +622,13 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
 def _aggregate_prototypes(
     messages: list[RoundMessage], config: ExperimentConfig, round_index: int
 ) -> GlobalPrototypeSet | None:
-    mm_pairs: list[PrototypePair] = []
-    for msg in messages:
-        if msg.pair_prototypes:
-            mm_pairs.extend(msg.pair_prototypes)
+    mm_pairs = [pair for msg in messages for pair in msg.pair_prototypes or ()]
+    unimodal = [proto for msg in messages for proto in msg.label_prototypes or ()]
     completed: list[PrototypePair] = []
-    if mm_pairs:
+    if mm_pairs and unimodal:
         top_o = min(config.completion_top_o, len(mm_pairs))
-        for msg in messages:
-            if msg.label_prototypes:
-                completed.extend(
-                    semantic_complete(proto, mm_pairs, top_o) for proto in msg.label_prototypes
-                )
+        pairs, unit = completion_matrices(mm_pairs)
+        completed = [semantic_complete(proto, pairs, unit, top_o) for proto in unimodal]
     all_pairs = mm_pairs + completed
     if not all_pairs:
         return None

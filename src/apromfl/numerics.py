@@ -104,6 +104,13 @@ def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
     divided by the cluster size. For d >= 2 that is bit-for-bit
     ``pts[labels == c].mean(axis=0)``; for one-dimensional points numpy's
     ``mean`` sums pairwise instead, so the two may differ in the last bit.
+
+    The seedings of all restarts read one :class:`_DistanceRows` store, so
+    the squared-distance row of a point is computed once per call however
+    often the candidates and restarts draw it. The store holds at most
+    ``min(n, draws)`` rows of n float64 values, where ``draws`` counts every
+    point the seeding picks in the call: under 1 MB at the benchmark's sizes
+    (n <= 266, so at most 0.57 MB). It is freed before the first Lloyd run.
     """
     pts = require_finite(points, "kmeans points")
     if pts.ndim == 1:
@@ -115,9 +122,13 @@ def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
         raise ValueError(f"need at least k={k} points, got {len(pts)}")
 
     restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
+    rows = _DistanceRows(pts)
+    seeds = [_kmeans_pp_init(pts, k, rng, rows) for _ in range(restarts)]
+    # Lloyd draws nothing from rng, so it can run after every seeding, once
+    # the rows are freed: its (n, k, d) difference array is the call's peak.
+    del rows
     best = None
-    for _ in range(restarts):
-        centroids = _kmeans_pp_init(pts, k, rng)
+    for centroids in seeds:
         result = _lloyd(pts, centroids, max_iters)
         if best is None or result[2][-1] < best[2][-1]:
             best = result
@@ -157,26 +168,59 @@ def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng) -> np.ndarray:
+def _sq_dist_rows(pts: np.ndarray, idx) -> np.ndarray:
+    """Squared distances from the points ``idx`` to every point, ``(len(idx), n)``."""
+    return ((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)
+
+
+class _DistanceRows:
+    """Squared-distance rows of one point set, each computed the first time
+    its point is asked for and kept for the rest of the ``kmeans`` call. A
+    row has the bits whichever batch computed it: the sum runs over d alone."""
+
+    def __init__(self, pts: np.ndarray):
+        self.pts = pts
+        self.rows: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        idx = idx.tolist()
+        missing = [i for i in dict.fromkeys(idx) if i not in self.rows]
+        if missing:
+            self.rows.update(zip(missing, _sq_dist_rows(self.pts, missing)))
+        return np.array([self.rows[i] for i in idx])
+
+
+def _draw_d2(closest: np.ndarray, total: float, size: int, rng: Rng) -> np.ndarray:
+    """``rng.choice(len(closest), size=size, p=closest / total)`` minus its
+    argument checks: the same inverse-CDF search over the same uniforms, so
+    the same indices from the same stream. Those checks cannot fail here:
+    ``closest`` is a finite sum of squares and ``total > 0``."""
+    cdf = (closest / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng, rows: _DistanceRows) -> np.ndarray:
     """Greedy k-means++: each new centroid is sampled D^2-proportionally from
-    a few candidates and the one shrinking the potential most is kept. All
-    candidates are scored in one ``(candidates, n, d)`` array; ties go to the
-    first candidate drawn."""
+    a few candidates and the one shrinking the potential most is kept; ties
+    go to the first candidate drawn. The candidates' distance rows come from
+    ``rows``, which the other candidates and restarts of the call share."""
     n = len(pts)
     n_candidates = 2 + int(np.log(k))
     centroids = np.empty((k, pts.shape[1]), dtype=float)
-    centroids[0] = pts[int(rng.integers(n))]
-    closest = ((pts - centroids[0]) ** 2).sum(axis=1)
+    first = int(rng.integers(n))
+    centroids[0] = pts[first]
+    closest = rows[np.asarray([first])][0]
     if not np.isfinite(closest.sum()):
         raise ValueError("kmeans points are too large: their squared distances overflow")
     for i in range(1, k):
         total = closest.sum()
         if total > 0:
-            candidates = rng.choice(n, size=n_candidates, p=closest / total)
+            candidates = _draw_d2(closest, total, n_candidates, rng)
         else:
             # all remaining points coincide with a chosen centroid
             candidates = np.asarray([int(rng.integers(n))])
-        d2 = ((pts[None, :, :] - pts[candidates][:, None, :]) ** 2).sum(axis=2)
+        d2 = rows[candidates]
         best = int(np.argmin(np.minimum(closest, d2).sum(axis=1)))  # first strict minimum
         centroids[i] = pts[candidates[best]]
         closest = np.minimum(closest, d2[best])

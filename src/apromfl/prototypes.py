@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, kmeans, require_finite, unit_rows
+from .numerics import Rng, UnitRows, kmeans, require_finite, unit_rows
 
 ORIGIN_MULTIMODAL = "multimodal-client"
 ORIGIN_COMPLETED = "completed-from-unimodal"
@@ -148,10 +148,24 @@ def clustering_prototype_pairs(
     return _cluster_pairs(img_embs, txt_embs, k, rng, ORIGIN_MULTIMODAL)
 
 
+def _pair_matrix(pairs: list[PrototypePair]) -> np.ndarray:
+    """The image and text vectors of ``pairs`` as one ``(2, M, d)`` stack."""
+    return np.stack([[p.image_vec for p in pairs], [p.text_vec for p in pairs]])
+
+
+def completion_matrices(mm_pairs: list[PrototypePair]) -> tuple[np.ndarray, UnitRows]:
+    """What :func:`semantic_complete` reads: the multimodal pairs as one
+    ``(2, M, d)`` image/text stack, and its unit rows. A server phase builds
+    them once and completes every unimodal prototype against them."""
+    pairs = _pair_matrix(mm_pairs)
+    return pairs, unit_rows(pairs, "multimodal prototypes")
+
+
 def semantic_complete(
-    uni: UnimodalPrototype, mm_pairs: list[PrototypePair], top_o: int
+    uni: UnimodalPrototype, pairs: np.ndarray, unit: UnitRows, top_o: int
 ) -> PrototypePair:
-    """Synthesise the missing modality of a unimodal prototype.
+    """Synthesise the missing modality of a unimodal prototype from the
+    multimodal pairs given by :func:`completion_matrices`.
 
     Ranks the multimodal pairs by cosine similarity on the prototype's own
     modality, keeps the top_o most similar (ties broken by lower pair index),
@@ -162,16 +176,10 @@ def semantic_complete(
     """
     if top_o < 1:
         raise ValueError(f"top_o must be >= 1, got {top_o}")
-    if len(mm_pairs) < top_o:
-        raise ValueError(f"need at least top_o={top_o} pairs, got {len(mm_pairs)}")
-    own = np.stack(
-        [p.image_vec if uni.modality == "image" else p.text_vec for p in mm_pairs]
-    )
-    other = np.stack(
-        [p.text_vec if uni.modality == "image" else p.image_vec for p in mm_pairs]
-    )
-    unit = uni.vector / np.linalg.norm(uni.vector)
-    sims = unit_rows(own, "multimodal prototypes").unit @ unit
+    if pairs.shape[1] < top_o:
+        raise ValueError(f"need at least top_o={top_o} pairs, got {pairs.shape[1]}")
+    own = 0 if uni.modality == "image" else 1
+    sims = unit.unit[own] @ (uni.vector / np.linalg.norm(uni.vector))
     keep = np.argsort(-sims, kind="stable")[:top_o]
     weights = np.maximum(sims[keep], 0.0)
     total = weights.sum()
@@ -179,7 +187,7 @@ def semantic_complete(
         weights = np.full(top_o, 1.0 / top_o)
     else:
         weights = weights / total
-    completed = weights @ other[keep]
+    completed = weights @ pairs[1 - own][keep]
     image_vec = uni.vector if uni.modality == "image" else completed
     text_vec = completed if uni.modality == "image" else uni.vector
     return PrototypePair(image_vec=image_vec, text_vec=text_vec, origin=ORIGIN_COMPLETED)
@@ -191,7 +199,6 @@ def build_global_prototypes(
     """Cluster fused pair representations into exactly k global pairs."""
     if len(all_pairs) < k:
         raise ValueError(f"need at least k={k} pairs, got {len(all_pairs)}")
-    imgs = np.stack([p.image_vec for p in all_pairs])
-    txts = np.stack([p.text_vec for p in all_pairs])
+    imgs, txts = _pair_matrix(all_pairs)
     pairs, _ = _cluster_pairs(imgs, txts, k, rng, ORIGIN_GLOBAL)
     return GlobalPrototypeSet(pairs=tuple(pairs), round_index=round_index)

@@ -45,7 +45,13 @@ from apromfl.numerics import (
     seeded_rng,
     unit_rows,
 )
-from apromfl.prototypes import clustering_prototype_pairs, fuse
+from apromfl.prototypes import (
+    ORIGIN_COMPLETED,
+    WEIGHT_EPS,
+    PrototypePair,
+    clustering_prototype_pairs,
+    fuse,
+)
 
 
 def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
@@ -128,6 +134,23 @@ def _loop_lloyd(pts, centroids, max_iters):
             break
         prev = assignments.copy()
     return assignments, centroids, history, repairs
+
+
+def list_semantic_complete(uni, mm_pairs, top_o: int) -> PrototypePair:
+    """``prototypes.semantic_complete`` taking the list of multimodal pairs:
+    it stacks and normalises the own-modality matrix for this one prototype."""
+    own = np.stack([p.image_vec if uni.modality == "image" else p.text_vec for p in mm_pairs])
+    other = np.stack([p.text_vec if uni.modality == "image" else p.image_vec for p in mm_pairs])
+    unit = uni.vector / np.linalg.norm(uni.vector)
+    sims = unit_rows(own, "multimodal prototypes").unit @ unit
+    keep = np.argsort(-sims, kind="stable")[:top_o]
+    weights = np.maximum(sims[keep], 0.0)
+    total = weights.sum()
+    weights = np.full(top_o, 1.0 / top_o) if total < WEIGHT_EPS else weights / total
+    completed = weights @ other[keep]
+    image_vec = uni.vector if uni.modality == "image" else completed
+    text_vec = completed if uni.modality == "image" else uni.vector
+    return PrototypePair(image_vec=image_vec, text_vec=text_vec, origin=ORIGIN_COMPLETED)
 
 
 def cosine_similarity(a, b) -> float:

@@ -49,6 +49,7 @@ from apromfl.numerics import kmeans, seeded_rng, unit_rows
 from apromfl.prototypes import (
     PrototypePair,
     UnimodalPrototype,
+    completion_matrices,
     label_guided_prototypes,
     semantic_complete,
 )
@@ -232,7 +233,7 @@ def test_c02_oracle_equivalence():
         ]
         uni = UnimodalPrototype("image", rng.standard_normal(d) + 0.1, 0, 0)
         top_o = int(rng.integers(1, m + 1))
-        completed = semantic_complete(uni, pairs, top_o)
+        completed = semantic_complete(uni, *completion_matrices(pairs), top_o)
         sims = [cosine_similarity(uni.vector, p.image_vec) for p in pairs]
         order = sorted(range(m), key=lambda j: (-sims[j], j))[:top_o]
         weights = [max(sims[j], 0.0) for j in order]

@@ -32,7 +32,7 @@ from apromfl.nn import (
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
-from oracles import cosine_similarity, per_tower_multimodal_round
+from oracles import cosine_similarity, list_semantic_complete, per_tower_multimodal_round
 
 
 def modules(count, dims=(4, 6, 3), key=0):
@@ -399,6 +399,40 @@ def test_each_step_normalises_its_embeddings_once(monkeypatch):
             ["embeddings"] * steps + ["distillation targets", "global prototypes"]
         )
 
+
+
+def test_server_phase_completes_against_one_pair_matrix(monkeypatch):
+    """A server phase stacks and normalises the multimodal pairs once, and
+    completes every unimodal prototype, in message order, to the bits of the
+    list-taking form."""
+    config = tiny_config()
+    experiment = setup_experiment(config)
+    rc = ClientRoundConfig.from_experiment(config, 1)
+    messages = [client_round(s, rc)[1] for s in experiment.clients]
+    built, completed = [], []
+    real_matrices, real_complete = federation.completion_matrices, federation.semantic_complete
+
+    def matrices_spy(mm_pairs):
+        built.append(len(mm_pairs))
+        return real_matrices(mm_pairs)
+
+    def complete_spy(uni, pairs, unit, top_o):
+        completed.append((uni, top_o, real_complete(uni, pairs, unit, top_o)))
+        return completed[-1][2]
+
+    monkeypatch.setattr(federation, "completion_matrices", matrices_spy)
+    monkeypatch.setattr(federation, "semantic_complete", complete_spy)
+    federation._aggregate_prototypes(messages, config, 1)
+    mm_pairs = [p for m in messages for p in m.pair_prototypes or ()]
+    unimodal = [p for m in messages for p in m.label_prototypes or ()]
+    assert built == [len(mm_pairs)]
+    assert {p.modality for p in unimodal} == {"image", "text"}
+    assert [id(uni) for uni, _, _ in completed] == [id(p) for p in unimodal]
+    for uni, top_o, got in completed:
+        assert top_o == min(config.completion_top_o, len(mm_pairs))
+        want = list_semantic_complete(uni, mm_pairs, top_o)
+        assert got.image_vec.tobytes() == want.image_vec.tobytes()
+        assert got.text_vec.tobytes() == want.text_vec.tobytes()
 
 def round_models(state) -> list:
     """Every model a client state holds."""

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.numerics import kmeans, seeded_rng, unit_rows
+from apromfl import numerics
+from apromfl.numerics import _draw_d2, kmeans, seeded_rng, unit_rows
 from oracles import (
     cosine_similarity,
     exhaustive_kmeans_sse,
@@ -195,6 +196,81 @@ class TestKMeansLoopOracle:
         pts = seeded_rng(33).standard_normal((20, 3)) * 1e160
         with pytest.raises(ValueError, match="kmeans points"):
             kmeans(pts, 3, seeded_rng(34))
+
+    @staticmethod
+    def assert_matches_loop_form(pts, k, key):
+        labels, centroids, history = kmeans(pts, k, seeded_rng(*key))
+        o_labels, o_centroids, o_history, _ = loop_kmeans(pts, k, seeded_rng(*key))
+        assert np.array_equal(labels, o_labels), key
+        assert centroids.tobytes() == o_centroids.tobytes(), key
+        assert history == o_history, key
+
+    def test_matches_loop_form_at_run_sizes(self):
+        """The sizes runs cluster: 150-300 fused embeddings or prototype
+        pairs of width 16, into k = 10 or 80, spread or grouped by class."""
+        for trial in range(16):
+            rng = seeded_rng(39, trial)
+            n, k = int(rng.integers(150, 301)), (10, 80)[trial % 2]
+            pts = rng.standard_normal((n, 16))
+            if trial % 4 >= 2:
+                pts += 3.0 * rng.standard_normal((10, 16))[rng.integers(0, 10, n)]
+            self.assert_matches_loop_form(pts, k, (40, trial))
+
+    def test_matches_loop_form_with_small_n_restarts(self):
+        for trial in range(24):
+            rng = seeded_rng(41, trial)
+            n = int(rng.integers(1, numerics.KMEANS_SMALL_N + 1))
+            k = int(rng.integers(1, n + 1))
+            pts = rng.standard_normal((n, int(rng.integers(1, 17))))
+            self.assert_matches_loop_form(pts, k, (42, trial))
+
+    def test_matches_loop_form_once_every_distinct_point_is_chosen(self):
+        """With fewer distinct points than k, the seeding chooses all of them
+        and then draws uniformly: the ``total == 0`` branch."""
+        for trial in range(12):
+            rng = seeded_rng(43, trial)
+            k = int(rng.integers(2, 81))
+            base = rng.standard_normal((int(rng.integers(1, k)), 16))
+            pts = base[rng.integers(0, len(base), int(rng.integers(k, k + 60)))]
+            assert len(np.unique(pts, axis=0)) < k
+            self.assert_matches_loop_form(pts, k, (44, trial))
+
+    def test_computes_each_distance_row_at_most_once(self, monkeypatch):
+        """All restarts of one call share the rows: no point's row is computed
+        twice, so at most n rows in all."""
+        computed, real = [], numerics._sq_dist_rows
+
+        def rows_spy(pts, idx):
+            computed.extend(idx)
+            return real(pts, idx)
+
+        monkeypatch.setattr(numerics, "_sq_dist_rows", rows_spy)
+        for trial in range(40):
+            pts, k = self.instance(trial)
+            computed.clear()
+            kmeans(pts, k, seeded_rng(45, trial))
+            assert computed and len(computed) == len(set(computed)) <= len(pts), trial
+
+
+class TestD2Draw:
+    def test_matches_generator_choice(self):
+        """The inverse-CDF draw takes the indices ``Generator.choice`` takes
+        for the same weights, from the same stream, with zero weights mixed in."""
+        zero_weights = 0
+        for trial in range(1200):
+            rng = seeded_rng(46, trial)
+            n, size = int(rng.integers(1, 301)), int(rng.integers(1, 9))
+            w = rng.standard_normal(n) ** 2 * float(rng.uniform(1e-6, 1e6))
+            w[rng.random(n) < float(rng.uniform(0.0, 0.95))] = 0.0
+            w[int(rng.integers(n))] = float(rng.uniform(0.1, 1.0))
+            zero_weights += int((w == 0).any())
+            ours, theirs = seeded_rng(47, trial), seeded_rng(47, trial)
+            got = _draw_d2(w, w.sum(), size, ours)
+            want = theirs.choice(n, size=size, p=w / w.sum())
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial
+            assert w[got].all(), trial
+            assert ours.random() == theirs.random(), trial
+        assert zero_weights > 1000
 
 
 class TestUnitRows:

@@ -12,6 +12,7 @@ from apromfl.prototypes import (
     UnimodalPrototype,
     build_global_prototypes,
     clustering_prototype_pairs,
+    completion_matrices,
     fuse,
     label_guided_prototypes,
     semantic_complete,
@@ -124,7 +125,7 @@ class TestSemanticComplete:
     def test_top1_copies_best_match(self):
         pairs = rand_pairs(5, 4, key=1)
         uni = UnimodalPrototype("image", pairs[2].image_vec * 2.0, class_id=0, client_id=0)
-        completed = semantic_complete(uni, pairs, top_o=1)
+        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=1)
         assert np.array_equal(completed.text_vec, pairs[2].text_vec)
         assert np.array_equal(completed.image_vec, uni.vector)
         assert completed.origin == ORIGIN_COMPLETED
@@ -136,7 +137,7 @@ class TestSemanticComplete:
             PrototypePair(image_vec=2 * v, text_vec=np.array([0.0, 1.0, 1.0]), origin=ORIGIN_MULTIMODAL),
         ]
         uni = UnimodalPrototype("image", v.copy(), class_id=1, client_id=0)
-        completed = semantic_complete(uni, pairs, top_o=2)
+        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=2)
         assert np.allclose(completed.text_vec, [0.5, 1.0, 0.5])
 
     def test_matches_sort_select_normalize_oracle(self):
@@ -146,7 +147,7 @@ class TestSemanticComplete:
             modality = "image" if trial % 2 == 0 else "text"
             uni = UnimodalPrototype(modality, rng.standard_normal(5) + 0.3, 0, 0)
             top_o = int(rng.integers(1, 9))
-            completed = semantic_complete(uni, pairs, top_o)
+            completed = semantic_complete(uni, *completion_matrices(pairs), top_o)
             # independent re-derivation
             own = [p.image_vec if modality == "image" else p.text_vec for p in pairs]
             other = [p.text_vec if modality == "image" else p.image_vec for p in pairs]
@@ -172,7 +173,7 @@ class TestSemanticComplete:
             PrototypePair(image_vec=np.array([-1.0, -0.1]), text_vec=np.array([3.0, 4.0]), origin=ORIGIN_MULTIMODAL),
         ]
         uni = UnimodalPrototype("image", v, class_id=0, client_id=0)
-        completed = semantic_complete(uni, pairs, top_o=2)
+        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=2)
         assert np.allclose(completed.text_vec, [2.0, 3.0])
 
     @given(st.floats(0.1, 25.0))
@@ -180,14 +181,14 @@ class TestSemanticComplete:
         pairs = rand_pairs(6, 4, key=5)
         uni = UnimodalPrototype("text", np.array([0.5, -1.0, 2.0, 0.1]), 0, 0)
         scaled = UnimodalPrototype("text", uni.vector * scale, 0, 0)
-        a = semantic_complete(uni, pairs, top_o=3)
-        b = semantic_complete(scaled, pairs, top_o=3)
+        a = semantic_complete(uni, *completion_matrices(pairs), top_o=3)
+        b = semantic_complete(scaled, *completion_matrices(pairs), top_o=3)
         assert np.allclose(a.image_vec, b.image_vec, atol=1e-10)
 
     def test_weights_in_convex_hull(self):
         pairs = rand_pairs(5, 3, key=6)
         uni = UnimodalPrototype("image", np.abs(seeded_rng(609).standard_normal(3)) + 0.1, 0, 0)
-        completed = semantic_complete(uni, pairs, top_o=3)
+        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=3)
         # completed vector is a convex combination of at most 3 text prototypes
         texts = np.stack([p.text_vec for p in pairs])
         low = texts.min(axis=0) - 1e-9
@@ -198,7 +199,7 @@ class TestSemanticComplete:
         pairs = rand_pairs(2, 3, key=7)
         uni = UnimodalPrototype("image", np.ones(3), 0, 0)
         with pytest.raises(ValueError):
-            semantic_complete(uni, pairs, top_o=3)
+            semantic_complete(uni, *completion_matrices(pairs), top_o=3)
 
 
 class TestBuildGlobalPrototypes:
