@@ -9,6 +9,7 @@ errors; so is any invariant violation, reported with the field name.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -60,6 +61,10 @@ def validate_config(config: ExperimentConfig) -> None:
     def fail(name, msg):
         raise ValueError(f"{name}: {msg}")
 
+    for prefix, part in (("", config), ("synthetic.", config.synthetic)):
+        for f in fields(part):
+            if f.type == "float" and not math.isfinite(getattr(part, f.name)):
+                fail(prefix + f.name, "must be finite")
     if config.method not in METHODS:
         fail("method", f"must be one of {METHODS}")
     if config.rounds < 0:
@@ -172,12 +177,15 @@ def _parse_value(field_obj: dataclasses.Field, raw: str, key: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "int | None":
-        return None if raw.lower() == "none" else int(raw)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+        if kind == "int | None":
+            return None if raw.lower() == "none" else int(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind}, got {raw!r}") from None
     return raw  # str fields
 
 

@@ -1,5 +1,6 @@
 """Synthetic multimodal data with a shared latent-class structure, plus
-Dirichlet non-IID partitioning and role assignment.
+Dirichlet non-IID partitioning and role assignment: each client gets a kind
+and the index rows of its samples.
 
 Each sample owns a latent point near its class mean; both views are fixed
 nonlinear projections of that same latent (tanh keeps them non-trivially
@@ -230,61 +231,12 @@ def role_partition(
     return PartitionPlan(alpha=float(alpha), client_shares=tuple(merged))
 
 
-@dataclass(frozen=True)
-class ClientDataset:
-    """One client's private view of the data.
-
-    Multimodal clients hold paired views and no labels; unimodal clients
-    hold a single view plus labels.
-    """
-
-    kind: str
-    image_views: np.ndarray | None = None
-    text_views: np.ndarray | None = None
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ROLE_ORDER:
-            raise ValueError(f"bad client kind {self.kind!r}")
-        if self.kind == "multimodal":
-            if self.image_views is None or self.text_views is None or self.labels is not None:
-                raise ValueError("multimodal clients hold paired views and no labels")
-        elif self.kind == "image":
-            if self.image_views is None or self.text_views is not None or self.labels is None:
-                raise ValueError("image clients hold image views and labels")
-        else:
-            if self.text_views is None or self.image_views is not None or self.labels is None:
-                raise ValueError("text clients hold text views and labels")
-
-    def __len__(self) -> int:
-        views = self.image_views if self.image_views is not None else self.text_views
-        return len(views)
-
-
 def assign_roles(
-    dataset: SyntheticDataset, plan: PartitionPlan, counts: tuple[int, int, int]
-) -> list[ClientDataset]:
-    """Materialise client datasets; ids run multimodal, then image, then text."""
+    plan: PartitionPlan, counts: tuple[int, int, int]
+) -> list[tuple[str, np.ndarray]]:
+    """Each client's kind and its index rows into the partitioned samples;
+    ids run multimodal, then image, then text."""
     if sum(counts) != plan.num_clients:
         raise ValueError(f"counts {counts} do not sum to {plan.num_clients} clients")
     kinds = [kind for kind, m in zip(ROLE_ORDER, counts) for _ in range(m)]
-    clients = []
-    for client_id, kind in enumerate(kinds):
-        idx = plan.client_indices(client_id)
-        if kind == "multimodal":
-            clients.append(
-                ClientDataset(
-                    kind=kind,
-                    image_views=dataset.images[idx],
-                    text_views=dataset.texts[idx],
-                )
-            )
-        elif kind == "image":
-            clients.append(
-                ClientDataset(kind=kind, image_views=dataset.images[idx], labels=dataset.labels[idx])
-            )
-        else:
-            clients.append(
-                ClientDataset(kind=kind, text_views=dataset.texts[idx], labels=dataset.labels[idx])
-            )
-    return clients
+    return [(kind, plan.client_indices(client_id)) for client_id, kind in enumerate(kinds)]

@@ -11,7 +11,7 @@ Three methods share one client-side training path:
 * ``local`` - the same client rounds with no exchange at all, so no
   transfer loss ever applies.
 * ``fediot`` - no transfer losses; the server uniformly averages mapping
-  modules (and classifier heads) per modality.
+  modules and classifier heads (one-layer modules) per modality.
 
 Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
@@ -48,7 +48,6 @@ from .losses import (
 )
 from .metrics import EvalReport, classification_report, retrieval_report
 from .nn import (
-    ClassifierHead,
     Encoder,
     ForwardTrace,
     MappingModule,
@@ -96,7 +95,7 @@ class UnimodalClientState:
     client_id: int
     modality: str  # "image" | "text"
     mapper: MappingModule
-    head: ClassifierHead
+    head: MappingModule  # one layer: (embed_dim, num_classes)
     features: np.ndarray  # frozen encoder outputs for the train split
     labels: np.ndarray
 
@@ -460,19 +459,8 @@ class RelationshipGraph:
     weights: np.ndarray
 
 
-def _stack_params(modules: list[MappingModule]) -> np.ndarray:
-    """(n, P) stack of the modules' parameters; they must share one architecture."""
-    if not modules:
-        raise ValueError("need at least one module")
-    first = modules[0]
-    for m in modules[1:]:
-        if not same_architecture(first, m):
-            raise ValueError(f"architecture mismatch: {first.dims} vs {m.dims}")
-    return np.stack([m.params for m in modules])
-
-
 def relationship_weights(modules: list[MappingModule], modality: str = "image") -> RelationshipGraph:
-    unit = unit_rows(_stack_params(modules), "module parameters").unit
+    unit = unit_rows(stack(*modules).params, "module parameters").unit
     sim = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     clamped = np.maximum(sim, 0.0)
@@ -484,23 +472,17 @@ def aggregate_modules(graph: RelationshipGraph, modules: list[MappingModule]) ->
     """Personalised aggregation: client i receives sum_j w_ij * theta_j."""
     if graph.weights.shape != (len(modules), len(modules)):
         raise ValueError("graph was not built over these modules")
-    flats = _stack_params(modules)
+    flats = stack(*modules).params
     return [unflatten_module(m.dims, row @ flats) for m, row in zip(modules, graph.weights)]
 
 
-def _uniform_mean(models):
-    """Uniform parameter mean (FedAvg semantics) of models of one
-    architecture, mapping modules or classifier heads, as one model of their
-    type. It is the weighted-sum kernel of :func:`aggregate_modules`, so the
-    two agree bit-for-bit under uniform weights."""
-    flats = _stack_params(models)
-    uniform = np.full(len(models), 1.0 / len(models))
-    return type(models[0])(models[0].dims, uniform @ flats)
-
-
 def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
-    """One shared module: the uniform mean of the received ones."""
-    return _uniform_mean(modules)
+    """One shared module (or head): the uniform parameter mean (FedAvg
+    semantics) of the received ones. It is the weighted-sum kernel of
+    :func:`aggregate_modules`, so the two agree bit-for-bit under uniform
+    weights."""
+    uniform = np.full(len(modules), 1.0 / len(modules))
+    return MappingModule(modules[0].dims, uniform @ stack(*modules).params)
 
 
 # -- experiment setup ----------------------------------------------------------
@@ -560,7 +542,7 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
         seeded_rng(config.seed, "partition"),
         disjoint_classes=config.disjoint_role_classes,
     )
-    client_data = assign_roles(train, plan, config.client_counts)
+    roles = assign_roles(plan, config.client_counts)
 
     spec = config.synthetic
     image_encoder = _encoder_for(config, "image", spec.image_dim)
@@ -582,8 +564,8 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
     }
 
     clients: list[ClientState] = []
-    for client_id, cd in enumerate(client_data):
-        if cd.kind == "multimodal":
+    for client_id, (kind, rows) in enumerate(roles):
+        if kind == "multimodal":
             clients.append(
                 MultimodalClientState(
                     client_id=client_id,
@@ -591,21 +573,22 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
                     text_mapper=init_mapper["text"],
                     cluster_image_mapper=init_cluster["image"],
                     cluster_text_mapper=init_cluster["text"],
-                    image_features=encode(image_encoder, cd.image_views),
-                    text_features=encode(text_encoder, cd.text_views),
+                    image_features=encode(image_encoder, train.images[rows]),
+                    text_features=encode(text_encoder, train.texts[rows]),
                 )
             )
         else:
-            encoder = image_encoder if cd.kind == "image" else text_encoder
-            views = cd.image_views if cd.kind == "image" else cd.text_views
+            encoder, views = (
+                (image_encoder, train.images) if kind == "image" else (text_encoder, train.texts)
+            )
             clients.append(
                 UnimodalClientState(
                     client_id=client_id,
-                    modality=cd.kind,
-                    mapper=init_mapper[cd.kind],
-                    head=init_head[cd.kind],
-                    features=encode(encoder, views),
-                    labels=cd.labels,
+                    modality=kind,
+                    mapper=init_mapper[kind],
+                    head=init_head[kind],
+                    features=encode(encoder, views[rows]),
+                    labels=train.labels[rows],
                 )
             )
     test = TestBundle(
@@ -680,19 +663,14 @@ def _apromfl_server(
 
 def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None:
     shared: dict[str, MappingModule] = {}
+    shared_heads: dict[str, MappingModule] = {}
     for modality in ("image", "text"):
         _, modules = _received_modules(messages, experiment.config, modality)
         if modules:
             shared[modality] = fediot_aggregate(modules)
-    shared_heads: dict[str, ClassifierHead] = {}
-    for modality in ("image", "text"):
-        heads = [
-            c.head
-            for c in experiment.clients
-            if isinstance(c, UnimodalClientState) and c.modality == modality
-        ]
+        heads = [c.head for c in experiment.clients if c.kind == modality]
         if heads:
-            shared_heads[modality] = _uniform_mean(heads)
+            shared_heads[modality] = fediot_aggregate(heads)
     for idx, state in enumerate(experiment.clients):
         state = _adopt(state, shared)
         if isinstance(state, UnimodalClientState):

@@ -121,7 +121,8 @@ def run(config: ExperimentConfig, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(serialize_config(config))
-    (out / "failure.json").unlink(missing_ok=True)  # left by an earlier failed run
+    for name in ("failure.json", "summary.csv", "final_reports.json"):
+        (out / name).unlink(missing_ok=True)  # left by an earlier run
     try:
         result = run_training(config)
     except RoundFailure as failure:

@@ -22,8 +22,6 @@ import numpy as np
 from .nn import MappingModule, same_architecture
 from .numerics import KL_EPS, UnitRows, logsumexp, require_finite
 
-LN2 = float(np.log(2.0))
-
 #: Floor for the global task loss in the transfer ratio.
 TASK_LOSS_FLOOR = 1e-8
 

@@ -84,20 +84,6 @@ def _unit(embs, what: str) -> np.ndarray:
     return unit
 
 
-def acc_at_k(logits_list, labels, k: int) -> float:
-    """Fraction of samples whose true label ranks among the k largest logits.
-    Every label must be a class index in ``[0, C)``."""
-    return _hit_rate(_label_ranks(logits_list, labels), k)
-
-
-def recall_at_k(query_embs, gallery_embs, ground_truth, k: int) -> float:
-    """Fraction of queries whose true gallery item ranks in the cosine top-k.
-    Every ground-truth entry must be a gallery index in ``[0, len(gallery))``."""
-    queries = _unit(query_embs, "query embeddings")
-    gallery = _unit(gallery_embs, "gallery embeddings")
-    return _hit_rate(_true_ranks(queries @ gallery.T, ground_truth, "ground truth"), k)
-
-
 def classification_report(logits, labels, ks=(1, 5)) -> EvalReport:
     ranks = _label_ranks(logits, labels)
     return EvalReport(acc_at={int(k): _hit_rate(ranks, k) for k in ks}, n_eval=len(labels))

@@ -1,5 +1,6 @@
-"""Mapping modules and classifier heads: tiny fully connected networks with
-hand-written forward/backward passes and plain SGD.
+"""Mapping modules: tiny fully connected networks with hand-written
+forward/backward passes and plain SGD. A classifier head is the one-layer
+module ``(embed_dim, num_classes)``, with lean kernels of its own.
 
 Weights are stored ``(d_in, d_out)`` so a batch forward is ``x @ W + b``.
 ReLU sits between layers and the final layer is linear. Each model holds
@@ -54,25 +55,10 @@ def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], tuple[
     return tuple(weights), tuple(biases)
 
 
-def _freeze(model, dims, params):
-    """Store checked ``dims`` and a read-only view of ``params`` (a vector,
-    or a stack of vectors) on a frozen model, and return the per-layer views.
-    A contiguous float64 array is not copied, and its own flags are left
-    alone."""
-    dims = _check_dims(dims)
-    params = np.ascontiguousarray(params, dtype=float).view()
-    count = _param_count(dims)
-    if params.ndim not in (1, 2) or params.shape[-1] != count:
-        raise ValueError(f"flat vector length {params.shape[-1]} != parameter count {count}")
-    params.flags.writeable = False
-    object.__setattr__(model, "dims", dims)
-    object.__setattr__(model, "params", params)
-    return _layer_views(params, dims)
-
-
 @dataclass(frozen=True, eq=False)
 class MappingModule:
-    """Fully connected net projecting encoder features into the shared space."""
+    """Fully connected net projecting encoder features into the shared space;
+    a classifier head is the one-layer module ``(d_in, num_classes)``."""
 
     dims: tuple[int, ...]  # layer widths, input to output
     params: np.ndarray
@@ -80,7 +66,18 @@ class MappingModule:
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        weights, biases = _freeze(self, self.dims, self.params)
+        # keeps a read-only view of ``params`` (a vector, or a stack of
+        # vectors): a contiguous float64 array is not copied, and its own
+        # flags are left alone
+        dims = _check_dims(self.dims)
+        params = np.ascontiguousarray(self.params, dtype=float).view()
+        count = _param_count(dims)
+        if params.ndim not in (1, 2) or params.shape[-1] != count:
+            raise ValueError(f"flat vector length {params.shape[-1]} != parameter count {count}")
+        params.flags.writeable = False
+        weights, biases = _layer_views(params, dims)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
 
@@ -95,30 +92,6 @@ class MappingModule:
     @property
     def num_layers(self) -> int:
         return len(self.dims) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class ClassifierHead:
-    """Single linear layer producing class logits."""
-
-    dims: tuple[int, int]  # (d_in, num_classes)
-    params: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False)  # (d_in, num_classes)
-    bias: np.ndarray = field(init=False, repr=False)  # (num_classes,)
-
-    def __post_init__(self):
-        if len(self.dims) != 2:
-            raise ValueError(f"a classifier head has one layer, got dims {tuple(self.dims)}")
-        (weights,), (bias,) = _freeze(self, self.dims, self.params)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
-
-    def __reduce__(self):
-        return ClassifierHead, (self.dims, self.params)
-
-    @property
-    def in_dim(self) -> int:
-        return self.dims[0]
 
 
 @dataclass
@@ -138,24 +111,25 @@ def init_mapping_module(dims, rng: Rng) -> MappingModule:
     return MappingModule(dims, params)
 
 
-def init_classifier_head(in_dim: int, num_classes: int, rng: Rng) -> ClassifierHead:
+def init_classifier_head(in_dim: int, num_classes: int, rng: Rng) -> MappingModule:
+    """A one-layer head: N(0, 1/in_dim) weights, zero biases."""
     weights = rng.standard_normal((in_dim, num_classes)) / np.sqrt(in_dim)
     params = np.concatenate([weights.ravel(), np.zeros(num_classes)])
-    return ClassifierHead((in_dim, num_classes), params)
+    return MappingModule((in_dim, num_classes), params)
 
 
-def trainable(model):
+def trainable(model: MappingModule) -> MappingModule:
     """A private, writable copy of ``model`` for one round of in-place
-    training: :func:`sgd_step` and :func:`sgd_step_head` step it in place,
-    and :func:`freeze` or :func:`unstack` end the round."""
-    copy = type(model)(model.dims, model.params.copy())
+    training: :func:`sgd_step` steps it in place, and :func:`freeze` or
+    :func:`unstack` end the round."""
+    copy = MappingModule(model.dims, model.params.copy())
     copy.params.flags.writeable = True  # a view of the private copy
     return copy
 
 
-def freeze(model):
+def freeze(model: MappingModule) -> MappingModule:
     """``model`` as a frozen model again: read-only parameters, no copy."""
-    return type(model)(model.dims, model.params)
+    return MappingModule(model.dims, model.params)
 
 
 def stack(*models: MappingModule) -> MappingModule:
@@ -226,27 +200,30 @@ def backward(module: MappingModule, trace: ForwardTrace, upstream) -> np.ndarray
     return grad
 
 
-def forward_head(head: ClassifierHead, x) -> np.ndarray:
+def forward_head(head: MappingModule, x) -> np.ndarray:
+    """:func:`forward_map` of a one-layer head, without the trace."""
     batch, squeeze = _as_batch(x)
     if batch.shape[1] != head.in_dim:
         raise ValueError(f"input dim {batch.shape[1]} != head in_dim {head.in_dim}")
-    logits = batch @ head.weights + head.bias
+    logits = batch @ head.weights[0] + head.biases[0]
     return logits[0] if squeeze else logits
 
 
-def backward_head(head: ClassifierHead, x, upstream) -> tuple[np.ndarray, np.ndarray]:
+def backward_head(head: MappingModule, x, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter gradient of a one-layer head at input ``x``, and the
+    gradient with respect to ``x``."""
     batch, _ = _as_batch(x)
     g, _ = _as_batch(upstream)
     grad = np.empty(head.params.size)
     (d_weights,), (d_bias,) = _layer_views(grad, head.dims)
     np.matmul(batch.T, g, out=d_weights)
     g.sum(axis=0, out=d_bias)
-    return grad, g @ head.weights.T
+    return grad, g @ head.weights[0].T
 
 
 def sgd_step(model, grad: np.ndarray, lr: float) -> None:
-    """theta -= lr * grad, in place on a :func:`trainable` module, stack or
-    head; a frozen model is rejected. The round checked ``lr`` once."""
+    """theta -= lr * grad, in place on a :func:`trainable` module or stack;
+    a frozen model is rejected. The round checked ``lr`` once."""
     if not model.params.flags.writeable:
         raise ValueError("sgd_step steps a trainable() copy in place; this model is frozen")
     if not np.isfinite(grad).all():

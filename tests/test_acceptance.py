@@ -23,7 +23,6 @@ from apromfl.federation import (
 )
 from apromfl.harness import run, summarize_reports
 from apromfl.losses import (
-    LN2,
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
@@ -34,7 +33,6 @@ from apromfl.losses import (
     lmr_loss,
     retrieval_task_loss,
 )
-from apromfl.metrics import acc_at_k, recall_at_k
 from apromfl.nn import (
     backward,
     backward_head,
@@ -54,6 +52,8 @@ from apromfl.prototypes import (
     semantic_complete,
 )
 from oracles import (
+    LN2,
+    acc_at_k,
     cosine_similarity,
     exhaustive_kmeans_sse,
     fd_wrt_modules,
@@ -61,6 +61,7 @@ from oracles import (
     kl_divergence,
     min_abs_preact,
     prototype_rows,
+    recall_at_k,
 )
 
 GRAD_TOL = 1e-4

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from apromfl.data import (
-    ClientDataset,
     SyntheticSpec,
     assign_roles,
     dirichlet_partition,
@@ -137,21 +136,20 @@ class TestAssignRoles:
     def test_structure_and_conservation(self):
         ds = generate(spec())
         plan = role_partition(ds.labels, (2, 2, 1), 0.5, seeded_rng(707))
-        clients = assign_roles(ds, plan, (2, 2, 1))
-        assert [c.kind for c in clients] == ["multimodal", "multimodal", "image", "image", "text"]
-        total = sum(len(c) for c in clients)
+        roles = assign_roles(plan, (2, 2, 1))
+        assert [kind for kind, _ in roles] == ["multimodal", "multimodal", "image", "image", "text"]
+        total = sum(len(rows) for _, rows in roles)
         assert total == len(ds)
-        for c in clients[:2]:
-            assert c.labels is None and c.image_views is not None and c.text_views is not None
-        for c in clients[2:4]:
-            assert c.labels is not None and c.text_views is None
-        assert clients[4].image_views is None
+        for client_id, (_, rows) in enumerate(roles):
+            assert np.array_equal(rows, plan.client_indices(client_id))
+        every_row = np.sort(np.concatenate([rows for _, rows in roles]))
+        assert np.array_equal(every_row, np.arange(len(ds)))
 
     def test_no_multimodal_clients(self):
         ds = generate(spec())
         plan = role_partition(ds.labels, (0, 2, 2), 0.5, seeded_rng(708))
-        clients = assign_roles(ds, plan, (0, 2, 2))
-        assert [c.kind for c in clients] == ["image", "image", "text", "text"]
+        roles = assign_roles(plan, (0, 2, 2))
+        assert [kind for kind, _ in roles] == ["image", "image", "text", "text"]
 
     def test_disjoint_role_classes(self):
         ds = generate(spec(num_classes=6))
@@ -168,13 +166,4 @@ class TestAssignRoles:
         ds = generate(spec())
         plan = role_partition(ds.labels, (1, 1, 1), 0.5, seeded_rng(710))
         with pytest.raises(ValueError):
-            assign_roles(ds, plan, (1, 1, 2))
-
-    def test_multimodal_dataset_has_no_label_field(self):
-        with pytest.raises(ValueError):
-            ClientDataset(
-                kind="multimodal",
-                image_views=np.ones((2, 3)),
-                text_views=np.ones((2, 3)),
-                labels=np.array([0, 1]),
-            )
+            assign_roles(plan, (1, 1, 2))

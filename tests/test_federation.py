@@ -22,7 +22,6 @@ from apromfl.federation import (
     validate_message,
     _apromfl_server,
 )
-from apromfl.metrics import acc_at_k
 from apromfl.nn import (
     flatten_module,
     forward_head,
@@ -32,7 +31,12 @@ from apromfl.nn import (
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
-from oracles import cosine_similarity, list_semantic_complete, per_tower_multimodal_round
+from oracles import (
+    acc_at_k,
+    cosine_similarity,
+    list_semantic_complete,
+    per_tower_multimodal_round,
+)
 
 
 def modules(count, dims=(4, 6, 3), key=0):

@@ -1,12 +1,13 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apromfl import harness
+from apromfl import federation, harness
 from apromfl.cli import main
 from apromfl.config import (
     METHODS,
@@ -45,6 +46,11 @@ synthetic.samples_per_class = 15
 """
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.txt"
+
+#: Every float-typed config key, as the config file spells it.
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"] + [
+    f"synthetic.{f.name}" for f in fields(SyntheticSpec) if f.type == "float"
+]
 
 #: The tiny config diverges at this step size after a few finished rounds.
 DIVERGENT = {"lr": 3.0, "rounds": 20}
@@ -119,6 +125,20 @@ class TestConfigParsing:
         fits = (3, 3) if disjoint else (6, 1)
         path.write_text(text + "batch_size = 2\nclients_image = %d\nclients_text = %d\n" % fits)
         setup_experiment(load_config(path))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_field(self, tmp_path, key, raw):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: "):
+            load_config(path)
+
+    def test_unparsable_number_names_key(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("rounds = 3.5\n")
+        with pytest.raises(ValueError, match="^rounds: "):
+            load_config(path)
 
     def test_round_trip_is_canonical(self, tiny_config_file):
         config = load_config(tiny_config_file)
@@ -314,6 +334,22 @@ class TestFailedRun:
         run(replace(config, rounds=failure["round"] - 1), out)
         assert not (out / "failure.json").exists()
         assert rounds_without_wall_time(out) == kept
+
+    def test_failed_rerun_leaves_no_earlier_results(self, tiny_config_file, tmp_path, monkeypatch):
+        config = load_config(tiny_config_file)
+        out = tmp_path / "run"
+        run(config, out)
+        assert (out / "summary.csv").exists() and (out / "final_reports.json").exists()
+
+        def failing_round(state, rc):
+            raise ValueError("unimodal round failed")
+
+        monkeypatch.setattr(federation, "unimodal_client_round", failing_round)
+        with pytest.raises(RoundFailure):
+            run(config, out)
+        assert (out / "failure.json").exists()
+        assert not (out / "summary.csv").exists()
+        assert not (out / "final_reports.json").exists()
 
     def test_workers_name_the_same_failure(self, tiny_config_file, tmp_path):
         for workers in (1, 2):

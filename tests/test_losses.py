@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apromfl.losses import (
-    LN2,
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
@@ -20,6 +19,7 @@ from apromfl.losses import (
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
 from apromfl.numerics import seeded_rng, unit_rows
 from oracles import (
+    LN2,
     assignment_probs,
     cross_entropy,
     fd_wrt_arrays,

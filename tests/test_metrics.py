@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.metrics import (
-    EvalReport,
-    acc_at_k,
-    classification_report,
-    recall_at_k,
-    retrieval_report,
-)
+from apromfl.metrics import EvalReport, classification_report, retrieval_report
 from apromfl.numerics import seeded_rng
-from oracles import eval_report_from_dict
+from oracles import acc_at_k, eval_report_from_dict, recall_at_k
 
 
 def sort_oracle_acc(logits, labels, k):

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apromfl.nn import (
-    ClassifierHead,
     Encoder,
     MappingModule,
     backward,
@@ -194,14 +193,35 @@ class TestFlatten:
             unflatten_module((4, 5, 3), flat[:-1])
 
     def test_pickle_round_trip_keeps_views(self):
-        m = small_module((4, 6, 6, 3))
-        loaded = pickle.loads(pickle.dumps(m))
-        assert np.array_equal(loaded.params, m.params)
-        assert not loaded.params.flags.writeable
-        assert all(np.shares_memory(w, loaded.params) for w in loaded.weights)
+        for m in (small_module((4, 6, 6, 3)), init_classifier_head(4, 3, seeded_rng(5))):
+            loaded = pickle.loads(pickle.dumps(m))
+            assert loaded.dims == m.dims
+            assert np.array_equal(loaded.params, m.params)
+            assert not loaded.params.flags.writeable
+            assert all(np.shares_memory(w, loaded.params) for w in loaded.weights)
 
 
 class TestHead:
+    def test_head_is_a_one_layer_module(self):
+        head = init_classifier_head(4, 3, seeded_rng(6))
+        assert isinstance(head, MappingModule)
+        assert head.dims == (4, 3)
+        assert head.num_layers == 1
+
+    def test_forward_head_matches_forward_map(self):
+        head = init_classifier_head(4, 3, seeded_rng(6))
+        x = seeded_rng(7).standard_normal((5, 4))
+        assert np.array_equal(forward_head(head, x), forward_map(head, x))
+        assert np.array_equal(forward_head(head, x[0]), forward_map(head, x[0]))
+
+    def test_backward_head_matches_backward(self):
+        head = init_classifier_head(4, 3, seeded_rng(6))
+        x = seeded_rng(7).standard_normal((5, 4))
+        upstream = seeded_rng(8).standard_normal((5, 3))
+        grad, _ = backward_head(head, x, upstream)
+        _, trace = forward_map_trace(head, x)
+        assert np.array_equal(grad, backward(head, trace, upstream))
+
     def test_forward_backward_shapes(self):
         head = init_classifier_head(4, 3, seeded_rng(6))
         x = seeded_rng(7).standard_normal((5, 4))
@@ -212,7 +232,7 @@ class TestHead:
         assert dx.shape == x.shape
 
     def test_sgd_head(self):
-        head = trainable(ClassifierHead((2, 2), np.concatenate([np.ones(4), np.zeros(2)])))
+        head = trainable(MappingModule((2, 2), np.concatenate([np.ones(4), np.zeros(2)])))
         sgd_step_head(head, np.ones(6), 0.5)
-        assert np.allclose(head.weights, 0.5)
-        assert np.allclose(head.bias, -0.5)
+        assert np.allclose(head.weights[0], 0.5)
+        assert np.allclose(head.biases[0], -0.5)
