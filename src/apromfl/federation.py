@@ -10,8 +10,14 @@ Three methods share one client-side training path:
   personalised aggregate, adopts it, and distills against it next round.
 * ``local`` - the same client rounds with no exchange at all, so no
   transfer loss ever applies.
-* ``fediot`` - no transfer losses; the server uniformly averages mapping
-  modules and classifier heads (one-layer modules) per modality.
+* ``fediot`` - no transfer losses; unimodal clients also send their
+  classifier heads (one-layer modules), and the server uniformly averages
+  each uploaded part per modality.
+
+Every model the server aggregates travels in a client's message as a flat
+vector keyed by its part (``"image"``, ``"text"``, or ``"<modality> head"``
+under fediot). One server function aggregates each part over the clients
+that sent it, and each sender adopts what it receives.
 
 Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
@@ -36,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import assign_roles, generate, role_partition, train_eval_split
+from .data import SyntheticDataset, assign_roles, generate, role_partition, train_eval_split
 from .losses import (
     clustering_total_loss,
     cross_entropy_batch,
@@ -80,6 +86,7 @@ from .prototypes import (
     completion_matrices,
     fuse,
     label_guided_prototypes,
+    pair_matrix,
     semantic_complete,
 )
 
@@ -124,8 +131,9 @@ ClientState = UnimodalClientState | MultimodalClientState
 
 @dataclass(frozen=True)
 class RoundMessage:
-    """What a client uploads: prototypes, flat mapping-module parameters,
-    and a loss summary. Private clustering models never appear here."""
+    """What a client uploads: prototypes, flat model parameters by part
+    (its mapping modules; under fediot a unimodal client's head too), and a
+    loss summary. Private clustering models never appear here."""
 
     client_id: int
     kind: str
@@ -140,8 +148,8 @@ def validate_message(msg: RoundMessage) -> None:
     if msg.kind in ("image", "text"):
         if msg.label_prototypes is None or msg.pair_prototypes is not None:
             raise ValueError("unimodal messages carry labelled prototypes only")
-        if set(msg.module_params) != {msg.kind}:
-            raise ValueError("unimodal messages carry exactly their own module")
+        if set(msg.module_params) - {f"{msg.kind} head"} != {msg.kind}:
+            raise ValueError("unimodal messages carry their own module and at most its head")
     elif msg.kind == "multimodal":
         if msg.pair_prototypes is None or msg.label_prototypes is not None:
             raise ValueError("multimodal messages carry prototype pairs only")
@@ -179,8 +187,7 @@ class ClientRoundConfig:
         prototype-transfer loss applies; else None."""
         if self.global_prototypes is None or self.config.beta1 <= 0:
             return None
-        gp = self.global_prototypes
-        return unit_rows(np.stack([gp.image_matrix(), gp.text_matrix()]), "global prototypes")
+        return unit_rows(pair_matrix(self.global_prototypes.pairs), "global prototypes")
 
     @property
     def distill(self) -> bool:
@@ -262,15 +269,16 @@ def unimodal_client_round(
             meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=0.0)
     mapper, head = freeze(mapper), freeze(head)
     terms = meter.means()
-    protos = label_guided_prototypes(
-        forward_map(mapper, feats), labels, modality=state.modality, client_id=state.client_id
-    )
+    protos = label_guided_prototypes(forward_map(mapper, feats), labels, modality=state.modality)
+    params = {state.modality: flatten_module(mapper)}
+    if cfg.method == "fediot":
+        params[f"{state.modality} head"] = flatten_module(head)
     message = RoundMessage(
         client_id=state.client_id,
         kind=state.modality,
         label_prototypes=tuple(protos),
         pair_prototypes=None,
-        module_params={state.modality: flatten_module(mapper)},
+        module_params=params,
         loss_terms=terms,
     )
     validate_message(message)
@@ -477,7 +485,7 @@ def aggregate_modules(graph: RelationshipGraph, modules: list[MappingModule]) ->
 
 
 def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
-    """One shared module (or head): the uniform parameter mean (FedAvg
+    """One shared model (module or head): the uniform parameter mean (FedAvg
     semantics) of the received ones. It is the weighted-sum kernel of
     :func:`aggregate_modules`, so the two agree bit-for-bit under uniform
     weights."""
@@ -488,18 +496,11 @@ def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
 # -- experiment setup ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestBundle:
-    image_features: np.ndarray
-    text_features: np.ndarray
-    labels: np.ndarray
-
-
 @dataclass
 class Experiment:
     config: ExperimentConfig
     clients: list[ClientState]
-    test: TestBundle
+    test: SyntheticDataset  # the evaluation split, encoded
     #: the last apromfl server phase's global pairs; None before the first
     #: and when no multimodal client uploaded any pair
     global_prototypes: GlobalPrototypeSet | None = None
@@ -513,11 +514,14 @@ def _encoder_for(config: ExperimentConfig, modality: str, view_dim: int) -> Enco
     return make_projection_encoder(seed, view_dim, config.encoder_dim)
 
 
-def _module_dims(config: ExperimentConfig, modality: str) -> tuple[int, ...]:
-    """Layer widths of every client's mapping module for ``modality``."""
+def _module_dims(config: ExperimentConfig, part: str) -> tuple[int, ...]:
+    """Layer widths of every client's model for ``part``: a modality's
+    mapping module, or its classifier head (``"<modality> head"``)."""
+    if part.endswith(" head"):
+        return (config.embed_dim, config.synthetic.num_classes)
     if config.encoder_kind == "identity":
         spec = config.synthetic
-        in_dim = spec.image_dim if modality == "image" else spec.text_dim
+        in_dim = spec.image_dim if part == "image" else spec.text_dim
     else:
         in_dim = config.encoder_dim
     if config.mapping_layers == 1:
@@ -591,10 +595,8 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
                     labels=train.labels[rows],
                 )
             )
-    test = TestBundle(
-        image_features=encode(image_encoder, eval_set.images),
-        text_features=encode(text_encoder, eval_set.texts),
-        labels=eval_set.labels,
+    test = SyntheticDataset(
+        encode(image_encoder, eval_set.images), encode(text_encoder, eval_set.texts), eval_set.labels
     )
     return Experiment(config=config, clients=clients, test=test)
 
@@ -617,26 +619,18 @@ def _aggregate_prototypes(
         return None
     k = min(config.num_global_prototypes, len(all_pairs))
     rng = seeded_rng(config.seed, "server", "round", round_index, "global-kmeans")
-    return build_global_prototypes(all_pairs, k, rng, round_index=round_index)
-
-
-def _received_modules(
-    messages: list[RoundMessage], config: ExperimentConfig, modality: str
-) -> tuple[list[int], list[MappingModule]]:
-    """Ids of the clients that uploaded a ``modality`` module, and the modules."""
-    dims = _module_dims(config, modality)
-    senders = [m for m in messages if modality in m.module_params]
-    return (
-        [m.client_id for m in senders],
-        [unflatten_module(dims, m.module_params[modality]) for m in senders],
-    )
+    return build_global_prototypes(all_pairs, k, rng)
 
 
 def _adopt(state: ClientState, modules: dict[str, MappingModule]) -> ClientState:
-    """``state`` with its task modules replaced by the received ones; a
-    modality with no received module keeps the client's own."""
+    """``state`` with its models replaced by the received ones, by part; a
+    part with no received model keeps the client's own."""
     if isinstance(state, UnimodalClientState):
-        return replace(state, mapper=modules.get(state.modality, state.mapper))
+        return replace(
+            state,
+            mapper=modules.get(state.modality, state.mapper),
+            head=modules.get(f"{state.modality} head", state.head),
+        )
     return replace(
         state,
         image_mapper=modules.get("image", state.image_mapper),
@@ -644,50 +638,41 @@ def _adopt(state: ClientState, modules: dict[str, MappingModule]) -> ClientState
     )
 
 
-def _apromfl_server(
-    experiment: Experiment, messages: list[RoundMessage], round_index: int
-) -> None:
+def _server(experiment: Experiment, messages: list[RoundMessage], round_index: int) -> None:
+    """One server phase. For each uploaded part, in order of first upload,
+    the models of its senders (ascending id) are aggregated: under apromfl
+    through the relationship graph, one personalised aggregate per sender,
+    and under fediot as one shared uniform mean. Each sender adopts what it
+    receives. Under apromfl the global prototypes are rebuilt too."""
     config = experiment.config
-    experiment.global_prototypes = _aggregate_prototypes(messages, config, round_index)
-    personalized: dict[int, dict[str, MappingModule]] = {m.client_id: {} for m in messages}
-    for modality in ("image", "text"):
-        ids, modules = _received_modules(messages, config, modality)
-        if not ids:
-            continue
-        graph = relationship_weights(modules, modality=modality)
-        for cid, aggregated in zip(ids, aggregate_modules(graph, modules)):
-            personalized[cid][modality] = aggregated
+    apromfl = config.method == "apromfl"
+    if apromfl:
+        experiment.global_prototypes = _aggregate_prototypes(messages, config, round_index)
+    received: dict[int, dict[str, MappingModule]] = {m.client_id: {} for m in messages}
+    for part in dict.fromkeys(key for m in messages for key in m.module_params):
+        senders = [m for m in messages if part in m.module_params]
+        dims = _module_dims(config, part)
+        modules = [unflatten_module(dims, m.module_params[part]) for m in senders]
+        if apromfl:
+            aggregated = aggregate_modules(relationship_weights(modules, modality=part), modules)
+        else:
+            aggregated = [fediot_aggregate(modules)] * len(modules)
+        for m, module in zip(senders, aggregated):
+            received[m.client_id][part] = module
     for idx, state in enumerate(experiment.clients):
-        experiment.clients[idx] = _adopt(state, personalized.get(state.client_id, {}))
-
-
-def _fediot_server(experiment: Experiment, messages: list[RoundMessage]) -> None:
-    shared: dict[str, MappingModule] = {}
-    shared_heads: dict[str, MappingModule] = {}
-    for modality in ("image", "text"):
-        _, modules = _received_modules(messages, experiment.config, modality)
-        if modules:
-            shared[modality] = fediot_aggregate(modules)
-        heads = [c.head for c in experiment.clients if c.kind == modality]
-        if heads:
-            shared_heads[modality] = fediot_aggregate(heads)
-    for idx, state in enumerate(experiment.clients):
-        state = _adopt(state, shared)
-        if isinstance(state, UnimodalClientState):
-            state = replace(state, head=shared_heads.get(state.modality, state.head))
-        experiment.clients[idx] = state
+        experiment.clients[idx] = _adopt(state, received[state.client_id])
 
 
 # -- evaluation and the round loop ----------------------------------------------
 
 
-def evaluate_client(state: ClientState, test: TestBundle) -> EvalReport:
+def evaluate_client(state: ClientState, test: SyntheticDataset) -> EvalReport:
     if isinstance(state, UnimodalClientState):
-        feats = test.image_features if state.modality == "image" else test.text_features
+        feats = test.images if state.modality == "image" else test.texts
         logits = forward_head(state.head, forward_map(state.mapper, feats))
         return classification_report(logits, test.labels, ks=EVAL_KS)
-    img = forward_map(state.image_mapper, test.image_features)
-    txt = forward_map(state.text_mapper, test.text_features)
+    img = forward_map(state.image_mapper, test.images)
+    txt = forward_map(state.text_mapper, test.texts)
     return retrieval_report(img, txt, ks=EVAL_KS)
 
 
@@ -784,12 +769,9 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
                 messages.append(message)
             messages.sort(key=lambda m: m.client_id)
 
-            with _located(round_index, "server", None, records):
-                if config.method == "apromfl":
-                    _apromfl_server(experiment, messages, round_index)
-                elif config.method == "fediot":
-                    _fediot_server(experiment, messages)
-                # "local": no exchange at all
+            if config.method != "local":  # "local": no exchange at all
+                with _located(round_index, "server", None, records):
+                    _server(experiment, messages, round_index)
 
             reports = {}
             for c in experiment.clients:

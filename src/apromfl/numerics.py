@@ -60,15 +60,15 @@ class UnitRows:
 
 
 def unit_rows(x, what: str = "embeddings") -> UnitRows:
-    """``x`` checked finite and scaled to unit rows; raises naming ``what`` on
-    a zero-norm row."""
+    """``x`` checked finite (raising naming ``what``) and scaled to unit rows.
+    A zero row has its norm taken as 1 (scikit-learn's ``normalize`` rule),
+    so it stays zero: its cosines are 0 and its gradient is finite."""
     x = require_finite(x, what)
     if x.ndim < 2:
         raise ValueError(f"{what} must be (..., N, d)")
     # what np.linalg.norm(x, axis=-1, keepdims=True) computes, minus its dispatch
     norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-    if (norms == 0).any():
-        raise ValueError(f"{what} contain a zero-norm row")
+    norms[norms == 0] = 1.0
     return UnitRows(x / norms, norms)
 
 

@@ -15,21 +15,8 @@ import numpy as np
 
 from .numerics import Rng, UnitRows, kmeans, require_finite, unit_rows
 
-ORIGIN_MULTIMODAL = "multimodal-client"
-ORIGIN_COMPLETED = "completed-from-unimodal"
-ORIGIN_GLOBAL = "global"
-
 #: Below this total weight, completion falls back to uniform weights.
 WEIGHT_EPS = 1e-12
-
-
-def _checked_vector(vec, what: str) -> np.ndarray:
-    vec = require_finite(vec, what)
-    if vec.ndim != 1:
-        raise ValueError(f"{what} must be a vector")
-    if not np.any(vec):
-        raise ValueError(f"{what} has zero norm")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -39,12 +26,6 @@ class UnimodalPrototype:
     modality: str  # "image" | "text"
     vector: np.ndarray
     class_id: int
-    client_id: int
-
-    def __post_init__(self):
-        if self.modality not in ("image", "text"):
-            raise ValueError(f"bad modality {self.modality!r}")
-        _checked_vector(self.vector, "prototype vector")
 
 
 @dataclass(frozen=True)
@@ -53,15 +34,6 @@ class PrototypePair:
 
     image_vec: np.ndarray
     text_vec: np.ndarray
-    origin: str
-
-    def __post_init__(self):
-        img = _checked_vector(self.image_vec, "image prototype")
-        txt = _checked_vector(self.text_vec, "text prototype")
-        if img.shape != txt.shape:
-            raise ValueError("prototype pair vectors must share the embedding dim")
-        if self.origin not in (ORIGIN_MULTIMODAL, ORIGIN_COMPLETED, ORIGIN_GLOBAL):
-            raise ValueError(f"bad origin {self.origin!r}")
 
 
 @dataclass(frozen=True)
@@ -69,27 +41,9 @@ class GlobalPrototypeSet:
     """The K server-side prototype pairs broadcast each round."""
 
     pairs: tuple[PrototypePair, ...]
-    round_index: int
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("global prototype set cannot be empty")
-        if any(p.origin != ORIGIN_GLOBAL for p in self.pairs):
-            raise ValueError("global pairs must carry the global origin")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def image_matrix(self) -> np.ndarray:
-        return np.stack([p.image_vec for p in self.pairs])
-
-    def text_matrix(self) -> np.ndarray:
-        return np.stack([p.text_vec for p in self.pairs])
 
 
-def label_guided_prototypes(
-    embs, labels, modality: str = "image", client_id: int = -1
-) -> list[UnimodalPrototype]:
+def label_guided_prototypes(embs, labels, modality: str = "image") -> list[UnimodalPrototype]:
     """One prototype per present class: the mean embedding of that class."""
     embs = require_finite(embs, "embeddings")
     labels = np.asarray(labels, dtype=int)
@@ -97,18 +51,10 @@ def label_guided_prototypes(
         raise ValueError("need a non-empty (N, d) embedding array")
     if len(labels) != len(embs):
         raise ValueError("embeddings and labels must align")
-    protos = []
-    for class_id in np.unique(labels):
-        mean = embs[labels == class_id].mean(axis=0)
-        protos.append(
-            UnimodalPrototype(
-                modality=modality,
-                vector=mean,
-                class_id=int(class_id),
-                client_id=client_id,
-            )
-        )
-    return protos
+    return [
+        UnimodalPrototype(modality, embs[labels == class_id].mean(axis=0), int(class_id))
+        for class_id in np.unique(labels)
+    ]
 
 
 def fuse(e_img, e_txt) -> np.ndarray:
@@ -120,16 +66,12 @@ def fuse(e_img, e_txt) -> np.ndarray:
     return (e_img + e_txt) / 2.0
 
 
-def _cluster_pairs(imgs, txts, k: int, rng: Rng, origin: str):
+def _cluster_pairs(imgs, txts, k: int, rng: Rng):
     """k-means on the fused pairs, then one (image mean, text mean) pair per
     cluster, in ascending label order. Returns ``(pairs, labels)``."""
     labels, _, _ = kmeans(fuse(imgs, txts), k, rng)
     pairs = [
-        PrototypePair(
-            image_vec=imgs[labels == c].mean(axis=0),
-            text_vec=txts[labels == c].mean(axis=0),
-            origin=origin,
-        )
+        PrototypePair(imgs[labels == c].mean(axis=0), txts[labels == c].mean(axis=0))
         for c in range(k)
     ]
     return pairs, labels
@@ -145,10 +87,10 @@ def clustering_prototype_pairs(
     txt_embs = require_finite(txt_embs, "text embeddings")
     if img_embs.shape != txt_embs.shape:
         raise ValueError("image/text embeddings must align pairwise")
-    return _cluster_pairs(img_embs, txt_embs, k, rng, ORIGIN_MULTIMODAL)
+    return _cluster_pairs(img_embs, txt_embs, k, rng)
 
 
-def _pair_matrix(pairs: list[PrototypePair]) -> np.ndarray:
+def pair_matrix(pairs) -> np.ndarray:
     """The image and text vectors of ``pairs`` as one ``(2, M, d)`` stack."""
     return np.stack([[p.image_vec for p in pairs], [p.text_vec for p in pairs]])
 
@@ -157,7 +99,7 @@ def completion_matrices(mm_pairs: list[PrototypePair]) -> tuple[np.ndarray, Unit
     """What :func:`semantic_complete` reads: the multimodal pairs as one
     ``(2, M, d)`` image/text stack, and its unit rows. A server phase builds
     them once and completes every unimodal prototype against them."""
-    pairs = _pair_matrix(mm_pairs)
+    pairs = pair_matrix(mm_pairs)
     return pairs, unit_rows(pairs, "multimodal prototypes")
 
 
@@ -172,14 +114,16 @@ def semantic_complete(
     converts the kept similarities into weights by clamping negatives to zero
     and normalising, and returns the weighted sum of the opposite-modality
     prototypes paired with the original vector. If every kept similarity is
-    non-positive the weights fall back to uniform.
+    non-positive (a zero vector has cosine 0 with every pair) the weights
+    fall back to uniform.
     """
     if top_o < 1:
         raise ValueError(f"top_o must be >= 1, got {top_o}")
     if pairs.shape[1] < top_o:
         raise ValueError(f"need at least top_o={top_o} pairs, got {pairs.shape[1]}")
     own = 0 if uni.modality == "image" else 1
-    sims = unit.unit[own] @ (uni.vector / np.linalg.norm(uni.vector))
+    norm = np.linalg.norm(uni.vector)
+    sims = unit.unit[own] @ (uni.vector / (norm if norm else 1.0))
     keep = np.argsort(-sims, kind="stable")[:top_o]
     weights = np.maximum(sims[keep], 0.0)
     total = weights.sum()
@@ -190,15 +134,13 @@ def semantic_complete(
     completed = weights @ pairs[1 - own][keep]
     image_vec = uni.vector if uni.modality == "image" else completed
     text_vec = completed if uni.modality == "image" else uni.vector
-    return PrototypePair(image_vec=image_vec, text_vec=text_vec, origin=ORIGIN_COMPLETED)
+    return PrototypePair(image_vec, text_vec)
 
 
-def build_global_prototypes(
-    all_pairs: list[PrototypePair], k: int, rng: Rng, round_index: int = 0
-) -> GlobalPrototypeSet:
+def build_global_prototypes(all_pairs: list[PrototypePair], k: int, rng: Rng) -> GlobalPrototypeSet:
     """Cluster fused pair representations into exactly k global pairs."""
     if len(all_pairs) < k:
         raise ValueError(f"need at least k={k} pairs, got {len(all_pairs)}")
-    imgs, txts = _pair_matrix(all_pairs)
-    pairs, _ = _cluster_pairs(imgs, txts, k, rng, ORIGIN_GLOBAL)
-    return GlobalPrototypeSet(pairs=tuple(pairs), round_index=round_index)
+    imgs, txts = pair_matrix(all_pairs)
+    pairs, _ = _cluster_pairs(imgs, txts, k, rng)
+    return GlobalPrototypeSet(tuple(pairs))

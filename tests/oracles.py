@@ -46,7 +46,6 @@ from apromfl.numerics import (
     unit_rows,
 )
 from apromfl.prototypes import (
-    ORIGIN_COMPLETED,
     WEIGHT_EPS,
     PrototypePair,
     clustering_prototype_pairs,
@@ -150,7 +149,7 @@ def list_semantic_complete(uni, mm_pairs, top_o: int) -> PrototypePair:
     completed = weights @ other[keep]
     image_vec = uni.vector if uni.modality == "image" else completed
     text_vec = completed if uni.modality == "image" else uni.vector
-    return PrototypePair(image_vec=image_vec, text_vec=text_vec, origin=ORIGIN_COMPLETED)
+    return PrototypePair(image_vec=image_vec, text_vec=text_vec)
 
 
 def cosine_similarity(a, b) -> float:
@@ -310,8 +309,9 @@ def per_tower_multimodal_round(state, rc):
             task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
             if use_gpt:
+                gp = rc.global_prototypes.pairs
                 protos = prototype_rows(
-                    rc.global_prototypes.image_matrix(), rc.global_prototypes.text_matrix()
+                    np.stack([p.image_vec for p in gp]), np.stack([p.text_vec for p in gp])
                 )
                 gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
                 g_img = g_img + cfg.beta1 * a_img

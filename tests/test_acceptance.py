@@ -229,10 +229,10 @@ def test_c02_oracle_equivalence():
         # semantic completion vs sort-select-normalise-sum
         m = int(rng.integers(2, 8))
         pairs = [
-            PrototypePair(rng.standard_normal(d) + 0.2, rng.standard_normal(d) - 0.2, "multimodal-client")
+            PrototypePair(rng.standard_normal(d) + 0.2, rng.standard_normal(d) - 0.2)
             for _ in range(m)
         ]
-        uni = UnimodalPrototype("image", rng.standard_normal(d) + 0.1, 0, 0)
+        uni = UnimodalPrototype("image", rng.standard_normal(d) + 0.1, 0)
         top_o = int(rng.integers(1, m + 1))
         completed = semantic_complete(uni, *completion_matrices(pairs), top_o)
         sims = [cosine_similarity(uni.vector, p.image_vec) for p in pairs]

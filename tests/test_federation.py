@@ -20,7 +20,7 @@ from apromfl.federation import (
     setup_experiment,
     unimodal_client_round,
     validate_message,
-    _apromfl_server,
+    _server,
 )
 from apromfl.nn import (
     flatten_module,
@@ -113,11 +113,12 @@ class TestRelationshipWeights:
         with pytest.raises(ValueError):
             relationship_weights([modules(1)[0], modules(1, dims=(4, 5, 3))[0]])
 
-    def test_zero_module_rejected(self):
+    def test_zero_module_is_orthogonal_to_every_other(self):
         template = modules(1)[0]
         zero = unflatten_module(template.dims, np.zeros(template.params.size))
-        with pytest.raises(ValueError, match="zero-norm"):
-            relationship_weights([template, zero])
+        graph = relationship_weights([template, zero])
+        assert graph.sim.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert graph.weights.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_sim_matches_pairwise_oracle(self):
         negatives = 0
@@ -320,7 +321,7 @@ class TestStackedTowers:
         if round_index == 2:
             # a real server phase: global prototypes and adopted aggregates
             messages = [client_round(s, rc)[1] for s in experiment.clients]
-            _apromfl_server(experiment, messages, 1)
+            _server(experiment, messages, 1)
             rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
             assert rc.distill and rc.gpt_prototypes() is not None
         for state in experiment.clients:
@@ -356,7 +357,7 @@ def test_round_start_modules_embed_once_per_round(monkeypatch):
     config = tiny_config()
     experiment = setup_experiment(config)
     rc = ClientRoundConfig.from_experiment(config, 1)
-    _apromfl_server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
+    _server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
     rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
     seen, real = [], federation.forward_map
 
@@ -380,7 +381,7 @@ def test_each_step_normalises_its_embeddings_once(monkeypatch):
     config = tiny_config()
     experiment = setup_experiment(config)
     rc = ClientRoundConfig.from_experiment(config, 1)
-    _apromfl_server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
+    _server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
     rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
     seen, real = [], federation.unit_rows
 
@@ -437,6 +438,35 @@ def test_server_phase_completes_against_one_pair_matrix(monkeypatch):
         want = list_semantic_complete(uni, mm_pairs, top_o)
         assert got.image_vec.tobytes() == want.image_vec.tobytes()
         assert got.text_vec.tobytes() == want.text_vec.tobytes()
+
+@pytest.mark.parametrize("method", ["apromfl", "local", "fediot"])
+def test_only_fediot_uploads_heads_and_shares_their_mean(monkeypatch, method):
+    """Under fediot each unimodal message carries its head, and every
+    unimodal client adopts the uniform mean of its modality's uploaded heads,
+    bit for bit. No other method uploads a head."""
+    messages, real_round = [], federation.client_round
+
+    def client_round_spy(state, rc):
+        result = real_round(state, rc)
+        messages.append(result[1])
+        return result
+
+    monkeypatch.setattr(federation, "client_round", client_round_spy)
+    result = run_training(tiny_config(method=method, rounds=1))
+    unimodal = [m for m in messages if m.kind != "multimodal"]
+    assert unimodal
+    if method != "fediot":
+        assert not any(part.endswith(" head") for m in messages for part in m.module_params)
+        return
+    for m in unimodal:
+        assert set(m.module_params) == {m.kind, f"{m.kind} head"}
+    for modality in ("image", "text"):
+        heads = np.stack([m.module_params[f"{modality} head"] for m in unimodal if m.kind == modality])
+        mean = np.full(len(heads), 1.0 / len(heads)) @ heads
+        for state in result.experiment.clients:
+            if state.kind == modality:
+                assert state.head.params.tobytes() == mean.tobytes()
+
 
 def round_models(state) -> list:
     """Every model a client state holds."""

@@ -208,12 +208,26 @@ class TestReports:
             assert report.recall_t2i_at == {k: argsort_recall(txt, img, identity, k) for k in ks}
 
     @pytest.mark.parametrize("side", ["image", "text"])
-    def test_retrieval_report_names_a_zero_norm_embedding(self, side):
+    def test_retrieval_report_gives_a_zero_embedding_cosine_zero(self, side):
         rng = seeded_rng(819)
         embs = {"image": rng.standard_normal((4, 3)), "text": rng.standard_normal((4, 3))}
         embs[side][2] = 0.0
-        with pytest.raises(ValueError, match=f"{side} embeddings contain a zero-norm row"):
-            retrieval_report(embs["image"], embs["text"])
+        ks = (1, 2, 3, 4)
+        report = retrieval_report(embs["image"], embs["text"], ks=ks)
+        # the zero row stays zero, so it ties at cosine 0 with every row
+        unit = {}
+        for name, e in embs.items():
+            norms = np.linalg.norm(e, axis=1, keepdims=True)
+            unit[name] = e / np.where(norms > 0, norms, 1.0)
+        sims = unit["image"] @ unit["text"].T
+        assert not (sims[2] if side == "image" else sims[:, 2]).any()
+
+        def stable_recall(scores, k):
+            top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            return float((top == np.arange(len(scores))[:, None]).any(axis=1).mean())
+
+        assert report.recall_i2t_at == {k: stable_recall(sims, k) for k in ks}
+        assert report.recall_t2i_at == {k: stable_recall(sims.T, k) for k in ks}
 
     def test_round_trip_dict(self):
         report = EvalReport(acc_at={1: 0.5, 5: 0.9}, n_eval=10)

@@ -309,11 +309,13 @@ class TestUnitRows:
         numeric = fd_wrt_arrays(lambda a: float((unit_rows(a).unit * g).sum()), [x])[0]
         assert grad_rel_error(unit_rows(x).backward(g), numeric) < 1e-6
 
-    def test_rejects_zero_norm_and_non_finite_rows_by_name(self):
+    def test_zero_row_stays_zero_and_non_finite_rows_are_named(self):
         x = np.ones((3, 2))
         x[1] = 0.0
-        with pytest.raises(ValueError, match="probe rows contain a zero-norm row"):
-            unit_rows(x, "probe rows")
+        rows = unit_rows(x, "probe rows")
+        assert not rows.unit[1].any() and rows.norms[1, 0] == 1.0
+        assert not (rows.unit @ rows.unit.T)[1].any()  # its cosines are 0
+        assert np.isfinite(rows.backward(seeded_rng(39).standard_normal((3, 2)))).all()
         x[1] = np.inf
         with pytest.raises(ValueError, match="probe rows contains non-finite"):
             unit_rows(x, "probe rows")

@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from apromfl.numerics import seeded_rng
 from apromfl.prototypes import (
-    ORIGIN_COMPLETED,
-    ORIGIN_GLOBAL,
-    ORIGIN_MULTIMODAL,
     PrototypePair,
     UnimodalPrototype,
     build_global_prototypes,
@@ -20,13 +17,12 @@ from apromfl.prototypes import (
 from oracles import exhaustive_kmeans_sse
 
 
-def rand_pairs(count, dim, key, origin=ORIGIN_MULTIMODAL):
+def rand_pairs(count, dim, key):
     rng = seeded_rng(600, "pairs", key)
     return [
         PrototypePair(
             image_vec=rng.standard_normal(dim) + 0.2,
             text_vec=rng.standard_normal(dim) - 0.2,
-            origin=origin,
         )
         for _ in range(count)
     ]
@@ -124,19 +120,18 @@ class TestClusteringPrototypePairs:
 class TestSemanticComplete:
     def test_top1_copies_best_match(self):
         pairs = rand_pairs(5, 4, key=1)
-        uni = UnimodalPrototype("image", pairs[2].image_vec * 2.0, class_id=0, client_id=0)
+        uni = UnimodalPrototype("image", pairs[2].image_vec * 2.0, class_id=0)
         completed = semantic_complete(uni, *completion_matrices(pairs), top_o=1)
         assert np.array_equal(completed.text_vec, pairs[2].text_vec)
         assert np.array_equal(completed.image_vec, uni.vector)
-        assert completed.origin == ORIGIN_COMPLETED
 
     def test_equal_similarity_averages(self):
         v = np.array([1.0, 0.0, 0.0])
         pairs = [
-            PrototypePair(image_vec=v, text_vec=np.array([1.0, 1.0, 0.0]), origin=ORIGIN_MULTIMODAL),
-            PrototypePair(image_vec=2 * v, text_vec=np.array([0.0, 1.0, 1.0]), origin=ORIGIN_MULTIMODAL),
+            PrototypePair(image_vec=v, text_vec=np.array([1.0, 1.0, 0.0])),
+            PrototypePair(image_vec=2 * v, text_vec=np.array([0.0, 1.0, 1.0])),
         ]
-        uni = UnimodalPrototype("image", v.copy(), class_id=1, client_id=0)
+        uni = UnimodalPrototype("image", v.copy(), class_id=1)
         completed = semantic_complete(uni, *completion_matrices(pairs), top_o=2)
         assert np.allclose(completed.text_vec, [0.5, 1.0, 0.5])
 
@@ -145,7 +140,7 @@ class TestSemanticComplete:
             rng = seeded_rng(608, trial)
             pairs = rand_pairs(8, 5, key=(100 + trial))
             modality = "image" if trial % 2 == 0 else "text"
-            uni = UnimodalPrototype(modality, rng.standard_normal(5) + 0.3, 0, 0)
+            uni = UnimodalPrototype(modality, rng.standard_normal(5) + 0.3, 0)
             top_o = int(rng.integers(1, 9))
             completed = semantic_complete(uni, *completion_matrices(pairs), top_o)
             # independent re-derivation
@@ -169,25 +164,25 @@ class TestSemanticComplete:
     def test_uniform_fallback_when_all_similarities_negative(self):
         v = np.array([1.0, 0.0])
         pairs = [
-            PrototypePair(image_vec=np.array([-1.0, 0.0]), text_vec=np.array([1.0, 2.0]), origin=ORIGIN_MULTIMODAL),
-            PrototypePair(image_vec=np.array([-1.0, -0.1]), text_vec=np.array([3.0, 4.0]), origin=ORIGIN_MULTIMODAL),
+            PrototypePair(image_vec=np.array([-1.0, 0.0]), text_vec=np.array([1.0, 2.0])),
+            PrototypePair(image_vec=np.array([-1.0, -0.1]), text_vec=np.array([3.0, 4.0])),
         ]
-        uni = UnimodalPrototype("image", v, class_id=0, client_id=0)
+        uni = UnimodalPrototype("image", v, class_id=0)
         completed = semantic_complete(uni, *completion_matrices(pairs), top_o=2)
         assert np.allclose(completed.text_vec, [2.0, 3.0])
 
     @given(st.floats(0.1, 25.0))
     def test_scale_invariance_of_input_vector(self, scale):
         pairs = rand_pairs(6, 4, key=5)
-        uni = UnimodalPrototype("text", np.array([0.5, -1.0, 2.0, 0.1]), 0, 0)
-        scaled = UnimodalPrototype("text", uni.vector * scale, 0, 0)
+        uni = UnimodalPrototype("text", np.array([0.5, -1.0, 2.0, 0.1]), 0)
+        scaled = UnimodalPrototype("text", uni.vector * scale, 0)
         a = semantic_complete(uni, *completion_matrices(pairs), top_o=3)
         b = semantic_complete(scaled, *completion_matrices(pairs), top_o=3)
         assert np.allclose(a.image_vec, b.image_vec, atol=1e-10)
 
     def test_weights_in_convex_hull(self):
         pairs = rand_pairs(5, 3, key=6)
-        uni = UnimodalPrototype("image", np.abs(seeded_rng(609).standard_normal(3)) + 0.1, 0, 0)
+        uni = UnimodalPrototype("image", np.abs(seeded_rng(609).standard_normal(3)) + 0.1, 0)
         completed = semantic_complete(uni, *completion_matrices(pairs), top_o=3)
         # completed vector is a convex combination of at most 3 text prototypes
         texts = np.stack([p.text_vec for p in pairs])
@@ -197,7 +192,7 @@ class TestSemanticComplete:
 
     def test_too_large_top_o(self):
         pairs = rand_pairs(2, 3, key=7)
-        uni = UnimodalPrototype("image", np.ones(3), 0, 0)
+        uni = UnimodalPrototype("image", np.ones(3), 0)
         with pytest.raises(ValueError):
             semantic_complete(uni, *completion_matrices(pairs), top_o=3)
 
@@ -205,13 +200,11 @@ class TestSemanticComplete:
 class TestBuildGlobalPrototypes:
     def test_k_equals_count_keeps_pairs(self):
         pairs = rand_pairs(4, 3, key=8)
-        global_set = build_global_prototypes(pairs, 4, seeded_rng(610), round_index=2)
-        assert len(global_set) == 4
-        assert global_set.round_index == 2
+        global_set = build_global_prototypes(pairs, 4, seeded_rng(610))
+        assert len(global_set.pairs) == 4
         originals = {tuple(p.image_vec) for p in pairs}
         recovered = {tuple(p.image_vec) for p in global_set.pairs}
         assert originals == recovered
-        assert all(p.origin == ORIGIN_GLOBAL for p in global_set.pairs)
 
     def test_identical_pairs_collapse(self):
         base = rand_pairs(1, 3, key=9)[0]
@@ -224,11 +217,11 @@ class TestBuildGlobalPrototypes:
     def test_two_separated_groups(self):
         rng = seeded_rng(612)
         lo = [
-            PrototypePair(rng.standard_normal(3) * 0.1 + 1, rng.standard_normal(3) * 0.1 + 1, ORIGIN_MULTIMODAL)
+            PrototypePair(rng.standard_normal(3) * 0.1 + 1, rng.standard_normal(3) * 0.1 + 1)
             for _ in range(3)
         ]
         hi = [
-            PrototypePair(rng.standard_normal(3) * 0.1 + 30, rng.standard_normal(3) * 0.1 + 30, ORIGIN_MULTIMODAL)
+            PrototypePair(rng.standard_normal(3) * 0.1 + 30, rng.standard_normal(3) * 0.1 + 30)
             for _ in range(3)
         ]
         global_set = build_global_prototypes(lo + hi, 2, seeded_rng(613))
