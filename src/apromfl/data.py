@@ -110,7 +110,6 @@ def train_eval_split(dataset: SyntheticDataset, eval_fraction: float):
 class PartitionPlan:
     """Per-client, per-class sample index lists (a true partition)."""
 
-    alpha: float
     client_shares: tuple[dict[int, np.ndarray], ...]
 
     @property
@@ -153,8 +152,7 @@ def dirichlet_partition(labels, num_clients: int, alpha: float, rng: Rng) -> Par
     plan = [dict((c, v.copy()) for c, v in s.items()) for s in shares]
     _repair_empty_clients(plan)
     return PartitionPlan(
-        alpha=float(alpha),
-        client_shares=tuple({c: np.asarray(v, dtype=int) for c, v in s.items()} for s in plan),
+        tuple({c: np.asarray(v, dtype=int) for c, v in s.items()} for s in plan)
     )
 
 
@@ -228,7 +226,7 @@ def role_partition(
         for local, share in enumerate(sub.client_shares):
             merged[offset + local] = {c: pool[v] for c, v in share.items()}
         offset += role_count
-    return PartitionPlan(alpha=float(alpha), client_shares=tuple(merged))
+    return PartitionPlan(tuple(merged))
 
 
 def assign_roles(

@@ -5,9 +5,10 @@ Three methods share one client-side training path:
 * ``apromfl`` - clients train with task + transfer losses, send prototypes
   and mapping modules; the server completes unimodal prototypes, clusters
   everything into K global pairs, and aggregates mapping modules per
-  modality through a client-relationship graph (cosine similarity of flat
-  parameters, clamped and row-normalised). Each client receives its own
-  personalised aggregate, adopts it, and distills against it next round.
+  modality through the weights of a client-relationship graph (cosine
+  similarity of flat parameters, clamped and row-normalised). Each client
+  receives its own personalised aggregate, adopts it, and distills against
+  it next round.
 * ``local`` - the same client rounds with no exchange at all, so no
   transfer loss ever applies.
 * ``fediot`` - no transfer losses; unimodal clients also send their
@@ -22,7 +23,8 @@ that sent it, and each sender adopts what it receives.
 Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
 parallel client execution cannot change any result. Server reductions
-iterate clients in ascending id.
+iterate clients in ascending id. The round loop validates the config once,
+before set-up.
 
 A client round trains in place. It copies each model it trains once into a
 private writable buffer, steps that buffer, and freezes it when the round
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, validate_config
 from .data import SyntheticDataset, assign_roles, generate, role_partition, train_eval_split
 from .losses import (
     clustering_total_loss,
@@ -54,7 +56,6 @@ from .losses import (
 )
 from .metrics import EvalReport, classification_report, retrieval_report
 from .nn import (
-    Encoder,
     ForwardTrace,
     MappingModule,
     backward,
@@ -68,7 +69,6 @@ from .nn import (
     init_classifier_head,
     init_mapping_module,
     make_projection_encoder,
-    same_architecture,
     sgd_step,
     sgd_step_head,
     stack,
@@ -106,10 +106,6 @@ class UnimodalClientState:
     features: np.ndarray  # frozen encoder outputs for the train split
     labels: np.ndarray
 
-    @property
-    def kind(self) -> str:
-        return self.modality
-
 
 @dataclass(frozen=True)
 class MultimodalClientState:
@@ -120,10 +116,6 @@ class MultimodalClientState:
     cluster_text_mapper: MappingModule
     image_features: np.ndarray
     text_features: np.ndarray
-
-    @property
-    def kind(self) -> str:
-        return "multimodal"
 
 
 ClientState = UnimodalClientState | MultimodalClientState
@@ -164,30 +156,19 @@ def validate_message(msg: RoundMessage) -> None:
 @dataclass(frozen=True)
 class ClientRoundConfig:
     """One round's input to every client: the run's config, the round index
-    (part of the seeding contract) and the global prototype set the server
-    built after the previous round (``None`` before the first apromfl server
-    phase, and under every other method)."""
+    (part of the seeding contract) and the unit rows of the global prototype
+    pairs the server built after the previous round, as one ``(2, K, d)``
+    stack, image first. They are normalised once per round, and are ``None``
+    when the prototype-transfer loss does not apply: before the first
+    apromfl server phase, under every other method, and when ``beta1`` is 0."""
 
     config: ExperimentConfig
     round_index: int
-    global_prototypes: GlobalPrototypeSet | None = None
-
-    def __post_init__(self):
-        # checked once per round: in-place SGD steps do not check it again
-        if self.config.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.config.lr}")
+    global_prototypes: UnitRows | None = None
 
     @classmethod
     def from_experiment(cls, config: ExperimentConfig, round_index: int) -> "ClientRoundConfig":
         return cls(config=config, round_index=round_index)
-
-    def gpt_prototypes(self) -> UnitRows | None:
-        """The global image and text prototype matrices as one ``(2, K, d)``
-        stack, image first, normalised once for the whole round, when the
-        prototype-transfer loss applies; else None."""
-        if self.global_prototypes is None or self.config.beta1 <= 0:
-            return None
-        return unit_rows(pair_matrix(self.global_prototypes.pairs), "global prototypes")
 
     @property
     def distill(self) -> bool:
@@ -237,7 +218,7 @@ def unimodal_client_round(
     mapper, head = trainable(state.mapper), trainable(state.head)
     feats, labels = state.features, state.labels
     n = len(labels)
-    protos = rc.gpt_prototypes()
+    protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     # the round started from the aggregate the server broadcast
     targets = forward_map(state.mapper, feats) if use_gmt else None
@@ -299,7 +280,7 @@ class _Towers:
 
     @classmethod
     def of(cls, image_module, text_module, image_features, text_features) -> "_Towers":
-        if same_architecture(image_module, text_module):
+        if image_module.dims == text_module.dims:
             inputs = (np.stack([image_features, text_features]),)
         else:
             inputs = (image_features[None], text_features[None])
@@ -385,7 +366,7 @@ def multimodal_client_round(
 
     # (b) task model training
     mappers = start.trainable()
-    protos = rc.gpt_prototypes()
+    protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     target_rows = unit_rows(start.embed(), "distillation targets") if use_gmt else None
     meter = _LossMeter()
@@ -456,32 +437,22 @@ def _client_round_task(args):
 # -- relationship graph and aggregation ---------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationshipGraph:
-    """Pairwise parameter-space cosine similarities and the derived
-    row-normalised aggregation weights (negatives clamped to zero; the unit
-    diagonal keeps every row sum >= 1 before normalisation)."""
-
-    modality: str
-    sim: np.ndarray
-    weights: np.ndarray
-
-
-def relationship_weights(modules: list[MappingModule], modality: str = "image") -> RelationshipGraph:
+def relationship_weights(modules: list[MappingModule]) -> np.ndarray:
+    """The ``(n, n)`` aggregation weights of the relationship graph: pairwise
+    parameter-space cosine similarities with a unit diagonal, negatives
+    clamped to zero, rows normalised (the diagonal keeps every row sum >= 1
+    before normalisation)."""
     unit = unit_rows(stack(*modules).params, "module parameters").unit
     sim = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     clamped = np.maximum(sim, 0.0)
-    weights = clamped / clamped.sum(axis=1, keepdims=True)
-    return RelationshipGraph(modality=modality, sim=sim, weights=weights)
+    return clamped / clamped.sum(axis=1, keepdims=True)
 
 
-def aggregate_modules(graph: RelationshipGraph, modules: list[MappingModule]) -> list[MappingModule]:
+def aggregate_modules(weights: np.ndarray, modules: list[MappingModule]) -> list[MappingModule]:
     """Personalised aggregation: client i receives sum_j w_ij * theta_j."""
-    if graph.weights.shape != (len(modules), len(modules)):
-        raise ValueError("graph was not built over these modules")
     flats = stack(*modules).params
-    return [unflatten_module(m.dims, row @ flats) for m, row in zip(modules, graph.weights)]
+    return [unflatten_module(m.dims, row @ flats) for m, row in zip(modules, weights)]
 
 
 def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
@@ -506,9 +477,10 @@ class Experiment:
     global_prototypes: GlobalPrototypeSet | None = None
 
 
-def _encoder_for(config: ExperimentConfig, modality: str, view_dim: int) -> Encoder:
+def _encoder_for(config: ExperimentConfig, modality: str, view_dim: int) -> np.ndarray | None:
+    """The modality's projection matrix, or ``None`` for the identity."""
     if config.encoder_kind == "identity":
-        return Encoder(kind="identity")
+        return None
     # distinct per-modality encoder seeds derived from the run seed
     seed = config.seed * 2 + (0 if modality == "image" else 1)
     return make_projection_encoder(seed, view_dim, config.encoder_dim)
@@ -535,10 +507,6 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
     initial parameters (so aggregation starts from a common point)."""
     dataset = generate(config.synthetic)
     train, eval_set = train_eval_split(dataset, config.eval_fraction)
-    if len(eval_set) == 0:
-        raise ValueError(
-            "empty evaluation split; raise eval_fraction or samples_per_class"
-        )
     plan = role_partition(
         train.labels,
         config.client_counts,
@@ -654,7 +622,7 @@ def _server(experiment: Experiment, messages: list[RoundMessage], round_index: i
         dims = _module_dims(config, part)
         modules = [unflatten_module(dims, m.module_params[part]) for m in senders]
         if apromfl:
-            aggregated = aggregate_modules(relationship_weights(modules, modality=part), modules)
+            aggregated = aggregate_modules(relationship_weights(modules), modules)
         else:
             aggregated = [fediot_aggregate(modules)] * len(modules)
         for m, module in zip(senders, aggregated):
@@ -704,9 +672,10 @@ class TrainingRun:
 
 
 class RoundFailure(RuntimeError):
-    """A round raised. Names the round, the phase (``client round``,
-    ``server`` or ``evaluation``) and the client where there is one, and
-    carries the records of the rounds finished before it."""
+    """A round, or the set-up before round 1, raised. Names the round (0 for
+    set-up), the phase (``setup``, ``client round``, ``server`` or
+    ``evaluation``) and the client where there is one, and carries the
+    records of the rounds finished before it."""
 
     def __init__(
         self,
@@ -746,20 +715,23 @@ def _located(round_index: int, phase: str, client_id: int | None, records: list[
 def run_training(config: ExperimentConfig) -> TrainingRun:
     """Execute the full federated loop for the configured method.
 
-    Raises :class:`RoundFailure` if a round fails. Client results are read
-    in client order, so the failing client named is the first in that order
-    for any ``workers`` value.
+    Raises ``ValueError`` naming the field if ``config`` is invalid, and
+    :class:`RoundFailure` if set-up or a round fails. Client results are
+    read in client order, so the failing client named is the first in that
+    order for any ``workers`` value.
     """
-    experiment = setup_experiment(config)
+    validate_config(config)
     records: list[RoundRecord] = []
+    with _located(0, "setup", None, records):
+        experiment = setup_experiment(config)
     pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     try:
         for round_index in range(1, config.rounds + 1):
             start = time.perf_counter()
-            rc = replace(
-                ClientRoundConfig.from_experiment(config, round_index),
-                global_prototypes=experiment.global_prototypes,
-            )
+            rc = ClientRoundConfig.from_experiment(config, round_index)
+            if experiment.global_prototypes is not None and config.beta1 > 0:
+                pairs = pair_matrix(experiment.global_prototypes.pairs)
+                rc = replace(rc, global_prototypes=unit_rows(pairs, "global prototypes"))
             tasks = [(state, rc) for state in experiment.clients]
             outcomes = (map if pool is None else pool.map)(_client_round_task, tasks)
             messages = []

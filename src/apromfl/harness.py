@@ -5,8 +5,8 @@ A run directory contains:
 
 * ``config.txt``      - canonical config snapshot (replays the run exactly)
 * ``rounds.jsonl``    - one schema-tagged record per finished round
-* ``failure.json``    - only when a round failed: its round, phase, client
-  and message; the CLI then exits 1
+* ``failure.json``    - only when set-up or a round failed: its round (0 for
+  set-up), phase, client and message; the CLI then exits 1
 * ``final_reports.json`` - last-round per-client metric reports
 * ``summary.csv``     - one-row aggregate table (byte-stable across reruns;
   wall times are deliberately excluded)
@@ -114,14 +114,15 @@ def run(config: ExperimentConfig, out_dir) -> Path:
     """Execute one configured run and persist its directory. Returns the
     directory path; metrics live in summary.csv / rounds.jsonl.
 
-    If a round fails, the rounds finished before it still go to
+    If set-up or a round fails, the rounds finished before it still go to
     rounds.jsonl, the failure goes to failure.json, and the
-    :class:`RoundFailure` is re-raised."""
+    :class:`RoundFailure` is re-raised. No file of an earlier run in the
+    directory survives, except the config snapshot it overwrites."""
     config = finalize_config(config)  # revalidates configs edited via replace()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(serialize_config(config))
-    for name in ("failure.json", "summary.csv", "final_reports.json"):
+    for name in ("failure.json", "rounds.jsonl", "summary.csv", "final_reports.json"):
         (out / name).unlink(missing_ok=True)  # left by an earlier run
     try:
         result = run_training(config)

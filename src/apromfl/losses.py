@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import MappingModule, same_architecture
+from .nn import MappingModule
 from .numerics import KL_EPS, UnitRows, logsumexp, require_finite
 
 #: Floor for the global task loss in the transfer ratio.
@@ -149,22 +149,18 @@ def clustering_total_loss(img: UnitRows, txt: UnitRows, labels, tau: float):
 
 
 def lmr_loss(module: MappingModule, anchor: MappingModule, weight: float):
-    """weight * ||theta - theta_anchor||^2 with gradient w.r.t. theta only.
+    """weight * ||theta - theta_anchor||^2 with gradient w.r.t. theta only,
+    for a stack of modules against a stack of anchors: the value is a list
+    with one entry per row, and the gradient is stacked likewise.
 
-    The anchor (the private clustering model's module) is frozen. For a
-    stack of modules and a stack of anchors the value is a list with one
-    entry per row, and the gradient is stacked likewise.
+    The anchor (the private clustering model's module) is frozen.
     """
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
-    if not same_architecture(module, anchor) or module.params.shape != anchor.params.shape:
+    if module.dims != anchor.dims or module.params.shape != anchor.params.shape:
         raise ValueError(f"architecture mismatch: {module.dims} vs {anchor.dims}")
     diff = module.params - anchor.params
-    if diff.ndim == 1:
-        value = weight * float(diff @ diff)
-    else:
-        value = [weight * float(row @ row) for row in diff]
-    return value, 2.0 * weight * diff
+    return [weight * float(row @ row) for row in diff], 2.0 * weight * diff
 
 
 # -- global prototype transfer -----------------------------------------------

@@ -15,9 +15,11 @@ Models are frozen dataclasses with read-only parameters. A client round
 copies each model it trains once into a private writable buffer
 (:func:`trainable`), steps that buffer in place, and freezes it when the
 round ends (:func:`freeze`, :func:`unstack`); a frozen model shared between
-clients is never written. Encoders are frozen stand-ins for large
-pretrained backbones: either the identity or a fixed seeded random
-projection.
+clients is never written. Every input is a batch: ``(N, d)``, or
+``(t, N, d)`` for a stack of t models.
+
+An encoder, the frozen stand-in for a large pretrained backbone, is a fixed
+seeded random projection matrix, or ``None`` for the identity.
 """
 
 from __future__ import annotations
@@ -86,10 +88,6 @@ class MappingModule:
         return MappingModule, (self.dims, self.params)
 
     @property
-    def in_dim(self) -> int:
-        return self.dims[0]
-
-    @property
     def num_layers(self) -> int:
         return len(self.dims) - 1
 
@@ -137,7 +135,7 @@ def stack(*models: MappingModule) -> MappingModule:
     ``(t, P)`` stack; each forward or backward call on it runs all t."""
     first = models[0]
     for m in models[1:]:
-        if not same_architecture(first, m):
+        if m.dims != first.dims:
             raise ValueError(f"architecture mismatch: {first.dims} vs {m.dims}")
     return MappingModule(first.dims, np.stack([m.params for m in models]))
 
@@ -147,29 +145,16 @@ def unstack(model: MappingModule) -> tuple[MappingModule, ...]:
     return tuple(MappingModule(model.dims, row) for row in model.params)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+def forward_map(module: MappingModule, x: np.ndarray) -> np.ndarray:
+    """Map an (N, d) batch of features to embeddings, or a (t, N, d) batch
+    for a stack of t modules."""
+    return forward_map_trace(module, x)[0]
 
 
-def forward_map(module: MappingModule, x) -> np.ndarray:
-    """Map features to embeddings; accepts a vector or an (N, d) batch, or a
-    (t, N, d) batch for a stack of t modules."""
-    x = np.asarray(x, dtype=float)
-    out, _ = forward_map_trace(module, x)
-    return out[0] if x.ndim == 1 else out
-
-
-def forward_map_trace(module: MappingModule, x) -> tuple[np.ndarray, ForwardTrace]:
-    """Forward pass that records what backward() needs; a vector input is
-    returned as a one-row batch."""
-    batch, _ = _as_batch(x)
-    if batch.shape[-1] != module.in_dim:
-        raise ValueError(f"input dim {batch.shape[-1]} != module in_dim {module.in_dim}")
+def forward_map_trace(module: MappingModule, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+    """Forward pass that records what backward() needs."""
     inputs, preacts = [], []
-    h = batch
+    h = x
     last = module.num_layers - 1
     for i, (w, b) in enumerate(zip(module.weights, module.biases)):
         inputs.append(h)
@@ -179,7 +164,7 @@ def forward_map_trace(module: MappingModule, x) -> tuple[np.ndarray, ForwardTrac
     return h, ForwardTrace(inputs, preacts)
 
 
-def backward(module: MappingModule, trace: ForwardTrace, upstream) -> np.ndarray:
+def backward(module: MappingModule, trace: ForwardTrace, upstream: np.ndarray) -> np.ndarray:
     """Exact reverse-mode parameter gradient for a recorded forward pass.
 
     ``upstream`` is dL/d(output), shaped like the traced output. Returns
@@ -187,9 +172,7 @@ def backward(module: MappingModule, trace: ForwardTrace, upstream) -> np.ndarray
     a stack of modules). The input gradient is not computed: the inputs are
     frozen encoder features.
     """
-    g, _ = _as_batch(upstream)
-    if len(trace.layer_inputs) != module.num_layers:
-        raise ValueError("trace does not match module architecture")
+    g = upstream
     grad = np.empty(module.params.shape)
     d_weights, d_biases = _layer_views(grad, module.dims)
     for i in range(module.num_layers - 1, -1, -1):
@@ -200,30 +183,26 @@ def backward(module: MappingModule, trace: ForwardTrace, upstream) -> np.ndarray
     return grad
 
 
-def forward_head(head: MappingModule, x) -> np.ndarray:
+def forward_head(head: MappingModule, x: np.ndarray) -> np.ndarray:
     """:func:`forward_map` of a one-layer head, without the trace."""
-    batch, squeeze = _as_batch(x)
-    if batch.shape[1] != head.in_dim:
-        raise ValueError(f"input dim {batch.shape[1]} != head in_dim {head.in_dim}")
-    logits = batch @ head.weights[0] + head.biases[0]
-    return logits[0] if squeeze else logits
+    return x @ head.weights[0] + head.biases[0]
 
 
-def backward_head(head: MappingModule, x, upstream) -> tuple[np.ndarray, np.ndarray]:
+def backward_head(
+    head: MappingModule, x: np.ndarray, upstream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The parameter gradient of a one-layer head at input ``x``, and the
     gradient with respect to ``x``."""
-    batch, _ = _as_batch(x)
-    g, _ = _as_batch(upstream)
     grad = np.empty(head.params.size)
     (d_weights,), (d_bias,) = _layer_views(grad, head.dims)
-    np.matmul(batch.T, g, out=d_weights)
-    g.sum(axis=0, out=d_bias)
-    return grad, g @ head.weights[0].T
+    np.matmul(x.T, upstream, out=d_weights)
+    upstream.sum(axis=0, out=d_bias)
+    return grad, upstream @ head.weights[0].T
 
 
 def sgd_step(model, grad: np.ndarray, lr: float) -> None:
     """theta -= lr * grad, in place on a :func:`trainable` module or stack;
-    a frozen model is rejected. The round checked ``lr`` once."""
+    a frozen model is rejected. ``lr`` was validated with the config."""
     if not model.params.flags.writeable:
         raise ValueError("sgd_step steps a trainable() copy in place; this model is frozen")
     if not np.isfinite(grad).all():
@@ -246,45 +225,16 @@ def unflatten_module(dims, flat) -> MappingModule:
     return MappingModule(dims, flat)
 
 
-def same_architecture(a: MappingModule, b: MappingModule) -> bool:
-    return a.dims == b.dims
-
-
 # frozen encoders ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Encoder:
-    """Deterministic feature extractor, never trained.
-
-    ``identity`` passes inputs through; ``projection`` applies a fixed seeded
-    random matrix. The same input always maps to the same output.
-    """
-
-    kind: str
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "projection"):
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.kind == "projection" and self.matrix is None:
-            raise ValueError("projection encoder needs a matrix")
-
-
-def make_projection_encoder(seed: int, in_dim: int, out_dim: int) -> Encoder:
+def make_projection_encoder(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
+    """The fixed seeded random projection matrix ``(in_dim, out_dim)``."""
     rng = seeded_rng(seed, "encoder-projection", in_dim, out_dim)
-    matrix = rng.standard_normal((in_dim, out_dim)) / np.sqrt(in_dim)
-    return Encoder(kind="projection", matrix=matrix)
+    return rng.standard_normal((in_dim, out_dim)) / np.sqrt(in_dim)
 
 
-def encode(encoder: Encoder, x) -> np.ndarray:
-    batch, squeeze = _as_batch(x)
-    if encoder.kind == "identity":
-        out = batch
-    else:
-        if batch.shape[1] != encoder.matrix.shape[0]:
-            raise ValueError(
-                f"input dim {batch.shape[1]} != encoder in_dim {encoder.matrix.shape[0]}"
-            )
-        out = batch @ encoder.matrix
-    return out[0] if squeeze else out
+def encode(encoder: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """Features of the ``(N, d)`` batch ``x``: ``x`` itself under the
+    identity encoder (``None``), else its projection."""
+    return x if encoder is None else x @ encoder

@@ -86,10 +86,14 @@ def logsumexp(a, axis: int = -1) -> np.ndarray:
 KMEANS_RESTARTS = 3
 KMEANS_RESTARTS_SMALL = 10
 KMEANS_SMALL_N = 32
+#: Lloyd iterations per restart at most; each stops earlier once its
+#: assignments repeat.
+KMEANS_MAX_ITERS = 100
 
 
-def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
-    """Greedy k-means++ init (best of a few restarts) plus Lloyd iterations.
+def kmeans(points, k: int, rng: Rng):
+    """Greedy k-means++ init (best of a few restarts) plus Lloyd iterations
+    on an ``(n, d)`` array of points.
 
     Returns ``(labels, centroids, history)``. Deterministic given the
     generator; every label in ``0..k-1`` is used on return. ``history`` is
@@ -101,9 +105,8 @@ def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
     centroids are recomputed as means, which can only lower the objective.
 
     Each mean is a sum accumulated point by point in index order (``np.add.at``)
-    divided by the cluster size. For d >= 2 that is bit-for-bit
-    ``pts[labels == c].mean(axis=0)``; for one-dimensional points numpy's
-    ``mean`` sums pairwise instead, so the two may differ in the last bit.
+    divided by the cluster size: for d >= 2, bit-for-bit
+    ``pts[labels == c].mean(axis=0)``.
 
     The seedings of all restarts read one :class:`_DistanceRows` store, so
     the squared-distance row of a point is computed once per call however
@@ -113,8 +116,6 @@ def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
     (n <= 266, so at most 0.57 MB). It is freed before the first Lloyd run.
     """
     pts = require_finite(points, "kmeans points")
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -129,18 +130,18 @@ def kmeans(points, k: int, rng: Rng, max_iters: int = 100):
     del rows
     best = None
     for centroids in seeds:
-        result = _lloyd(pts, centroids, max_iters)
+        result = _lloyd(pts, centroids)
         if best is None or result[2][-1] < best[2][-1]:
             best = result
     return best
 
 
-def _lloyd(pts: np.ndarray, centroids: np.ndarray, max_iters: int):
+def _lloyd(pts: np.ndarray, centroids: np.ndarray):
     n, k = len(pts), len(centroids)
     history: list[float] = []
     prev = None
     assignments = np.zeros(n, dtype=int)
-    for iteration in range(max_iters):
+    for iteration in range(KMEANS_MAX_ITERS):
         d2 = _sq_dists(pts, centroids)
         assignments = np.argmin(d2, axis=1)  # ties -> lowest centroid index
         counts = np.bincount(assignments, minlength=k)

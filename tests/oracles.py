@@ -30,6 +30,7 @@ from apromfl.nn import (
     forward_map,
     forward_map_trace,
     sgd_step,
+    stack,
     trainable,
     unflatten_module,
 )
@@ -265,9 +266,9 @@ def min_abs_preact(module, x) -> float:
 def per_tower_multimodal_round(state, rc):
     """``federation.multimodal_client_round`` as it ran before towers were
     stacked: each tower forwards, normalises, backpropagates and steps on its
-    own (a :func:`trainable` copy per model, taken at round start), every
-    prototype-transfer call normalises the global prototypes again, and
-    every batch embeds and normalises its distillation targets itself.
+    own (a :func:`trainable` copy per model, taken at round start), runs
+    the regulariser on one-row stacks, and every batch embeds and normalises
+    its distillation targets itself.
     Returns ``(modules, pairs, loss_terms)``, where ``modules`` maps
     ``image``, ``text``, ``cluster_image`` and ``cluster_text`` to the
     trained modules."""
@@ -296,7 +297,7 @@ def per_tower_multimodal_round(state, rc):
     )
 
     mapper_img, mapper_txt = trainable(state.image_mapper), trainable(state.text_mapper)
-    use_gpt = rc.global_prototypes is not None and cfg.beta1 > 0
+    protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     sums, steps = dict.fromkeys(LOSS_TERMS, 0.0), 0
     task_rng = seeded_rng(*key, "task-batches")
@@ -308,11 +309,7 @@ def per_tower_multimodal_round(state, rc):
             e_img, e_txt = unit_rows(e_img), unit_rows(e_txt)
             task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
-            if use_gpt:
-                gp = rc.global_prototypes.pairs
-                protos = prototype_rows(
-                    np.stack([p.image_vec for p in gp]), np.stack([p.text_vec for p in gp])
-                )
+            if protos is not None:
                 gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
@@ -329,12 +326,12 @@ def per_tower_multimodal_round(state, rc):
                 gmt_value = 0.5 * (v_img + v_txt)
                 g_img = g_img + 0.5 * cfg.beta2 * a_img
                 g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
-            lmr_img, lmr_grad_img = lmr_loss(mapper_img, c_img, cfg.lmr_weight)
-            lmr_txt, lmr_grad_txt = lmr_loss(mapper_txt, c_txt, cfg.lmr_weight)
+            (lmr_img,), lmr_grad_img = lmr_loss(stack(mapper_img), stack(c_img), cfg.lmr_weight)
+            (lmr_txt,), lmr_grad_txt = lmr_loss(stack(mapper_txt), stack(c_txt), cfg.lmr_weight)
             grad_img = backward(mapper_img, tr_img, g_img)
             grad_txt = backward(mapper_txt, tr_txt, g_txt)
-            grad_img += lmr_grad_img
-            grad_txt += lmr_grad_txt
+            grad_img += lmr_grad_img[0]
+            grad_txt += lmr_grad_txt[0]
             sgd_step(mapper_img, grad_img, cfg.lr)
             sgd_step(mapper_txt, grad_txt, cfg.lr)
             for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, lmr_img + lmr_txt)):

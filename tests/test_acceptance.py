@@ -15,7 +15,6 @@ import pytest
 from apromfl.config import ExperimentConfig, finalize_config
 from apromfl.data import dirichlet_partition
 from apromfl.federation import (
-    RelationshipGraph,
     aggregate_modules,
     fediot_aggregate,
     relationship_weights,
@@ -42,6 +41,7 @@ from apromfl.nn import (
     forward_map_trace,
     init_classifier_head,
     init_mapping_module,
+    stack,
 )
 from apromfl.numerics import kmeans, seeded_rng, unit_rows
 from apromfl.prototypes import (
@@ -183,10 +183,10 @@ def _gradient_cases(depth: int, key: int):
     anchor = init_mapping_module(mods[0].dims, seeded_rng(1005, depth, key))
 
     def lmr_value(ms):
-        return lmr_loss(ms[0], anchor, 0.3)[0]
+        return lmr_loss(stack(ms[0]), stack(anchor), 0.3)[0][0]
 
     def lmr_analytic(ms):
-        return [lmr_loss(ms[0], anchor, 0.3)[1]]
+        return [lmr_loss(stack(ms[0]), stack(anchor), 0.3)[1][0]]
 
     yield "module-regulariser", [mods[0]], lmr_value, lmr_analytic
 
@@ -246,7 +246,7 @@ def test_c02_oracle_equivalence():
         # relationship weights vs clamp-normalise, aggregation vs weighted sum
         count = int(rng.integers(1, 5))
         mods = [init_mapping_module((3, 4, 2), seeded_rng(1101, trial, i)) for i in range(count)]
-        graph = relationship_weights(mods)
+        weights = relationship_weights(mods)
         flats = [flatten_module(mm) for mm in mods]
         for i in range(count):
             sims_row = [
@@ -255,9 +255,9 @@ def test_c02_oracle_equivalence():
             ]
             clamped = [max(s, 0.0) for s in sims_row]
             expected_row = np.asarray(clamped) / sum(clamped)
-            assert np.abs(graph.weights[i] - expected_row).max() < ORACLE_TOL
-        for i, aggregated in enumerate(aggregate_modules(graph, mods)):
-            expected_flat = sum(graph.weights[i, j] * flats[j] for j in range(count))
+            assert np.abs(weights[i] - expected_row).max() < ORACLE_TOL
+        for i, aggregated in enumerate(aggregate_modules(weights, mods)):
+            expected_flat = sum(weights[i, j] * flats[j] for j in range(count))
             assert np.abs(flatten_module(aggregated) - expected_flat).max() < ORACLE_TOL
 
         # accuracy and recall vs full-sort oracles
@@ -345,20 +345,19 @@ def test_c04_loss_bounds():
 def test_c05_aggregation_invariants():
     base = init_mapping_module((4, 6, 3), seeded_rng(1400))
     identical = [base] * 4
-    graph = relationship_weights(identical)
-    assert np.abs(graph.weights - 0.25).max() < 1e-12
-    for aggregated in aggregate_modules(graph, identical):
+    weights = relationship_weights(identical)
+    assert np.abs(weights - 0.25).max() < 1e-12
+    for aggregated in aggregate_modules(weights, identical):
         diff = np.abs(flatten_module(aggregated) - flatten_module(base)).max()
         assert diff < 1e-12
 
     mods = [init_mapping_module((4, 6, 3), seeded_rng(1401, i)) for i in range(3)]
-    uniform = RelationshipGraph("image", np.ones((3, 3)), np.full((3, 3), 1.0 / 3.0))
+    uniform = np.full((3, 3), 1 / 3)
     mean_flat = flatten_module(fediot_aggregate(mods))
     for aggregated in aggregate_modules(uniform, mods):
         assert np.array_equal(flatten_module(aggregated), mean_flat)
 
-    random_graph = relationship_weights(mods)
-    row_sums = random_graph.weights.sum(axis=1)
+    row_sums = relationship_weights(mods).sum(axis=1)
     assert np.abs(row_sums - 1.0).max() < 1e-12
     report(5, "identical modules give uniform weights and fixpoint aggregation; "
               "uniform-mean equality is exact; rows sum to 1 within 1e-12")

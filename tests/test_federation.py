@@ -7,7 +7,6 @@ from apromfl import federation
 from apromfl.federation import (
     ClientRoundConfig,
     MultimodalClientState,
-    RelationshipGraph,
     RoundMessage,
     UnimodalClientState,
     aggregate_modules,
@@ -30,7 +29,8 @@ from apromfl.nn import (
     init_mapping_module,
     unflatten_module,
 )
-from apromfl.numerics import seeded_rng
+from apromfl.numerics import seeded_rng, unit_rows
+from apromfl.prototypes import pair_matrix
 from oracles import (
     acc_at_k,
     cosine_similarity,
@@ -72,20 +72,27 @@ def tiny_config(**kwargs):
     return finalize_config(ExperimentConfig(**base))
 
 
+def global_rows(experiment):
+    """The unit rows of the experiment's global pairs, the form in which the
+    round loop hands them to every client round."""
+    return unit_rows(pair_matrix(experiment.global_prototypes.pairs), "global prototypes")
+
+
 class TestRelationshipWeights:
     def test_identical_modules_uniform(self):
         mods = [modules(1)[0]] * 4
-        graph = relationship_weights(mods)
-        assert np.allclose(graph.weights, 0.25, atol=1e-12)
-        assert np.allclose(graph.sim, 1.0, atol=1e-12)
+        weights = relationship_weights(mods)
+        assert weights.shape == (4, 4)
+        assert np.allclose(weights, 0.25, atol=1e-12)
+        assert np.array_equal(weights, weights.T)
 
     def test_single_module(self):
-        graph = relationship_weights(modules(1))
-        assert graph.weights.tolist() == [[1.0]]
+        weights = relationship_weights(modules(1))
+        assert weights.tolist() == [[1.0]]
 
     def test_matches_normalize_oracle(self):
         mods = modules(3, key=1)
-        graph = relationship_weights(mods)
+        weights = relationship_weights(mods)
         flats = [flatten_module(m) for m in mods]
         for i in range(3):
             sims = []
@@ -97,16 +104,16 @@ class TestRelationshipWeights:
                     sims.append(float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
             clamped = [max(s, 0.0) for s in sims]
             expected = np.asarray(clamped) / sum(clamped)
-            assert np.allclose(graph.weights[i], expected, atol=1e-12)
-            assert abs(graph.weights[i].sum() - 1.0) < 1e-12
+            assert np.allclose(weights[i], expected, atol=1e-12)
+            assert abs(weights[i].sum() - 1.0) < 1e-12
 
     def test_scale_invariance(self):
         mods = modules(3, key=2)
         scaled = [
             unflatten_module(m.dims, 2.5 * flatten_module(m)) for m in mods
         ]
-        a = relationship_weights(mods).weights
-        b = relationship_weights(scaled).weights
+        a = relationship_weights(mods)
+        b = relationship_weights(scaled)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_architecture_mismatch(self):
@@ -114,26 +121,34 @@ class TestRelationshipWeights:
             relationship_weights([modules(1)[0], modules(1, dims=(4, 5, 3))[0]])
 
     def test_zero_module_is_orthogonal_to_every_other(self):
-        template = modules(1)[0]
+        template, other = modules(2)
         zero = unflatten_module(template.dims, np.zeros(template.params.size))
-        graph = relationship_weights([template, zero])
-        assert graph.sim.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert graph.weights.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        weights = relationship_weights([template, zero])
+        assert weights.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        # among other modules, a zero module gets no weight and keeps only its own
+        weights = relationship_weights([template, zero, other])
+        assert weights[:, 1].tolist() == [0.0, 1.0, 0.0]
+        assert weights[1].tolist() == [0.0, 1.0, 0.0]
 
     def test_sim_matches_pairwise_oracle(self):
+        """The weights are the pairwise cosines with a unit diagonal, clamped
+        at zero and row-normalised, over modules of random sign."""
         negatives = 0
         for trial in range(20):
             rng = seeded_rng(902, trial)
             count, d_in = int(rng.integers(1, 7)), int(rng.integers(1, 30))
             # a random sign per module makes about half the pairs negative
             flats = rng.standard_normal((count, d_in + 1)) * rng.choice([-1.0, 1.0], (count, 1))
-            graph = relationship_weights([unflatten_module((d_in, 1), row) for row in flats])
+            weights = relationship_weights([unflatten_module((d_in, 1), row) for row in flats])
             for i in range(count):
+                row = []
                 for j in range(count):
-                    expected = 1.0 if i == j else cosine_similarity(flats[i], flats[j])
-                    assert abs(graph.sim[i, j] - expected) < 1e-12
-                    negatives += expected < 0
-            assert (np.diag(graph.sim) == 1.0).all()
+                    cosine = 1.0 if i == j else cosine_similarity(flats[i], flats[j])
+                    row.append(max(cosine, 0.0))
+                    negatives += cosine < 0
+                expected = np.asarray(row) / sum(row)
+                assert np.abs(weights[i] - expected).max() < 1e-12
+                assert weights[i, i] > 0.0
         assert negatives > 0
 
 
@@ -141,27 +156,23 @@ class TestAggregateModules:
     def test_identical_modules_fixpoint(self):
         base = modules(1, key=3)[0]
         mods = [base] * 3
-        graph = relationship_weights(mods)
-        for aggregated in aggregate_modules(graph, mods):
+        for aggregated in aggregate_modules(relationship_weights(mods), mods):
             assert np.allclose(
                 flatten_module(aggregated), flatten_module(base), rtol=1e-12, atol=1e-12
             )
 
     def test_one_hot_weights_keep_own_module(self):
         mods = modules(2, key=4)
-        graph = RelationshipGraph(
-            modality="image", sim=np.eye(2), weights=np.array([[1.0, 0.0], [0.0, 1.0]])
-        )
-        aggregated = aggregate_modules(graph, mods)
+        aggregated = aggregate_modules(np.array([[1.0, 0.0], [0.0, 1.0]]), mods)
         assert np.array_equal(flatten_module(aggregated[0]), flatten_module(mods[0]))
         assert np.array_equal(flatten_module(aggregated[1]), flatten_module(mods[1]))
 
     def test_matches_weighted_sum_oracle(self):
         mods = modules(4, key=5)
-        graph = relationship_weights(mods)
+        weights = relationship_weights(mods)
         flats = np.stack([flatten_module(m) for m in mods])
-        for i, aggregated in enumerate(aggregate_modules(graph, mods)):
-            expected = sum(graph.weights[i, j] * flats[j] for j in range(4))
+        for i, aggregated in enumerate(aggregate_modules(weights, mods)):
+            expected = sum(weights[i, j] * flats[j] for j in range(4))
             assert np.allclose(flatten_module(aggregated), expected, atol=1e-12)
 
 
@@ -180,10 +191,7 @@ class TestFediotAggregate:
 
     def test_bitwise_equals_uniform_graph_aggregation(self):
         mods = modules(3, key=8)
-        uniform = RelationshipGraph(
-            modality="image", sim=np.ones((3, 3)), weights=np.full((3, 3), 1.0 / 3.0)
-        )
-        via_graph = aggregate_modules(uniform, mods)
+        via_graph = aggregate_modules(np.full((3, 3), 1.0 / 3.0), mods)
         mean = flatten_module(fediot_aggregate(mods))
         for aggregated in via_graph:
             assert np.array_equal(flatten_module(aggregated), mean)
@@ -322,8 +330,8 @@ class TestStackedTowers:
             # a real server phase: global prototypes and adopted aggregates
             messages = [client_round(s, rc)[1] for s in experiment.clients]
             _server(experiment, messages, 1)
-            rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
-            assert rc.distill and rc.gpt_prototypes() is not None
+            rc = ClientRoundConfig(config, 2, global_rows(experiment))
+            assert rc.distill
         for state in experiment.clients:
             if not isinstance(state, MultimodalClientState):
                 continue
@@ -358,7 +366,7 @@ def test_round_start_modules_embed_once_per_round(monkeypatch):
     experiment = setup_experiment(config)
     rc = ClientRoundConfig.from_experiment(config, 1)
     _server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
-    rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
+    rc = ClientRoundConfig(config, 2, global_rows(experiment))
     seen, real = [], federation.forward_map
 
     def forward_map_spy(module, x):
@@ -376,13 +384,13 @@ def test_round_start_modules_embed_once_per_round(monkeypatch):
 def test_each_step_normalises_its_embeddings_once(monkeypatch):
     """A round-2 client round with both transfer losses active makes one
     ``unit_rows`` call per training step (a multimodal client's two towers
-    together), plus one for its distillation targets and one for the global
-    prototypes."""
+    together), plus one for its distillation targets. The global prototypes
+    arrive normalised."""
     config = tiny_config()
     experiment = setup_experiment(config)
     rc = ClientRoundConfig.from_experiment(config, 1)
     _server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
-    rc = ClientRoundConfig(config, 2, experiment.global_prototypes)
+    rc = ClientRoundConfig(config, 2, global_rows(experiment))
     seen, real = [], federation.unit_rows
 
     def unit_rows_spy(x, what="embeddings"):
@@ -400,9 +408,43 @@ def test_each_step_normalises_its_embeddings_once(monkeypatch):
         _, msg = client_round(state, rc)
         assert msg.loss_terms["gpt"] > 0.0 and msg.loss_terms["gmt"] > 0.0
         steps = phases * config.local_epochs * batches
-        assert sorted(seen) == sorted(
-            ["embeddings"] * steps + ["distillation targets", "global prototypes"]
-        )
+        assert sorted(seen) == sorted(["embeddings"] * steps + ["distillation targets"])
+
+
+@pytest.mark.parametrize("beta1", [1.0, 0.0])
+def test_global_prototypes_are_normalised_once_per_round(monkeypatch, beta1):
+    """The round loop normalises the global pairs once per round and hands
+    every client round the same unit rows; with ``beta1 = 0`` it hands none."""
+    inputs, real_round = [], federation.client_round
+    normalised, real_unit_rows = [], federation.unit_rows
+
+    def client_round_spy(state, rc):
+        inputs.append(rc)
+        return real_round(state, rc)
+
+    def unit_rows_spy(x, what="embeddings"):
+        if what == "global prototypes":
+            normalised.append(x)
+        return real_unit_rows(x, what)
+
+    monkeypatch.setattr(federation, "client_round", client_round_spy)
+    monkeypatch.setattr(federation, "unit_rows", unit_rows_spy)
+    config = tiny_config(rounds=3, beta1=beta1)
+    run_training(config)
+    clients = config.num_clients
+    assert [rc.round_index for rc in inputs] == [r for r in (1, 2, 3) for _ in range(clients)]
+    assert all(rc.global_prototypes is None for rc in inputs[:clients])
+    if beta1 == 0.0:
+        assert normalised == []
+        assert all(rc.global_prototypes is None for rc in inputs)
+        return
+    assert len(normalised) == 2  # rounds 2 and 3
+    for r, pairs in zip((1, 2), normalised):
+        received = {id(rc.global_prototypes) for rc in inputs[r * clients : (r + 1) * clients]}
+        assert len(received) == 1
+        rows = inputs[r * clients].global_prototypes
+        assert rows.unit.shape == pairs.shape and pairs.shape[0] == 2
+        assert rows.unit.tobytes() == real_unit_rows(pairs).unit.tobytes()
 
 
 
@@ -464,7 +506,7 @@ def test_only_fediot_uploads_heads_and_shares_their_mean(monkeypatch, method):
         heads = np.stack([m.module_params[f"{modality} head"] for m in unimodal if m.kind == modality])
         mean = np.full(len(heads), 1.0 / len(heads)) @ heads
         for state in result.experiment.clients:
-            if state.kind == modality:
+            if getattr(state, "modality", None) == modality:
                 assert state.head.params.tobytes() == mean.tobytes()
 
 

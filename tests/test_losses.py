@@ -16,7 +16,7 @@ from apromfl.losses import (
     lmr_loss,
     retrieval_task_loss,
 )
-from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
+from apromfl.nn import flatten_module, init_mapping_module, stack, unflatten_module
 from apromfl.numerics import seeded_rng, unit_rows
 from oracles import (
     LN2,
@@ -251,36 +251,39 @@ class TestClusteringTotalLoss:
 
 
 class TestLmrLoss:
+    """The regulariser takes stacks; these run it on one-row stacks."""
+
     def test_identical_modules(self):
-        m = init_mapping_module((3, 4, 2), seeded_rng(504))
+        m = stack(init_mapping_module((3, 4, 2), seeded_rng(504)))
         value, _ = lmr_loss(m, m, 0.7)
-        assert value == 0.0
+        assert value == [0.0]
 
     def test_zero_weight(self):
-        a = init_mapping_module((3, 4, 2), seeded_rng(505, "a"))
-        b = init_mapping_module((3, 4, 2), seeded_rng(505, "b"))
-        assert lmr_loss(a, b, 0.0)[0] == 0.0
+        a = stack(init_mapping_module((3, 4, 2), seeded_rng(505, "a")))
+        b = stack(init_mapping_module((3, 4, 2), seeded_rng(505, "b")))
+        assert lmr_loss(a, b, 0.0)[0] == [0.0]
 
     def test_arithmetic(self):
         a = init_mapping_module((3, 4, 2), seeded_rng(506))
         flat = flatten_module(a)
         bumped = unflatten_module(a.dims, flat + np.isin(np.arange(flat.size), [1, 4, 8, 11]))
-        value, grad = lmr_loss(bumped, a, 0.5)
+        (value,), grad = lmr_loss(stack(bumped), stack(a), 0.5)
         assert value == pytest.approx(2.0)
+        assert grad.shape == (1, flat.size)
         assert np.allclose(np.abs(grad).sum(), 4.0)
 
     def test_gradient_finite_difference(self):
         a = init_mapping_module((3, 4, 2), seeded_rng(507, "a"))
-        anchor = init_mapping_module((3, 4, 2), seeded_rng(507, "b"))
-        _, grad = lmr_loss(a, anchor, 0.3)
+        anchor = stack(init_mapping_module((3, 4, 2), seeded_rng(507, "b")))
+        _, grad = lmr_loss(stack(a), anchor, 0.3)
         from oracles import fd_wrt_modules
 
-        numeric = fd_wrt_modules(lambda ms: lmr_loss(ms[0], anchor, 0.3)[0], [a])
-        assert grad_rel_error(grad, numeric) < 1e-4
+        numeric = fd_wrt_modules(lambda ms: lmr_loss(stack(ms[0]), anchor, 0.3)[0][0], [a])
+        assert grad_rel_error(grad[0], numeric) < 1e-4
 
     def test_architecture_mismatch(self):
-        a = init_mapping_module((3, 4, 2), seeded_rng(508, "a"))
-        b = init_mapping_module((3, 5, 2), seeded_rng(508, "b"))
+        a = stack(init_mapping_module((3, 4, 2), seeded_rng(508, "a")))
+        b = stack(init_mapping_module((3, 5, 2), seeded_rng(508, "b")))
         with pytest.raises(ValueError, match="architecture mismatch"):
             lmr_loss(a, b, 0.3)
 

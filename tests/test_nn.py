@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apromfl.nn import (
-    Encoder,
     MappingModule,
     backward,
     backward_head,
@@ -38,37 +37,42 @@ def from_layers(weights, biases):
 
 
 class TestEncoder:
+    """An encoder is its projection matrix; ``None`` is the identity."""
+
     def test_identity(self):
-        enc = Encoder(kind="identity")
-        assert np.array_equal(encode(enc, [1.0, 2.0]), [1.0, 2.0])
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert encode(None, x) is x
 
     def test_projection_deterministic(self):
         enc1 = make_projection_encoder(7, 16, 8)
         enc2 = make_projection_encoder(7, 16, 8)
-        x = seeded_rng(1).standard_normal(16)
+        assert np.array_equal(enc1, enc2)
+        assert not np.array_equal(enc1, make_projection_encoder(8, 16, 8))
+        x = seeded_rng(1).standard_normal((3, 16))
         assert np.array_equal(encode(enc1, x), encode(enc2, x))
+        assert np.array_equal(encode(enc1, x), x @ enc1)
 
     def test_projection_shape(self):
         enc = make_projection_encoder(7, 16, 8)
-        assert encode(enc, np.zeros(16)).shape == (8,)
+        assert enc.shape == (16, 8)
         assert encode(enc, np.zeros((5, 16))).shape == (5, 8)
 
     def test_dim_mismatch(self):
         enc = make_projection_encoder(7, 16, 8)
         with pytest.raises(ValueError):
-            encode(enc, np.zeros(4))
+            encode(enc, np.zeros((5, 4)))
 
 
 class TestForward:
     def test_identity_weights(self):
         m = from_layers((np.eye(2),), (np.zeros(2),))
-        assert np.allclose(forward_map(m, [3.0, 4.0]), [3.0, 4.0])
+        assert np.allclose(forward_map(m, np.array([[3.0, 4.0]])), [[3.0, 4.0]])
 
     def test_relu_clamps_hidden_layer(self):
         m = from_layers((np.eye(2), np.eye(2)), (np.array([-5.0, 0.0]), np.zeros(2)))
-        out = forward_map(m, [3.0, 4.0])
+        out = forward_map(m, np.array([[3.0, 4.0]]))
         # hidden pre-activation (-2, 4) -> relu (0, 4)
-        assert np.allclose(out, [0.0, 4.0])
+        assert np.allclose(out, [[0.0, 4.0]])
 
     def test_matches_straight_line_reimplementation(self):
         m = small_module((6, 7, 7, 4))
@@ -82,7 +86,7 @@ class TestForward:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            forward_map(small_module(), np.zeros(9))
+            forward_map(small_module(), np.zeros((2, 9)))
 
 
 class TestBackward:
@@ -91,10 +95,10 @@ class TestBackward:
         rng = seeded_rng(3)
         w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
         m = from_layers((w,), (b,))
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
         out, trace = forward_map_trace(m, x)
         grad = backward(m, trace, out)
-        assert np.allclose(grad[:6].reshape(3, 2), np.outer(x, out[0]), atol=1e-12)
+        assert np.allclose(grad[:6].reshape(3, 2), np.outer(x[0], out[0]), atol=1e-12)
         assert np.allclose(grad[6:], out[0], atol=1e-12)
 
     def test_zero_upstream_zero_gradients(self):
@@ -212,7 +216,7 @@ class TestHead:
         head = init_classifier_head(4, 3, seeded_rng(6))
         x = seeded_rng(7).standard_normal((5, 4))
         assert np.array_equal(forward_head(head, x), forward_map(head, x))
-        assert np.array_equal(forward_head(head, x[0]), forward_map(head, x[0]))
+        assert np.array_equal(forward_head(head, x[:1]), forward_map(head, x[:1]))
 
     def test_backward_head_matches_backward(self):
         head = init_classifier_head(4, 3, seeded_rng(6))

@@ -1,6 +1,10 @@
-"""Byte-drift check: a two-round run of the default config, under every
-method, still prints the digest lines committed in ``configs/short.digest``.
+"""Byte-drift check: two-round runs of the default config, under every
+method, still print the digest lines committed under ``configs/``.
 
+``configs/short.digest`` pins the default config, serial and with two
+client processes (so pool pickling cannot move a number), and
+``configs/identity-short.digest`` pins identity encoders with one-layer
+mapping modules (a multimodal client's towers as two one-tower stacks).
 A change that moves an output number on purpose commits the new lines,
 printed with ``scripts/output_digest.py`` and one BLAS thread.
 """
@@ -13,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_short_default_run_matches_committed_digest(tmp_path):
+def check_digest(tmp_path, digest: str, *sets: str) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
     command = [
@@ -21,9 +25,22 @@ def test_short_default_run_matches_committed_digest(tmp_path):
         str(ROOT / "scripts" / "output_digest.py"),
         "--config", str(ROOT / "configs" / "default.txt"),
         "--set", "rounds=2",
+        *(arg for key_value in sets for arg in ("--set", key_value)),
         "--out", str(tmp_path),
-        "--expect", str(ROOT / "configs" / "short.digest"),
+        "--expect", str(ROOT / "configs" / digest),
     ]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert len(done.stdout.splitlines()) == 3  # apromfl, fediot, local
+
+
+def test_short_default_run_matches_committed_digest(tmp_path):
+    check_digest(tmp_path, "short.digest")
+
+
+def test_short_default_run_on_two_workers_matches_committed_digest(tmp_path):
+    check_digest(tmp_path, "short.digest", "workers=2")
+
+
+def test_short_identity_run_matches_committed_digest(tmp_path):
+    check_digest(tmp_path, "identity-short.digest", "encoder_kind=identity", "mapping_layers=1")
