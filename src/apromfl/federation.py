@@ -24,7 +24,9 @@ Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
 parallel client execution cannot change any result. Server reductions
 iterate clients in ascending id. The round loop validates the config once,
-before set-up.
+before set-up: that is the only argument gate. Below it only fault
+detectors raise, such as a client round whose uploaded parameters are not
+finite.
 
 A client round trains in place. It copies each model it trains once into a
 private writable buffer, steps that buffer, and freezes it when the round
@@ -128,29 +130,10 @@ class RoundMessage:
     loss summary. Private clustering models never appear here."""
 
     client_id: int
-    kind: str
     label_prototypes: tuple[UnimodalPrototype, ...] | None
     pair_prototypes: tuple[PrototypePair, ...] | None
     module_params: dict[str, np.ndarray]
     loss_terms: dict[str, float]
-
-
-def validate_message(msg: RoundMessage) -> None:
-    """Structural invariants on an outbound message."""
-    if msg.kind in ("image", "text"):
-        if msg.label_prototypes is None or msg.pair_prototypes is not None:
-            raise ValueError("unimodal messages carry labelled prototypes only")
-        if set(msg.module_params) - {f"{msg.kind} head"} != {msg.kind}:
-            raise ValueError("unimodal messages carry their own module and at most its head")
-    elif msg.kind == "multimodal":
-        if msg.pair_prototypes is None or msg.label_prototypes is not None:
-            raise ValueError("multimodal messages carry prototype pairs only")
-        if set(msg.module_params) != {"image", "text"}:
-            raise ValueError("multimodal messages carry both task modules")
-    else:
-        raise ValueError(f"bad message kind {msg.kind!r}")
-    for flat in msg.module_params.values():
-        require_finite(flat, "module parameters")
 
 
 @dataclass(frozen=True)
@@ -256,13 +239,11 @@ def unimodal_client_round(
         params[f"{state.modality} head"] = flatten_module(head)
     message = RoundMessage(
         client_id=state.client_id,
-        kind=state.modality,
         label_prototypes=tuple(protos),
         pair_prototypes=None,
         module_params=params,
         loss_terms=terms,
     )
-    validate_message(message)
     return replace(state, mapper=mapper, head=head), message
 
 
@@ -402,7 +383,6 @@ def multimodal_client_round(
     c_img, c_txt = cluster.modules()
     message = RoundMessage(
         client_id=state.client_id,
-        kind="multimodal",
         label_prototypes=None,
         pair_prototypes=tuple(pairs),
         module_params={
@@ -411,7 +391,6 @@ def multimodal_client_round(
         },
         loss_terms=terms,
     )
-    validate_message(message)
     return (
         replace(
             state,
@@ -425,9 +404,15 @@ def multimodal_client_round(
 
 
 def client_round(state: ClientState, rc: ClientRoundConfig):
+    """One client's round. A diverged client fails here, naming its
+    uploaded parameters, before any server phase reads them."""
     if isinstance(state, UnimodalClientState):
-        return unimodal_client_round(state, rc)
-    return multimodal_client_round(state, rc)
+        state, message = unimodal_client_round(state, rc)
+    else:
+        state, message = multimodal_client_round(state, rc)
+    for flat in message.module_params.values():
+        require_finite(flat, "module parameters")
+    return state, message
 
 
 def _client_round_task(args):

@@ -13,6 +13,11 @@ builds once per step with :func:`~apromfl.numerics.unit_rows` and shares
 between the losses; each loss returns its gradients with respect to the raw
 embeddings through its own ``rows.backward`` call. Contrastive denominators
 run over every sample in the batch including the anchor itself.
+
+Arguments are not range-checked here: ``config.validate_config`` is the one
+gate for temperatures, weights and the ratio clamp, and the client rounds
+build every batch (a retrieval batch holds at least 2 pairs). Only fault
+detectors remain: non-finite logits and a non-finite transfer ratio raise.
 """
 
 from __future__ import annotations
@@ -46,12 +51,7 @@ def _softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch; grad is of the mean."""
     logits = require_finite(logits, "logits")
-    labels = np.asarray(labels, dtype=int)
     n = len(labels)
-    if logits.shape[0] != n:
-        raise ValueError("logits and labels must align")
-    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
-        raise ValueError("label out of range")
     lse = logsumexp(logits, axis=1)
     value = float((lse - logits[np.arange(n), labels]).mean())
     grad = np.exp(logits - lse[:, None])
@@ -67,14 +67,8 @@ def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
     averages the image-to-text and text-to-image cross entropies against the
     diagonal. Returns (value, grad_img, grad_txt).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     u, v = img.unit, txt.unit
-    if u.shape != v.shape:
-        raise ValueError("image/text embedding counts must match")
     n = len(u)
-    if n < 2:
-        raise ValueError("retrieval loss needs at least 2 pairs")
     scores = u @ v.T / tau
     lse_rows = logsumexp(scores, axis=1)
     lse_cols = logsumexp(scores, axis=0)
@@ -90,14 +84,6 @@ def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
 
 
 # -- pseudo-label contrastive losses -----------------------------------------
-
-
-def _cluster_mask(labels, n: int) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.asarray(labels, dtype=int)
-    if labels.size != n:
-        raise ValueError("pseudo-labels do not match the batch")
-    mask = labels[:, None] == labels[None, :]
-    return mask, mask.sum(axis=1)
 
 
 def intra_modal_total(rows: UnitRows, labels, tau: float):
@@ -116,13 +102,9 @@ def inter_modal_total(img: UnitRows, txt: UnitRows, labels, tau: float):
     """Contrastive loss of each image anchor against the text embeddings
     sharing its pseudo-label, with the denominator running over all text
     embeddings; summed over samples, with gradients for both modalities."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     u, v = img.unit, txt.unit
-    if u.shape != v.shape:
-        raise ValueError("image/text embedding counts must match")
-    n = len(u)
-    mask, counts = _cluster_mask(labels, n)
+    mask = labels[:, None] == labels[None, :]
+    counts = mask.sum(axis=1)
     scores = u @ v.T / tau
     lse = logsumexp(scores, axis=1)
     value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
@@ -155,10 +137,6 @@ def lmr_loss(module: MappingModule, anchor: MappingModule, weight: float):
 
     The anchor (the private clustering model's module) is frozen.
     """
-    if weight < 0:
-        raise ValueError(f"weight must be >= 0, got {weight}")
-    if module.dims != anchor.dims or module.params.shape != anchor.params.shape:
-        raise ValueError(f"architecture mismatch: {module.dims} vs {anchor.dims}")
     diff = module.params - anchor.params
     return [weight * float(row @ row) for row in diff], 2.0 * weight * diff
 
@@ -197,11 +175,7 @@ def gpt_loss_paired_batch(img: UnitRows, txt: UnitRows, protos: UnitRows, tau: f
 
     Returns (mean value, grad_img, grad_txt).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     u, v = img.unit, txt.unit
-    if u.shape[0] != v.shape[0]:
-        raise ValueError("image/text embedding counts must match")
     n = len(u)
     pi_unit, pt_unit = protos.unit
     p = _softmax_rows(u @ pi_unit.T / tau)
@@ -219,8 +193,6 @@ def gpt_loss_paired_batch(img: UnitRows, txt: UnitRows, protos: UnitRows, tau: f
 def transfer_ratio(task_loss_local: float, task_loss_global: float, nu_max: float) -> float:
     """Scale factor for distillation: local/global task-loss ratio, with the
     denominator floored and the result clamped into [0, nu_max]."""
-    if nu_max < 1:
-        raise ValueError(f"nu_max must be >= 1, got {nu_max}")
     ratio = task_loss_local / max(task_loss_global, TASK_LOSS_FLOOR)
     if not np.isfinite(ratio):
         raise ValueError(f"non-finite transfer ratio from {task_loss_local}/{task_loss_global}")
@@ -245,11 +217,7 @@ def gmt_loss_batch(
     constant, so gradient flows only into the local embeddings.
     Returns (mean value, grad of the mean w.r.t. the local embeddings).
     """
-    if distill_tau <= 0:
-        raise ValueError(f"distill_tau must be positive, got {distill_tau}")
     u, v = local.unit, target.unit
-    if u.shape != v.shape:
-        raise ValueError("local/global embedding shapes must match")
     nu = transfer_ratio(task_loss_local, task_loss_global, nu_max)
     t = distill_tau
     n = len(u)

@@ -46,46 +46,22 @@ class EvalReport:
         }
 
 
-def _true_ranks(scores: np.ndarray, truth, what: str) -> np.ndarray:
+def _true_ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Position of each row's true column under a stable descending sort of
     that row: the count of strictly greater scores plus the equal scores at a
     lower column. A row is a top-k hit exactly when its rank is below k."""
-    truth = np.asarray(truth, dtype=int)
-    if len(truth) != len(scores):
-        raise ValueError(f"{what} must align with the score rows")
-    width = scores.shape[1]
-    if truth.min() < 0 or truth.max() >= width:
-        raise ValueError(
-            f"{what} must lie in [0, {width}), got values in [{truth.min()}, {truth.max()}]"
-        )
     own = scores[np.arange(len(scores)), truth][:, None]
-    lower = np.arange(width) < truth[:, None]
+    lower = np.arange(scores.shape[1]) < truth[:, None]
     ahead = np.count_nonzero(scores > own, axis=1)
     return ahead + np.count_nonzero((scores == own) & lower, axis=1)
 
 
 def _hit_rate(ranks: np.ndarray, k: int) -> float:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return float((ranks < k).mean())
 
 
-def _label_ranks(logits_list, labels) -> np.ndarray:
-    logits = require_finite(logits_list, "logits")
-    if logits.ndim != 2 or len(logits) == 0:
-        raise ValueError("need a non-empty (N, C) logits array")
-    return _true_ranks(logits, labels, "labels")
-
-
-def _unit(embs, what: str) -> np.ndarray:
-    unit = unit_rows(embs, what).unit
-    if unit.ndim != 2 or len(unit) == 0:
-        raise ValueError(f"{what} must be a non-empty (N, d) array")
-    return unit
-
-
 def classification_report(logits, labels, ks=(1, 5)) -> EvalReport:
-    ranks = _label_ranks(logits, labels)
+    ranks = _true_ranks(require_finite(logits, "logits"), labels)
     return EvalReport(acc_at={int(k): _hit_rate(ranks, k) for k in ks}, n_eval=len(labels))
 
 
@@ -93,11 +69,12 @@ def retrieval_report(img_embs, txt_embs, ks=(1, 5)) -> EvalReport:
     """Bidirectional retrieval with identity ground truth (aligned pairs):
     each side is normalised once, and one cosine matrix per direction serves
     every k."""
-    img, txt = _unit(img_embs, "image embeddings"), _unit(txt_embs, "text embeddings")
+    img = unit_rows(img_embs, "image embeddings").unit
+    txt = unit_rows(txt_embs, "text embeddings").unit
     n = len(img)
     identity = np.arange(n)
-    i2t = _true_ranks(img @ txt.T, identity, "ground truth")
-    t2i = _true_ranks(txt @ img.T, identity, "ground truth")
+    i2t = _true_ranks(img @ txt.T, identity)
+    t2i = _true_ranks(txt @ img.T, identity)
     return EvalReport(
         recall_i2t_at={int(k): _hit_rate(i2t, k) for k in ks},
         recall_t2i_at={int(k): _hit_rate(t2i, k) for k in ks},

@@ -36,13 +36,6 @@ def _param_count(dims) -> int:
     return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
-def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or min(dims) < 1:
-        raise ValueError(f"bad layer dims {dims}")
-    return dims
-
-
 def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Per-layer weight and bias views of a vector laid out W0, b0, W1, b1,
     ..., or of a stack of such vectors (one per row)."""
@@ -71,14 +64,12 @@ class MappingModule:
         # keeps a read-only view of ``params`` (a vector, or a stack of
         # vectors): a contiguous float64 array is not copied, and its own
         # flags are left alone
-        dims = _check_dims(self.dims)
         params = np.ascontiguousarray(self.params, dtype=float).view()
-        count = _param_count(dims)
+        count = _param_count(self.dims)
         if params.ndim not in (1, 2) or params.shape[-1] != count:
             raise ValueError(f"flat vector length {params.shape[-1]} != parameter count {count}")
         params.flags.writeable = False
-        weights, biases = _layer_views(params, dims)
-        object.__setattr__(self, "dims", dims)
+        weights, biases = _layer_views(params, self.dims)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
@@ -102,7 +93,6 @@ class ForwardTrace:
 
 def init_mapping_module(dims, rng: Rng) -> MappingModule:
     """He-initialised weights, zero biases. ``dims`` chains input to output."""
-    dims = _check_dims(dims)
     params = np.zeros(_param_count(dims))
     for w in _layer_views(params, dims)[0]:
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
@@ -133,11 +123,7 @@ def freeze(model: MappingModule) -> MappingModule:
 def stack(*models: MappingModule) -> MappingModule:
     """One frozen model holding ``models`` (one architecture) as the rows of a
     ``(t, P)`` stack; each forward or backward call on it runs all t."""
-    first = models[0]
-    for m in models[1:]:
-        if m.dims != first.dims:
-            raise ValueError(f"architecture mismatch: {first.dims} vs {m.dims}")
-    return MappingModule(first.dims, np.stack([m.params for m in models]))
+    return MappingModule(models[0].dims, np.stack([m.params for m in models]))
 
 
 def unstack(model: MappingModule) -> tuple[MappingModule, ...]:

@@ -4,6 +4,11 @@ Everything operates on float64 numpy arrays and is pure. The only source of
 randomness in the whole project is :func:`seeded_rng`; callers derive one
 generator per purpose (init / batching / clustering / ...), so results never
 depend on call ordering across purposes, threads or processes.
+
+Arguments are not range- or shape-checked: the config validation and the
+callers make them valid. What raises is a fault detector: non-finite input
+(:func:`require_finite`, :func:`unit_rows`, :func:`kmeans`), or k-means
+points so large that their squared distances overflow.
 """
 
 from __future__ import annotations
@@ -64,8 +69,6 @@ def unit_rows(x, what: str = "embeddings") -> UnitRows:
     A zero row has its norm taken as 1 (scikit-learn's ``normalize`` rule),
     so it stays zero: its cosines are 0 and its gradient is finite."""
     x = require_finite(x, what)
-    if x.ndim < 2:
-        raise ValueError(f"{what} must be (..., N, d)")
     # what np.linalg.norm(x, axis=-1, keepdims=True) computes, minus its dispatch
     norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     norms[norms == 0] = 1.0
@@ -74,7 +77,6 @@ def unit_rows(x, what: str = "embeddings") -> UnitRows:
 
 def logsumexp(a, axis: int = -1) -> np.ndarray:
     """Stable log-sum-exp along ``axis``."""
-    a = np.asarray(a, dtype=float)
     m = a.max(axis=axis, keepdims=True)
     out = np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m
     return out.squeeze(axis=axis)
@@ -93,7 +95,7 @@ KMEANS_MAX_ITERS = 100
 
 def kmeans(points, k: int, rng: Rng):
     """Greedy k-means++ init (best of a few restarts) plus Lloyd iterations
-    on an ``(n, d)`` array of points.
+    on an ``(n, d)`` array of points, with ``1 <= k <= n``.
 
     Returns ``(labels, centroids, history)``. Deterministic given the
     generator; every label in ``0..k-1`` is used on return. ``history`` is
@@ -116,12 +118,6 @@ def kmeans(points, k: int, rng: Rng):
     (n <= 266, so at most 0.57 MB). It is freed before the first Lloyd run.
     """
     pts = require_finite(points, "kmeans points")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(pts) < k:
-        raise ValueError(f"need at least k={k} points, got {len(pts)}")
-
     restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
     rows = _DistanceRows(pts)
     seeds = [_kmeans_pp_init(pts, k, rng, rows) for _ in range(restarts)]

@@ -5,6 +5,10 @@ multimodal clients cluster fused image/text embeddings and emit one
 (image mean, text mean) pair per cluster. The server completes the missing
 modality of every unimodal prototype as a similarity-weighted sum over the
 multimodal pairs, then clusters everything into K global pairs.
+
+Callers pass valid sizes (``k`` and ``top_o`` at most the number of points
+or pairs, every client holding a sample), so no argument is range-checked;
+non-finite embeddings still raise, naming the input.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ def label_guided_prototypes(embs, labels, modality: str = "image") -> list[Unimo
     """One prototype per present class: the mean embedding of that class."""
     embs = require_finite(embs, "embeddings")
     labels = np.asarray(labels, dtype=int)
-    if embs.ndim != 2 or len(embs) == 0:
-        raise ValueError("need a non-empty (N, d) embedding array")
-    if len(labels) != len(embs):
-        raise ValueError("embeddings and labels must align")
     return [
         UnimodalPrototype(modality, embs[labels == class_id].mean(axis=0), int(class_id))
         for class_id in np.unique(labels)
@@ -59,35 +59,23 @@ def label_guided_prototypes(embs, labels, modality: str = "image") -> list[Unimo
 
 def fuse(e_img, e_txt) -> np.ndarray:
     """Elementwise mean of the two modality embeddings."""
-    e_img = np.asarray(e_img, dtype=float)
-    e_txt = np.asarray(e_txt, dtype=float)
-    if e_img.shape != e_txt.shape:
-        raise ValueError(f"dimension mismatch: {e_img.shape} vs {e_txt.shape}")
     return (e_img + e_txt) / 2.0
-
-
-def _cluster_pairs(imgs, txts, k: int, rng: Rng):
-    """k-means on the fused pairs, then one (image mean, text mean) pair per
-    cluster, in ascending label order. Returns ``(pairs, labels)``."""
-    labels, _, _ = kmeans(fuse(imgs, txts), k, rng)
-    pairs = [
-        PrototypePair(imgs[labels == c].mean(axis=0), txts[labels == c].mean(axis=0))
-        for c in range(k)
-    ]
-    return pairs, labels
 
 
 def clustering_prototype_pairs(
     img_embs, txt_embs, k: int, rng: Rng
 ) -> tuple[list[PrototypePair], np.ndarray]:
-    """Cluster fused embeddings into k pseudo-labels; per cluster, pair the
-    mean image embedding with the mean text embedding. Returns the pairs and
-    the pseudo-label of every sample."""
+    """Cluster fused embeddings into k pseudo-labels; per cluster, in
+    ascending label order, pair the mean image embedding with the mean text
+    embedding. Returns the pairs and the pseudo-label of every sample."""
     img_embs = require_finite(img_embs, "image embeddings")
     txt_embs = require_finite(txt_embs, "text embeddings")
-    if img_embs.shape != txt_embs.shape:
-        raise ValueError("image/text embeddings must align pairwise")
-    return _cluster_pairs(img_embs, txt_embs, k, rng)
+    labels, _, _ = kmeans(fuse(img_embs, txt_embs), k, rng)
+    pairs = [
+        PrototypePair(img_embs[labels == c].mean(axis=0), txt_embs[labels == c].mean(axis=0))
+        for c in range(k)
+    ]
+    return pairs, labels
 
 
 def pair_matrix(pairs) -> np.ndarray:
@@ -117,10 +105,6 @@ def semantic_complete(
     non-positive (a zero vector has cosine 0 with every pair) the weights
     fall back to uniform.
     """
-    if top_o < 1:
-        raise ValueError(f"top_o must be >= 1, got {top_o}")
-    if pairs.shape[1] < top_o:
-        raise ValueError(f"need at least top_o={top_o} pairs, got {pairs.shape[1]}")
     own = 0 if uni.modality == "image" else 1
     norm = np.linalg.norm(uni.vector)
     sims = unit.unit[own] @ (uni.vector / (norm if norm else 1.0))
@@ -139,8 +123,5 @@ def semantic_complete(
 
 def build_global_prototypes(all_pairs: list[PrototypePair], k: int, rng: Rng) -> GlobalPrototypeSet:
     """Cluster fused pair representations into exactly k global pairs."""
-    if len(all_pairs) < k:
-        raise ValueError(f"need at least k={k} pairs, got {len(all_pairs)}")
-    imgs, txts = pair_matrix(all_pairs)
-    pairs, _ = _cluster_pairs(imgs, txts, k, rng)
+    pairs, _ = clustering_prototype_pairs(*pair_matrix(all_pairs), k, rng)
     return GlobalPrototypeSet(tuple(pairs))

@@ -23,7 +23,7 @@ from apromfl.losses import (
     lmr_loss,
     retrieval_task_loss,
 )
-from apromfl.metrics import EvalReport, _hit_rate, _label_ranks, _true_ranks, _unit
+from apromfl.metrics import EvalReport, _hit_rate, _true_ranks
 from apromfl.nn import (
     backward,
     flatten_module,
@@ -357,15 +357,17 @@ LN2 = float(np.log(2.0))
 def acc_at_k(logits_list, labels, k: int) -> float:
     """Fraction of samples whose true label ranks among the k largest logits.
     Every label must be a class index in ``[0, C)``."""
-    return _hit_rate(_label_ranks(logits_list, labels), k)
+    logits = require_finite(logits_list, "logits")
+    return _hit_rate(_true_ranks(logits, np.asarray(labels, dtype=int)), k)
 
 
 def recall_at_k(query_embs, gallery_embs, ground_truth, k: int) -> float:
     """Fraction of queries whose true gallery item ranks in the cosine top-k.
     Every ground-truth entry must be a gallery index in ``[0, len(gallery))``."""
-    queries = _unit(query_embs, "query embeddings")
-    gallery = _unit(gallery_embs, "gallery embeddings")
-    return _hit_rate(_true_ranks(queries @ gallery.T, ground_truth, "ground truth"), k)
+    queries = unit_rows(query_embs, "query embeddings").unit
+    gallery = unit_rows(gallery_embs, "gallery embeddings").unit
+    truth = np.asarray(ground_truth, dtype=int)
+    return _hit_rate(_true_ranks(queries @ gallery.T, truth), k)
 
 
 def softmax_temp(v, tau: float) -> np.ndarray:

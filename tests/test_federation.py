@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from apromfl.config import ExperimentConfig, finalize_config
+from apromfl.config import METHODS, ExperimentConfig, finalize_config
 from apromfl.data import SyntheticSpec
 from apromfl import federation
 from apromfl.federation import (
     ClientRoundConfig,
     MultimodalClientState,
-    RoundMessage,
     UnimodalClientState,
     aggregate_modules,
     client_round,
@@ -18,7 +19,6 @@ from apromfl.federation import (
     run_training,
     setup_experiment,
     unimodal_client_round,
-    validate_message,
     _server,
 )
 from apromfl.nn import (
@@ -197,32 +197,58 @@ class TestFediotAggregate:
             assert np.array_equal(flatten_module(aggregated), mean)
 
 
-class TestMessages:
-    def test_unimodal_shape_enforced(self):
-        with pytest.raises(ValueError):
-            validate_message(
-                RoundMessage(
-                    client_id=0,
-                    kind="image",
-                    label_prototypes=None,
-                    pair_prototypes=None,
-                    module_params={"image": np.ones(3)},
-                    loss_terms={},
-                )
-            )
+def spy_client_rounds(monkeypatch) -> list:
+    """Record ``(state, new_state, message)`` for every client round the
+    round loop runs."""
+    sent, real_round = [], federation.client_round
 
-    def test_multimodal_must_not_leak_extra_modules(self):
-        with pytest.raises(ValueError):
-            validate_message(
-                RoundMessage(
-                    client_id=0,
-                    kind="multimodal",
-                    label_prototypes=None,
-                    pair_prototypes=(),
-                    module_params={"image": np.ones(3), "text": np.ones(3), "cluster": np.ones(3)},
-                    loss_terms={},
-                )
-            )
+    def client_round_spy(state, rc):
+        result = real_round(state, rc)
+        sent.append((state, *result))
+        return result
+
+    monkeypatch.setattr(federation, "client_round", client_round_spy)
+    return sent
+
+
+class TestMessages:
+    """The privacy rule on the messages of real two-round runs, under every
+    method: the private clustering models are never sent."""
+
+    def test_unimodal_shape_enforced(self, monkeypatch):
+        """A unimodal message carries its own modality's module (and under
+        fediot that modality's head) and labelled prototypes of that modality
+        only."""
+        for method in METHODS:
+            config = tiny_config(method=method)
+            with monkeypatch.context() as patch:
+                sent = spy_client_rounds(patch)
+                run_training(config)
+            unimodal = [(s, m) for s, _, m in sent if isinstance(s, UnimodalClientState)]
+            assert len(unimodal) == config.rounds * (config.clients_image + config.clients_text)
+            for state, msg in unimodal:
+                own = state.modality
+                parts = {own, f"{own} head"} if method == "fediot" else {own}
+                assert set(msg.module_params) == parts
+                assert msg.label_prototypes and msg.pair_prototypes is None
+                assert {p.modality for p in msg.label_prototypes} == {own}
+
+    def test_multimodal_must_not_leak_extra_modules(self, monkeypatch):
+        """A multimodal message carries exactly its two task modules, as the
+        round returns them, and prototype pairs only."""
+        for method in METHODS:
+            config = tiny_config(method=method)
+            with monkeypatch.context() as patch:
+                sent = spy_client_rounds(patch)
+                run_training(config)
+            multimodal = [r for r in sent if isinstance(r[0], MultimodalClientState)]
+            assert len(multimodal) == config.rounds * config.clients_multimodal
+            for state, new_state, msg in multimodal:
+                assert msg.client_id == state.client_id
+                assert set(msg.module_params) == {"image", "text"}
+                assert msg.pair_prototypes and msg.label_prototypes is None
+                for part, module in task_modules(new_state).items():
+                    assert msg.module_params[part].tobytes() == module.params.tobytes()
 
 
 def make_unimodal_state(n=24, separable=False, key=0):
@@ -486,24 +512,19 @@ def test_only_fediot_uploads_heads_and_shares_their_mean(monkeypatch, method):
     """Under fediot each unimodal message carries its head, and every
     unimodal client adopts the uniform mean of its modality's uploaded heads,
     bit for bit. No other method uploads a head."""
-    messages, real_round = [], federation.client_round
-
-    def client_round_spy(state, rc):
-        result = real_round(state, rc)
-        messages.append(result[1])
-        return result
-
-    monkeypatch.setattr(federation, "client_round", client_round_spy)
+    sent = spy_client_rounds(monkeypatch)
     result = run_training(tiny_config(method=method, rounds=1))
-    unimodal = [m for m in messages if m.kind != "multimodal"]
+    unimodal = [(s.modality, m) for s, _, m in sent if isinstance(s, UnimodalClientState)]
     assert unimodal
     if method != "fediot":
-        assert not any(part.endswith(" head") for m in messages for part in m.module_params)
+        assert not any(part.endswith(" head") for _, _, m in sent for part in m.module_params)
         return
-    for m in unimodal:
-        assert set(m.module_params) == {m.kind, f"{m.kind} head"}
+    for modality, m in unimodal:
+        assert set(m.module_params) == {modality, f"{modality} head"}
     for modality in ("image", "text"):
-        heads = np.stack([m.module_params[f"{modality} head"] for m in unimodal if m.kind == modality])
+        heads = np.stack(
+            [m.module_params[f"{modality} head"] for mod, m in unimodal if mod == modality]
+        )
         mean = np.full(len(heads), 1.0 / len(heads)) @ heads
         for state in result.experiment.clients:
             if getattr(state, "modality", None) == modality:
@@ -578,6 +599,29 @@ def strip_wall_time(records):
 
 
 class TestRunTraining:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau", 0.0),
+            ("distill_tau", 0.0),
+            ("nu_max", 0.5),
+            ("lmr_weight", -1.0),
+            ("completion_top_o", 0),
+            ("num_global_prototypes", 0),
+        ],
+    )
+    def test_config_is_the_one_gate(self, monkeypatch, field, value):
+        """No loss, prototype or k-means function checks these values: the
+        run refuses them before set-up, naming the field."""
+
+        def setup(config):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(federation, "setup_experiment", setup)
+        config = replace(tiny_config(), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            run_training(config)
+
     def test_zero_rounds(self):
         result = run_training(tiny_config(rounds=0))
         assert result.records == []

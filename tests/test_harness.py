@@ -353,26 +353,30 @@ class TestFailedRun:
         assert not (out / "final_reports.json").exists()
 
     def test_setup_failure_is_located_and_clears_earlier_rounds(self, tiny_config_file, tmp_path):
-        """Validation accepts this class separation, but the class means
-        overflow and set-up fails. The failure is located (round 0, phase
-        setup), and no round of an earlier run in the directory is left."""
-        out = tmp_path / "run"
-        run(load_config(tiny_config_file), out)
-        assert (out / "rounds.jsonl").read_text()
-        config = load_config(DEFAULT_CONFIG, overrides={"synthetic.class_sep": 1e308})
-        with pytest.raises(RoundFailure, match="^setup failed in round 0: image views") as info:
-            run(config, out)
-        failure = json.loads((out / "failure.json").read_text())
-        assert failure == info.value.to_dict() == {
-            "round": 0,
-            "client": None,
-            "phase": "setup",
-            "message": "image views contains non-finite entries",
-        }
-        assert (out / "config.txt").read_text() == serialize_config(config)
-        assert (out / "rounds.jsonl").read_text() == ""
-        assert not (out / "summary.csv").exists()
-        assert not (out / "final_reports.json").exists()
+        """Validation accepts each of these data scales, but the draws
+        overflow and set-up fails, naming the scales. The failure is located
+        (round 0, phase setup), and no round of an earlier run in the
+        directory is left."""
+        scales = "synthetic.class_sep, synthetic.latent_noise_sigma or synthetic.view_noise_sigma"
+        keys = ("synthetic.class_sep", "synthetic.latent_noise_sigma", "synthetic.view_noise_sigma")
+        for key in keys:
+            out = tmp_path / key
+            run(load_config(tiny_config_file), out)
+            assert (out / "rounds.jsonl").read_text()
+            config = load_config(DEFAULT_CONFIG, overrides={key: 1e308})
+            with pytest.raises(RoundFailure, match="^setup failed in round 0: image views") as info:
+                run(config, out)
+            failure = json.loads((out / "failure.json").read_text())
+            assert failure == info.value.to_dict() == {
+                "round": 0,
+                "client": None,
+                "phase": "setup",
+                "message": f"image views ({scales} too large) contains non-finite entries",
+            }
+            assert (out / "config.txt").read_text() == serialize_config(config)
+            assert (out / "rounds.jsonl").read_text() == ""
+            assert not (out / "summary.csv").exists()
+            assert not (out / "final_reports.json").exists()
 
     def test_workers_name_the_same_failure(self, tiny_config_file, tmp_path):
         for workers in (1, 2):

@@ -97,10 +97,6 @@ class TestRetrievalTaskLoss:
         permuted, _, _ = retrieval_task_loss(unit_rows(img[perm]), unit_rows(txt[perm]), TAU)
         assert base == pytest.approx(permuted, rel=1e-12)
 
-    def test_needs_two_pairs(self):
-        with pytest.raises(ValueError):
-            retrieval_task_loss(unit_rows(np.ones((1, 3))), unit_rows(np.ones((1, 3))), TAU)
-
     def test_finite_difference(self):
         img, txt = rand_embs(4, 3, 4), rand_embs(4, 3, 5)
         _, g_img, g_txt = retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)
@@ -217,13 +213,6 @@ class TestContrastiveLosses:
             assert value == expected, trial
             assert grad.tobytes() == (g_anchor + g_other).tobytes(), trial
 
-    def test_labels_must_match_batch(self):
-        img, txt = rand_embs(4, 3, 20), rand_embs(4, 3, 21)
-        with pytest.raises(ValueError, match="pseudo-labels"):
-            intra_modal_total(unit_rows(img), np.array([0, 1, 0]), TAU)
-        with pytest.raises(ValueError, match="pseudo-labels"):
-            inter_modal_total(unit_rows(img), unit_rows(txt), np.array([0, 1, 0, 1, 0]), TAU)
-
 
 class TestClusteringTotalLoss:
     def test_equals_component_sum(self):
@@ -280,12 +269,6 @@ class TestLmrLoss:
 
         numeric = fd_wrt_modules(lambda ms: lmr_loss(stack(ms[0]), anchor, 0.3)[0][0], [a])
         assert grad_rel_error(grad[0], numeric) < 1e-4
-
-    def test_architecture_mismatch(self):
-        a = stack(init_mapping_module((3, 4, 2), seeded_rng(508, "a")))
-        b = stack(init_mapping_module((3, 5, 2), seeded_rng(508, "b")))
-        with pytest.raises(ValueError, match="architecture mismatch"):
-            lmr_loss(a, b, 0.3)
 
 
 class TestAssignmentProbs:
@@ -406,15 +389,3 @@ class TestGmtLoss:
     def test_non_finite_ratio_rejected(self):
         with pytest.raises(ValueError):
             gmt_loss(np.ones(2), np.ones(2), float("nan"), 1.0, NU_MAX, DISTILL_TAU)
-
-    def test_validation(self):
-        local, glob = rand_embs(2, 3, 32), rand_embs(2, 3, 33)
-        with pytest.raises(ValueError, match="distill_tau"):
-            gmt_loss_batch(unit_rows(local), unit_rows(glob), 1.0, 1.0, NU_MAX, 0.0)
-        with pytest.raises(ValueError, match="nu_max"):
-            gmt_loss_batch(unit_rows(local), unit_rows(glob), 1.0, 1.0, 0.5, DISTILL_TAU)
-        # the losses that take a temperature still reject tau <= 0
-        with pytest.raises(ValueError, match="tau"):
-            retrieval_task_loss(unit_rows(local), unit_rows(glob), 0.0)
-        with pytest.raises(ValueError, match="tau"):
-            gpt_loss_batch(unit_rows(local), prototype_rows(glob, glob), 0.0)

@@ -85,10 +85,6 @@ class TestAccAtK:
         labels = rng.integers(0, 5, 15)
         assert acc_at_k(logits, labels, 2) == acc_at_k(3 * logits + 7, labels, 2)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            acc_at_k(np.zeros((0, 3)), [], 1)
-
     def test_tie_heavy_integer_logits_match_sort_oracle(self):
         rng = seeded_rng(813)
         for trial in range(60):
@@ -97,12 +93,6 @@ class TestAccAtK:
             labels = rng.integers(0, c, n)
             for k in range(1, c + 3):  # k >= C included
                 assert acc_at_k(logits, labels, k) == sort_oracle_acc(logits, labels, k)
-
-    @pytest.mark.parametrize("bad", [-1, 4])
-    def test_label_outside_classes_rejected(self, bad):
-        logits = seeded_rng(814).standard_normal((3, 4))
-        with pytest.raises(ValueError, match="labels"):
-            acc_at_k(logits, [0, bad, 2], 1)
 
 
 class TestRecallAtK:
@@ -140,10 +130,6 @@ class TestRecallAtK:
         truth = rng.integers(0, 7, 5)
         assert recall_at_k(q, g, truth, 2) == recall_at_k(5.0 * q, 0.3 * g, truth, 2)
 
-    def test_empty_gallery_rejected(self):
-        with pytest.raises(ValueError):
-            recall_at_k(np.ones((1, 2)), np.zeros((0, 2)), [0], 1)
-
     def test_tie_heavy_integer_embeddings_match_sort_oracle(self):
         rng = seeded_rng(815)
         for trial in range(60):
@@ -152,13 +138,6 @@ class TestRecallAtK:
             truth = rng.integers(0, ng, nq)
             for k in range(1, ng + 3):  # k >= gallery size included
                 assert recall_at_k(q, g, truth, k) == argsort_recall(q, g, truth, k)
-
-    @pytest.mark.parametrize("bad", [-1, 6])
-    def test_truth_outside_gallery_rejected(self, bad):
-        rng = seeded_rng(816)
-        q, g = rng.standard_normal((2, 3)), rng.standard_normal((6, 3))
-        with pytest.raises(ValueError, match="ground truth"):
-            recall_at_k(q, g, [bad, 0], 1)
 
     @given(st.integers(1, 6))
     def test_monotone_in_k(self, k):

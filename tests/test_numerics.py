@@ -121,10 +121,6 @@ class TestKMeans:
         assert sorted(labels.tolist()) == [0, 1, 2, 3]
         assert ((pts - centroids[labels]) ** 2).sum() == pytest.approx(0.0, abs=1e-12)
 
-    def test_fewer_points_than_k(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((2, 3)), 3, seeded_rng(0))
-
     def test_duplicate_points_still_fill_clusters(self):
         pts = np.zeros((3, 2))
         labels, _, _ = kmeans(pts, 2, seeded_rng(3))
@@ -319,8 +315,6 @@ class TestUnitRows:
         x[1] = np.inf
         with pytest.raises(ValueError, match="probe rows contains non-finite"):
             unit_rows(x, "probe rows")
-        with pytest.raises(ValueError, match="probe rows must be"):
-            unit_rows(np.ones(3), "probe rows")
 
 
 class TestSeededRng:
