@@ -53,8 +53,7 @@ class SyntheticDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def subset(self, indices) -> "SyntheticDataset":
-        indices = np.asarray(indices, dtype=int)
+    def subset(self, indices: np.ndarray) -> "SyntheticDataset":
         return SyntheticDataset(self.images[indices], self.texts[indices], self.labels[indices])
 
 
@@ -124,7 +123,6 @@ def dirichlet_partition(labels, num_clients: int, alpha: float, rng: Rng) -> Par
     Counts are rounded by largest remainder; if a client ends up empty it
     takes one sample from the currently largest client.
     """
-    labels = np.asarray(labels, dtype=int)
     shares: list[dict[int, np.ndarray]] = [dict() for _ in range(num_clients)]
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
@@ -192,7 +190,6 @@ def role_partition(
     the active roles, giving each role its own semantic pool; otherwise all
     clients draw from the shared pool.
     """
-    labels = np.asarray(labels, dtype=int)
     num_clients = sum(counts)
     if not disjoint_classes:
         return dirichlet_partition(labels, num_clients, alpha, rng)

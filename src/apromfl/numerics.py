@@ -5,6 +5,11 @@ randomness in the whole project is :func:`seeded_rng`; callers derive one
 generator per purpose (init / batching / clustering / ...), so results never
 depend on call ordering across purposes, threads or processes.
 
+k-means gives the bits of its loop form (``tests/oracles.py``) on any BLAS:
+Lloyd screens its assignments with one GEMM and computes exactly every row
+the screen cannot decide, and the k-means++ seeding keeps each point's
+squared-distance row in an ``(n, n)`` array, filled on first use.
+
 Arguments are not range- or shape-checked: the config validation and the
 callers make them valid. What raises is a fault detector: non-finite input
 (:func:`require_finite`, :func:`unit_rows`, :func:`kmeans`), or k-means
@@ -91,6 +96,11 @@ KMEANS_SMALL_N = 32
 #: Lloyd iterations per restart at most; each stops earlier once its
 #: assignments repeat.
 KMEANS_MAX_ITERS = 100
+#: The Lloyd screen runs only while ``max |x|^2 + max |c|^2`` is below this:
+#: then none of its values can overflow.
+_SCREEN_LIMIT = float(np.finfo(float).max) / 8
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def kmeans(points, k: int, rng: Rng):
@@ -106,23 +116,26 @@ def kmeans(points, k: int, rng: Rng):
     point fitting its own cluster worst moves into the empty cluster) before
     centroids are recomputed as means, which can only lower the objective.
 
-    Each mean is a sum accumulated point by point in index order (``np.add.at``)
-    divided by the cluster size: for d >= 2, bit-for-bit
-    ``pts[labels == c].mean(axis=0)``.
+    Each Lloyd assignment is the argmin of the exact squared distances
+    (:func:`_sq_dists`, ties to the lowest index), found through one GEMM
+    screen (:func:`_nearest`). Each mean is a sum accumulated point by point
+    in index order (``np.bincount``) divided by the cluster size: for
+    d >= 2, bit-for-bit ``pts[labels == c].mean(axis=0)``.
 
     The seedings of all restarts read one :class:`_DistanceRows` store, so
-    the squared-distance row of a point is computed once per call however
-    often the candidates and restarts draw it. The store holds at most
-    ``min(n, draws)`` rows of n float64 values, where ``draws`` counts every
-    point the seeding picks in the call: under 1 MB at the benchmark's sizes
-    (n <= 266, so at most 0.57 MB). It is freed before the first Lloyd run.
+    the squared-distance row of a point is computed at most once per call
+    however often the candidates and restarts draw it. The store is one
+    ``(n, n)`` float64 buffer: 0.57 MB at the benchmark's largest n (266).
+    It is freed before the first Lloyd run. Lloyd's screen holds a few
+    ``(n, k)`` arrays, and its exact rows an ``(m, k, d)`` one for the m
+    rows it recomputes: m is small unless many points tie.
     """
     pts = require_finite(points, "kmeans points")
     restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
     rows = _DistanceRows(pts)
     seeds = [_kmeans_pp_init(pts, k, rng, rows) for _ in range(restarts)]
     # Lloyd draws nothing from rng, so it can run after every seeding, once
-    # the rows are freed: its (n, k, d) difference array is the call's peak.
+    # the rows are freed.
     del rows
     best = None
     for centroids in seeds:
@@ -133,30 +146,35 @@ def kmeans(points, k: int, rng: Rng):
 
 
 def _lloyd(pts: np.ndarray, centroids: np.ndarray):
-    n, k = len(pts), len(centroids)
+    d, k = pts.shape[1], len(centroids)
+    coords = np.arange(d)
     history: list[float] = []
     prev = None
-    assignments = np.zeros(n, dtype=int)
     for iteration in range(KMEANS_MAX_ITERS):
-        d2 = _sq_dists(pts, centroids)
-        assignments = np.argmin(d2, axis=1)  # ties -> lowest centroid index
+        assignments = _nearest(pts, centroids)
         counts = np.bincount(assignments, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            movable = counts[assignments] > 1
-            candidate = np.where(movable, d2[np.arange(n), assignments], -np.inf)
-            worst = int(np.argmax(candidate))
-            counts[assignments[worst]] -= 1
-            assignments[worst] = empty
-            counts[empty] = 1
+        if not counts.all():
+            # each point's exact squared distance to its centroid (the bits
+            # of _sq_dists); a moved point is never movable again, so its
+            # stale entry is never read
+            diff = pts - centroids[assignments]
+            own = np.einsum("nd,nd->n", diff, diff)
+            for empty in np.flatnonzero(counts == 0):
+                movable = counts[assignments] > 1
+                worst = int(np.argmax(np.where(movable, own, -np.inf)))
+                counts[assignments[worst]] -= 1
+                assignments[worst] = empty
+                counts[empty] = 1
         if iteration == 0:
             history.append(float(((pts - centroids[assignments]) ** 2).sum()))
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, pts)
+        # one bin per (cluster, coordinate), filled in point order
+        bins = (assignments[:, None] * d + coords).ravel()
+        sums = np.bincount(bins, weights=pts.ravel(), minlength=k * d).reshape(k, d)
         centroids = sums / counts[:, None]
         history.append(float(((pts - centroids[assignments]) ** 2).sum()))
         if prev is not None and np.array_equal(assignments, prev):
             break
-        prev = assignments.copy()
+        prev = assignments
     return assignments, centroids, history
 
 
@@ -165,26 +183,60 @@ def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
+def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``np.argmin(_sq_dists(pts, centroids), axis=1)`` through one GEMM.
+
+    The screen ``|c|^2 - 2 x.c`` is ``|x - c|^2`` less the row's constant
+    ``|x|^2``, so its argmin is the nearest centroid, but it rounds
+    differently from the exact form. Each form is within
+    ``(2d + 4) eps (|x|^2 + |c|^2)`` of the true value, plus ``2d`` times
+    the smallest subnormal for products that underflow, whatever the
+    summation order, FMA use or BLAS thread count. A row keeps the screen's
+    argmin only when every other centroid's screen value exceeds the best
+    one's by ``slack``: more than four times that bound at the largest
+    norms (both forms' errors, on both values compared), so both forms then
+    have the same strict minimum. The other rows get their exact distances:
+    exact ties (which go to the lowest index) and near-ties. All rows do
+    when the norms are so large that the screen could overflow.
+    """
+    scale = float(np.einsum("nd,nd->n", pts, pts).max())
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    scale += float(c_sq.max())  # python floats: an overflow is inf, not a warning
+    if not scale < _SCREEN_LIMIT:
+        return np.argmin(_sq_dists(pts, centroids), axis=1)
+    screen = pts @ (-2.0 * centroids.T) + c_sq
+    labels = screen.argmin(axis=1)
+    slack = 8 * (pts.shape[1] + 4) * (_EPS * scale + _TINY)
+    near = (screen <= screen.min(axis=1, keepdims=True) + slack).sum(axis=1)
+    recheck = np.flatnonzero(near > 1)
+    if len(recheck):
+        labels[recheck] = np.argmin(_sq_dists(pts[recheck], centroids), axis=1)
+    return labels
+
+
 def _sq_dist_rows(pts: np.ndarray, idx) -> np.ndarray:
     """Squared distances from the points ``idx`` to every point, ``(len(idx), n)``."""
     return ((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)
 
 
 class _DistanceRows:
-    """Squared-distance rows of one point set, each computed the first time
-    its point is asked for and kept for the rest of the ``kmeans`` call. A
-    row has the bits whichever batch computed it: the sum runs over d alone."""
+    """Squared-distance rows of one point set in an ``(n, n)`` buffer, each
+    computed the first time its point is asked for and kept for the rest of
+    the ``kmeans`` call. A row has the bits whichever batch computed it: the
+    sum runs over d alone."""
 
     def __init__(self, pts: np.ndarray):
         self.pts = pts
-        self.rows: dict[int, np.ndarray] = {}
+        self.rows = np.empty((len(pts), len(pts)))
+        self.have = np.zeros(len(pts), dtype=bool)
 
     def __getitem__(self, idx: np.ndarray) -> np.ndarray:
-        idx = idx.tolist()
-        missing = [i for i in dict.fromkeys(idx) if i not in self.rows]
-        if missing:
-            self.rows.update(zip(missing, _sq_dist_rows(self.pts, missing)))
-        return np.array([self.rows[i] for i in idx])
+        have = self.have.take(idx)
+        if not have.all():
+            missing = np.unique(idx[~have])
+            self.rows[missing] = _sq_dist_rows(self.pts, missing)
+            self.have[missing] = True
+        return self.rows.take(idx, axis=0)
 
 
 def _draw_d2(closest: np.ndarray, total: float, size: int, rng: Rng) -> np.ndarray:
@@ -201,24 +253,28 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng, rows: _DistanceRows) -> n
     """Greedy k-means++: each new centroid is sampled D^2-proportionally from
     a few candidates and the one shrinking the potential most is kept; ties
     go to the first candidate drawn. The candidates' distance rows come from
-    ``rows``, which the other candidates and restarts of the call share."""
+    ``rows``, which the other candidates and restarts of the call share.
+    The winner's row of candidate minima becomes ``closest`` and its
+    potential ``total``: the bits of recomputing them."""
     n = len(pts)
     n_candidates = 2 + int(np.log(k))
-    centroids = np.empty((k, pts.shape[1]), dtype=float)
-    first = int(rng.integers(n))
-    centroids[0] = pts[first]
-    closest = rows[np.asarray([first])][0]
-    if not np.isfinite(closest.sum()):
+    chosen = np.empty(k, dtype=int)
+    chosen[0] = rng.integers(n)
+    with np.errstate(over="ignore"):  # reported once, by the ValueError below
+        closest = rows[chosen[:1]][0]
+    total = closest.sum()
+    if not np.isfinite(total):
         raise ValueError("kmeans points are too large: their squared distances overflow")
     for i in range(1, k):
-        total = closest.sum()
         if total > 0:
             candidates = _draw_d2(closest, total, n_candidates, rng)
         else:
             # all remaining points coincide with a chosen centroid
-            candidates = np.asarray([int(rng.integers(n))])
-        d2 = rows[candidates]
-        best = int(np.argmin(np.minimum(closest, d2).sum(axis=1)))  # first strict minimum
-        centroids[i] = pts[candidates[best]]
-        closest = np.minimum(closest, d2[best])
-    return centroids
+            candidates = rng.integers(n, size=1)
+        mins = rows[candidates]
+        np.minimum(mins, closest, out=mins)
+        potentials = mins.sum(axis=1)
+        best = potentials.argmin()  # first strict minimum
+        chosen[i] = candidates[best]
+        closest, total = mins[best], potentials[best]
+    return pts[chosen]

@@ -50,7 +50,6 @@ class GlobalPrototypeSet:
 def label_guided_prototypes(embs, labels, modality: str = "image") -> list[UnimodalPrototype]:
     """One prototype per present class: the mean embedding of that class."""
     embs = require_finite(embs, "embeddings")
-    labels = np.asarray(labels, dtype=int)
     return [
         UnimodalPrototype(modality, embs[labels == class_id].mean(axis=0), int(class_id))
         for class_id in np.unique(labels)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ class TestKMeansLoopOracle:
         with pytest.raises(ValueError, match="kmeans points"):
             kmeans(pts, 3, seeded_rng(34))
 
+    def test_overflow_reported_only_by_the_error(self):
+        pts = seeded_rng(33).standard_normal((20, 3)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="kmeans points"):
+                kmeans(pts, 3, seeded_rng(34))
+
     @staticmethod
     def assert_matches_loop_form(pts, k, key):
         labels, centroids, history = kmeans(pts, k, seeded_rng(*key))
@@ -246,6 +254,76 @@ class TestKMeansLoopOracle:
             computed.clear()
             kmeans(pts, k, seeded_rng(45, trial))
             assert computed and len(computed) == len(set(computed)) <= len(pts), trial
+
+
+class TestNearestScreen:
+    """The GEMM-screened Lloyd assignment is the argmin of the exact form,
+    ties to the lowest index, at every scale a finite input can have."""
+
+    @staticmethod
+    def assert_exact_argmin(pts, centroids, key):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.argmin(numerics._sq_dists(pts, centroids), axis=1)
+        assert np.array_equal(numerics._nearest(pts, centroids), want), key
+
+    @staticmethod
+    def tied(rng, n, k, d):
+        """Integer points and centroids, some centroids duplicated: many
+        exactly tied distances."""
+        pts = rng.integers(-3, 4, (n, d)).astype(float)
+        centroids = rng.integers(-3, 4, (k, d)).astype(float)
+        centroids[rng.integers(0, k, k // 2)] = centroids[0]
+        return pts, centroids
+
+    def test_exact_ties_and_duplicate_centroids(self):
+        for trial in range(100):
+            rng = seeded_rng(48, trial)
+            n, k, d = int(rng.integers(1, 120)), int(rng.integers(1, 40)), (2, 3, 16)[trial % 3]
+            self.assert_exact_argmin(*self.tied(rng, n, k, d), trial)
+
+    def test_near_ties_a_few_ulps_apart(self):
+        for trial in range(100):
+            rng = seeded_rng(49, trial)
+            n, k, d = int(rng.integers(1, 120)), int(rng.integers(2, 40)), (2, 16, 32)[trial % 3]
+            pts = rng.standard_normal((n, d)) * float(rng.uniform(0.01, 100.0))
+            centroids = pts[rng.integers(0, n, k)]
+            ulps = rng.integers(-4, 5, (k, d))
+            centroids = centroids + ulps * np.spacing(centroids)
+            # pairs of centroids mirrored across some points: equal up to rounding
+            mirrored = 2 * pts[rng.integers(0, n, k)] - centroids
+            self.assert_exact_argmin(pts, np.concatenate([centroids, mirrored]), trial)
+
+    def test_scales_from_1e_170_to_1e154(self):
+        for trial, exponent in enumerate(range(-170, 155, 4)):
+            rng = seeded_rng(50, trial)
+            n, k, d = int(rng.integers(1, 200)), int(rng.integers(1, 81)), (2, 16, 32)[trial % 3]
+            # clustered away from the origin, so |x|^2 can overflow while
+            # the distances do not
+            pts = rng.standard_normal(d) + 0.1 * rng.standard_normal((n, d))
+            centroids = pts[rng.integers(0, n, k)] + 0.01 * rng.standard_normal((k, d))
+            for scale in (10.0**exponent, 5 * 10.0**exponent):
+                self.assert_exact_argmin(pts * scale, centroids * scale, (trial, scale))
+                self.assert_exact_argmin(*(x * scale for x in self.tied(rng, n, k, d)), trial)
+
+    def test_recheck_runs_on_ties_only(self, monkeypatch):
+        """Tied rows take the exact path; well-separated rows never do."""
+        rechecked, real = [], numerics._sq_dists
+
+        def dists_spy(pts, centroids):
+            rechecked.append(len(pts))
+            return real(pts, centroids)
+
+        monkeypatch.setattr(numerics, "_sq_dists", dists_spy)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [9.0, 1.0]])
+        assert numerics._nearest(pts, centroids).tolist() == [0, 0, 3, 3]
+        assert rechecked == [2]  # (0, 0) ties centroids 0 and 2; (1, 0) ties 0, 1 and 2
+        rechecked.clear()
+        rng = seeded_rng(51)
+        centroids = 10.0 * rng.standard_normal((10, 16))
+        pts = centroids[rng.integers(0, 10, 266)] + rng.standard_normal((266, 16))
+        numerics._nearest(pts, centroids)
+        assert rechecked == []
 
 
 class TestD2Draw:

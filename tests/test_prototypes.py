@@ -31,14 +31,14 @@ def rand_pairs(count, dim, key):
 class TestLabelGuidedPrototypes:
     def test_one_sample_per_class(self):
         embs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        protos = label_guided_prototypes(embs, [3, 1])
+        protos = label_guided_prototypes(embs, np.array([3, 1]))
         by_class = {p.class_id: p.vector for p in protos}
         assert np.array_equal(by_class[3], embs[0])
         assert np.array_equal(by_class[1], embs[1])
 
     def test_arithmetic_mean(self):
         embs = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 1.0]])
-        protos = label_guided_prototypes(embs + 1e-9, [4, 4, 0])
+        protos = label_guided_prototypes(embs + 1e-9, np.array([4, 4, 0]))
         by_class = {p.class_id: p.vector for p in protos}
         assert np.allclose(by_class[4], [1.0, 1.0])
 
@@ -60,7 +60,7 @@ class TestLabelGuidedPrototypes:
     def test_convex_hull_single_class(self):
         rng = seeded_rng(602)
         embs = rng.standard_normal((10, 3)) + 1.0
-        (proto,) = label_guided_prototypes(embs, [2] * 10)
+        (proto,) = label_guided_prototypes(embs, np.full(10, 2))
         assert np.allclose(proto.vector, embs.mean(axis=0))
 
 
