@@ -52,6 +52,43 @@ FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"] + [
     f"synthetic.{f.name}" for f in fields(SyntheticSpec) if f.type == "float"
 ]
 
+#: Each single-field range rule as (key, the first value it rejects).
+RANGE_RULES = [
+    ("method", "nope"),
+    ("rounds", -1),
+    ("local_epochs", -1),
+    ("lr", 0.0),
+    ("batch_size", 0),
+    ("clients_multimodal", -1),
+    ("clients_image", -1),
+    ("clients_text", -1),
+    ("num_global_prototypes", 0),
+    ("completion_top_o", 0),
+    ("tau", 0.0),
+    ("lmr_weight", -1e-9),
+    ("beta1", -1e-9),
+    ("beta2", -1e-9),
+    ("nu_max", 0.999),
+    ("distill_tau", 0.0),
+    ("alpha", 0.0),
+    ("mapping_layers", 2),
+    ("hidden_dim", 0),
+    ("embed_dim", 0),
+    ("encoder_kind", "conv"),
+    ("encoder_dim", 0),
+    ("eval_fraction", 0.0),
+    ("eval_fraction", 1.0),
+    ("workers", 0),
+    ("synthetic.num_classes", 0),
+    ("synthetic.latent_dim", 0),
+    ("synthetic.image_dim", 0),
+    ("synthetic.text_dim", 0),
+    ("synthetic.samples_per_class", 0),
+    ("synthetic.view_noise_sigma", -1e-9),
+    ("synthetic.latent_noise_sigma", -1e-9),
+    ("synthetic.class_sep", 0.0),
+]
+
 #: The tiny config diverges at this step size after a few finished rounds.
 DIVERGENT = {"lr": 3.0, "rounds": 20}
 
@@ -131,6 +168,13 @@ class TestConfigParsing:
     def test_non_finite_float_names_field(self, tmp_path, key, raw):
         path = tmp_path / "bad.txt"
         path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: "):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", RANGE_RULES)
+    def test_out_of_range_value_names_key(self, tmp_path, key, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(key)}: "):
             load_config(path)
 
