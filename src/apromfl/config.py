@@ -4,12 +4,17 @@ file format, and a canonical serialisation used for run snapshots.
 File syntax: one ``key = value`` pair per line, ``#`` comments, nested
 synthetic-data fields spelled ``synthetic.<field>``. Unknown keys are
 errors; so is any invariant violation, reported with the field name.
+
+A field's range is declared on the field, as ``metadata`` (``min``,
+``above``, ``below``, ``choices``). Validation checks every key's range in
+one loop, then the rules that span fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -20,32 +25,36 @@ METHODS = ("apromfl", "local", "fediot")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: str = "apromfl"
+    method: str = field(default="apromfl", metadata={"choices": METHODS})
     seed: int = 0
-    rounds: int = 30
-    local_epochs: int = 5
-    lr: float = 0.05
-    batch_size: int = 32
-    clients_multimodal: int = 3
-    clients_image: int = 3
-    clients_text: int = 3
-    num_global_prototypes: int = 10  # K, also the local clustering size
-    completion_top_o: int = 10
-    tau: float = 0.5
-    lmr_weight: float = 0.01
-    beta1: float = 1.0
-    beta2: float = 1.0
-    nu_max: float = 10.0
-    distill_tau: float = 1.0
-    alpha: float = 0.1
-    mapping_layers: int = 3
-    hidden_dim: int = 64
-    embed_dim: int = 16
-    encoder_kind: str = "projection"
-    encoder_dim: int = 32
-    eval_fraction: float = 0.2
+    rounds: int = field(default=30, metadata={"min": 0})
+    local_epochs: int = field(default=5, metadata={"min": 0})
+    lr: float = field(default=0.05, metadata={"above": 0})
+    batch_size: int = field(default=32, metadata={"min": 1})
+    clients_multimodal: int = field(default=3, metadata={"min": 0})
+    clients_image: int = field(default=3, metadata={"min": 0})
+    clients_text: int = field(default=3, metadata={"min": 0})
+    # K, also the local clustering size
+    num_global_prototypes: int = field(default=10, metadata={"min": 1})
+    completion_top_o: int = field(default=10, metadata={"min": 1})
+    tau: float = field(default=0.5, metadata={"above": 0})
+    lmr_weight: float = field(default=0.01, metadata={"min": 0})
+    beta1: float = field(default=1.0, metadata={"min": 0})
+    beta2: float = field(default=1.0, metadata={"min": 0})
+    nu_max: float = field(default=10.0, metadata={"min": 1})
+    distill_tau: float = field(default=1.0, metadata={"above": 0})
+    alpha: float = field(default=0.1, metadata={"above": 0})
+    mapping_layers: int = field(default=3, metadata={"choices": (1, 3)})
+    hidden_dim: int = field(default=64, metadata={"min": 1})
+    embed_dim: int = field(default=16, metadata={"min": 1})
+    encoder_kind: str = field(
+        default="projection", metadata={"choices": ("projection", "identity")}
+    )
+    encoder_dim: int = field(default=32, metadata={"min": 1})
+    # below 1: every run evaluates on a shared holdout
+    eval_fraction: float = field(default=0.2, metadata={"above": 0, "below": 1})
     disjoint_role_classes: bool = False
-    workers: int = 1
+    workers: int = field(default=1, metadata={"min": 1})
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     @property
@@ -57,66 +66,46 @@ class ExperimentConfig:
         return (self.clients_multimodal, self.clients_image, self.clients_text)
 
 
+#: Every config-file key -> its dataclass field, in snapshot order. The
+#: synthetic-data fields are spelled ``synthetic.<field>``.
+CONFIG_KEYS = {
+    prefix + f.name: f
+    for prefix, part in (("", ExperimentConfig), ("synthetic.", SyntheticSpec))
+    for f in fields(part)
+    if f.name != "synthetic"
+}
+
+#: Range rule in a field's metadata -> (the test a value fails it by, its wording).
+_RULES = {
+    "choices": (lambda value, allowed: value not in allowed, "one of"),
+    "min": (operator.lt, ">="),
+    "above": (operator.le, ">"),
+    "below": (operator.ge, "<"),
+}
+
+
+def _items(config: ExperimentConfig):
+    """(key, field, value) for every key of :data:`CONFIG_KEYS`."""
+    for key, f in CONFIG_KEYS.items():
+        part = config.synthetic if key.startswith("synthetic.") else config
+        yield key, f, getattr(part, f.name)
+
+
 def validate_config(config: ExperimentConfig) -> None:
     def fail(name, msg):
         raise ValueError(f"{name}: {msg}")
 
-    for prefix, part in (("", config), ("synthetic.", config.synthetic)):
-        for f in fields(part):
-            if f.type == "float" and not math.isfinite(getattr(part, f.name)):
-                fail(prefix + f.name, "must be finite")
-    if config.method not in METHODS:
-        fail("method", f"must be one of {METHODS}")
-    if config.rounds < 0:
-        fail("rounds", "must be >= 0")
-    if config.local_epochs < 0:
-        fail("local_epochs", "must be >= 0")
-    if config.lr <= 0:
-        fail("lr", "must be > 0")
-    if config.batch_size < 1:
-        fail("batch_size", "must be >= 1")
-    for name in ("clients_multimodal", "clients_image", "clients_text"):
-        if getattr(config, name) < 0:
-            fail(name, "must be >= 0")
+    for key, f, value in _items(config):
+        if f.type == "float" and not math.isfinite(value):
+            fail(key, "must be finite")
+        for rule, bound in f.metadata.items():
+            broken, wording = _RULES[rule]
+            if broken(value, bound):
+                fail(key, f"must be {wording} {bound}")
     if config.num_clients < 1:
         fail("clients_multimodal", "need at least one client in total")
     if config.clients_multimodal > 0 and config.batch_size < 2:
         fail("batch_size", "must be >= 2 with multimodal clients (retrieval needs 2 pairs)")
-    if config.num_global_prototypes < 1:
-        fail("num_global_prototypes", "must be >= 1")
-    if config.completion_top_o < 1:
-        fail("completion_top_o", "must be >= 1")
-    if config.tau <= 0:
-        fail("tau", "must be > 0")
-    if config.lmr_weight < 0:
-        fail("lmr_weight", "must be >= 0")
-    for name in ("beta1", "beta2"):
-        if getattr(config, name) < 0:
-            fail(name, "must be >= 0")
-    if config.nu_max < 1:
-        fail("nu_max", "must be >= 1")
-    if config.distill_tau <= 0:
-        fail("distill_tau", "must be > 0")
-    if config.alpha <= 0:
-        fail("alpha", "must be > 0")
-    if config.mapping_layers not in (1, 3):
-        fail("mapping_layers", "must be 1 or 3")
-    if config.hidden_dim < 1:
-        fail("hidden_dim", "must be >= 1")
-    if config.embed_dim < 1:
-        fail("embed_dim", "must be >= 1")
-    if config.encoder_kind not in ("projection", "identity"):
-        fail("encoder_kind", "must be 'projection' or 'identity'")
-    if config.encoder_dim < 1:
-        fail("encoder_dim", "must be >= 1")
-    if not 0 < config.eval_fraction < 1:
-        fail("eval_fraction", "must be in (0, 1): every run evaluates on a shared holdout")
-    if config.workers < 1:
-        fail("workers", "must be >= 1")
-    try:
-        config.synthetic.validate()
-    except ValueError as err:
-        raise ValueError(str(err)) from None
     _validate_split(config, fail)
 
 
@@ -164,13 +153,8 @@ def finalize_config(config: ExperimentConfig) -> ExperimentConfig:
 # parsing ---------------------------------------------------------------
 
 
-_TOP_FIELDS = {f.name: f for f in fields(ExperimentConfig) if f.name != "synthetic"}
-_SYN_FIELDS = {f.name: f for f in fields(SyntheticSpec)}
-
-
 def _parse_value(field_obj: dataclasses.Field, raw: str, key: str):
     kind = field_obj.type
-    raw = raw.strip()
     if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -199,23 +183,17 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key.startswith("synthetic."):
-            sub = key[len("synthetic.") :]
-            if sub not in _SYN_FIELDS:
-                raise ValueError(f"unknown config key {key!r}")
-            mapping[key] = _parse_value(_SYN_FIELDS[sub], raw, key)
-        elif key in _TOP_FIELDS:
-            mapping[key] = _parse_value(_TOP_FIELDS[key], raw, key)
-        else:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        mapping[key] = _parse_value(CONFIG_KEYS[key], raw, key)
     return mapping
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    top = {k: v for k, v in mapping.items() if not k.startswith("synthetic.")}
-    syn = {k[len("synthetic.") :]: v for k, v in mapping.items() if k.startswith("synthetic.")}
-    config = ExperimentConfig(**top, synthetic=SyntheticSpec(**syn))
-    return finalize_config(config)
+    top, syn = {}, {}
+    for key, value in mapping.items():
+        (syn if key.startswith("synthetic.") else top)[CONFIG_KEYS[key].name] = value
+    return finalize_config(ExperimentConfig(**top, synthetic=SyntheticSpec(**syn)))
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -237,12 +215,5 @@ def _format_value(value) -> str:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical snapshot: every field, declaration order, one per line."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        if f.name == "synthetic":
-            continue
-        lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")
-    for f in fields(SyntheticSpec):
-        lines.append(f"synthetic.{f.name} = {_format_value(getattr(config.synthetic, f.name))}")
-    return "\n".join(lines) + "\n"
+    """Canonical snapshot: every key, in table order, one per line."""
+    return "".join(f"{key} = {_format_value(value)}\n" for key, _, value in _items(config))

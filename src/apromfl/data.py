@@ -9,7 +9,7 @@ related), so paired views are alignable across modalities by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,26 +20,15 @@ ROLE_ORDER = ("multimodal", "image", "text")
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_classes: int = 10
-    latent_dim: int = 16
-    image_dim: int = 32
-    text_dim: int = 24
-    samples_per_class: int = 200
-    view_noise_sigma: float = 0.25
-    latent_noise_sigma: float = 1.0
-    class_sep: float = 3.0
-    seed: int | None = None  # None: harness derives it from the run seed
-
-    def validate(self) -> None:
-        for name in ("num_classes", "latent_dim", "image_dim", "text_dim", "samples_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"synthetic.{name}: must be >= 1")
-        if self.view_noise_sigma < 0:
-            raise ValueError("synthetic.view_noise_sigma: must be >= 0")
-        if self.latent_noise_sigma < 0:
-            raise ValueError("synthetic.latent_noise_sigma: must be >= 0")
-        if self.class_sep <= 0:
-            raise ValueError("synthetic.class_sep: must be > 0")
+    num_classes: int = field(default=10, metadata={"min": 1})
+    latent_dim: int = field(default=16, metadata={"min": 1})
+    image_dim: int = field(default=32, metadata={"min": 1})
+    text_dim: int = field(default=24, metadata={"min": 1})
+    samples_per_class: int = field(default=200, metadata={"min": 1})
+    view_noise_sigma: float = field(default=0.25, metadata={"min": 0})
+    latent_noise_sigma: float = field(default=1.0, metadata={"min": 0})
+    class_sep: float = field(default=3.0, metadata={"above": 0})
+    seed: int | None = None  # None: finalize_config sets it to the run seed
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,12 @@ that sent it, and each sender adopts what it receives.
 
 Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
-parallel client execution cannot change any result. Server reductions
-iterate clients in ascending id. The round loop validates the config once,
-before set-up: that is the only argument gate. Below it only fault
-detectors raise, such as a client round whose uploaded parameters are not
-finite.
+parallel client execution cannot change any result. Set-up lists the
+clients in ascending id and every round keeps that order, so server
+reductions iterate clients in ascending id. The round loop finalizes the
+config once, before set-up: it resolves the data seed and validates, the
+only argument gate. Below it only fault detectors raise, such as a client
+round whose uploaded parameters are not finite.
 
 A client round trains in place. It copies each model it trains once into a
 private writable buffer, steps that buffer, and freezes it when the round
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_config
+from .config import ExperimentConfig, finalize_config
 from .data import SyntheticDataset, assign_roles, generate, role_partition, train_eval_split
 from .losses import (
     clustering_total_loss,
@@ -700,16 +701,18 @@ def _located(round_index: int, phase: str, client_id: int | None, records: list[
 def run_training(config: ExperimentConfig) -> TrainingRun:
     """Execute the full federated loop for the configured method.
 
-    Raises ``ValueError`` naming the field if ``config`` is invalid, and
-    :class:`RoundFailure` if set-up or a round fails. Client results are
-    read in client order, so the failing client named is the first in that
-    order for any ``workers`` value.
+    The config goes through ``finalize_config`` first, so an unresolved data
+    seed follows the run seed. Raises ``ValueError`` naming the field if
+    ``config`` is invalid, and :class:`RoundFailure` if set-up or a round
+    fails. Client results are read in client order, so the failing client
+    named is the first in that order for any ``workers`` value.
     """
-    validate_config(config)
+    config = finalize_config(config)
     records: list[RoundRecord] = []
     with _located(0, "setup", None, records):
         experiment = setup_experiment(config)
-    pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+    workers = min(config.workers, len(experiment.clients))  # no idle worker is forked
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for round_index in range(1, config.rounds + 1):
             start = time.perf_counter()
@@ -724,7 +727,6 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
                 with _located(round_index, "client round", state.client_id, records):
                     experiment.clients[idx], message = next(outcomes)
                 messages.append(message)
-            messages.sort(key=lambda m: m.client_id)
 
             if config.method != "local":  # "local": no exchange at all
                 with _located(round_index, "server", None, records):

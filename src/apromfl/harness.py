@@ -15,7 +15,7 @@ A run directory contains:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .config import ExperimentConfig, finalize_config, serialize_config
 from .federation import RoundFailure, evaluate_client, run_training
 from .metrics import EvalReport
 
-#: summary.csv columns read from the config, then from the :class:`Summary`.
+#: summary.csv columns read from the config, then from :func:`summarize_reports`.
 CONFIG_COLUMNS = (
     "method",
     "seed",
@@ -37,63 +37,35 @@ CONFIG_COLUMNS = (
     "completion_top_o",
     "mapping_layers",
 )
-METRIC_COLUMNS = (
-    "acc1_mean",
-    "acc5_mean",
-    "r1_i2t_mean",
-    "r5_i2t_mean",
-    "r1_t2i_mean",
-    "r5_t2i_mean",
-    "r1_sum",
-    "r5_sum",
-)
-SUMMARY_COLUMNS = CONFIG_COLUMNS + METRIC_COLUMNS
+#: Metric column -> (the EvalReport fields it adds up, k). Each field's term
+#: is its mean over the clients that report it; the sums are bidirectional.
+METRIC_COLUMNS = {
+    "acc1_mean": (("acc_at",), 1),
+    "acc5_mean": (("acc_at",), 5),
+    "r1_i2t_mean": (("recall_i2t_at",), 1),
+    "r5_i2t_mean": (("recall_i2t_at",), 5),
+    "r1_t2i_mean": (("recall_t2i_at",), 1),
+    "r5_t2i_mean": (("recall_t2i_at",), 5),
+    "r1_sum": (("recall_i2t_at", "recall_t2i_at"), 1),
+    "r5_sum": (("recall_i2t_at", "recall_t2i_at"), 5),
+}
+SUMMARY_COLUMNS = CONFIG_COLUMNS + tuple(METRIC_COLUMNS)
 
 
-@dataclass(frozen=True)
-class Summary:
-    """Final-round aggregates mirroring the comparison tables: mean accuracy
-    over unimodal clients, mean recalls over multimodal clients."""
+def summarize_reports(reports: dict[int, EvalReport]) -> dict[str, float | None]:
+    """Final-round metric columns mirroring the comparison tables: mean
+    accuracy over unimodal clients, mean recalls over multimodal clients.
+    A column no client reports is None."""
 
-    acc1_mean: float | None
-    acc5_mean: float | None
-    r1_i2t_mean: float | None
-    r5_i2t_mean: float | None
-    r1_t2i_mean: float | None
-    r5_t2i_mean: float | None
+    def mean(name, k):
+        values = [getattr(r, name)[k] for r in reports.values() if getattr(r, name)]
+        return float(np.mean(values)) if values else None
 
-    @property
-    def r1_sum(self) -> float | None:
-        if self.r1_i2t_mean is None:
-            return None
-        return self.r1_i2t_mean + self.r1_t2i_mean
-
-    @property
-    def r5_sum(self) -> float | None:
-        if self.r5_i2t_mean is None:
-            return None
-        return self.r5_i2t_mean + self.r5_t2i_mean
-
-
-def summarize_reports(reports: dict[int, EvalReport]) -> Summary:
-    accs1 = [r.acc_at[1] for r in reports.values() if r.acc_at]
-    accs5 = [r.acc_at[5] for r in reports.values() if r.acc_at]
-    r1_i2t = [r.recall_i2t_at[1] for r in reports.values() if r.recall_i2t_at]
-    r5_i2t = [r.recall_i2t_at[5] for r in reports.values() if r.recall_i2t_at]
-    r1_t2i = [r.recall_t2i_at[1] for r in reports.values() if r.recall_t2i_at]
-    r5_t2i = [r.recall_t2i_at[5] for r in reports.values() if r.recall_t2i_at]
-
-    def mean(xs):
-        return float(np.mean(xs)) if xs else None
-
-    return Summary(
-        acc1_mean=mean(accs1),
-        acc5_mean=mean(accs5),
-        r1_i2t_mean=mean(r1_i2t),
-        r5_i2t_mean=mean(r5_i2t),
-        r1_t2i_mean=mean(r1_t2i),
-        r5_t2i_mean=mean(r5_t2i),
-    )
+    row = {}
+    for column, (names, k) in METRIC_COLUMNS.items():
+        terms = [mean(name, k) for name in names]
+        row[column] = None if None in terms else sum(terms)
+    return row
 
 
 def _fmt(value) -> str:
@@ -104,9 +76,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def summary_csv(config: ExperimentConfig, summary: Summary) -> str:
-    values = [getattr(config, c) for c in CONFIG_COLUMNS]
-    values += [getattr(summary, c) for c in METRIC_COLUMNS]
+def summary_csv(config: ExperimentConfig, summary: dict[str, float | None]) -> str:
+    values = [getattr(config, c) for c in CONFIG_COLUMNS] + [summary[c] for c in METRIC_COLUMNS]
     return ",".join(SUMMARY_COLUMNS) + "\n" + ",".join(map(_fmt, values)) + "\n"
 
 

@@ -401,9 +401,9 @@ def test_c07_directional_reproduction(comparison_runs):
     table, elapsed = comparison_runs
     acc_diffs, r1s_local_diffs, r1s_fediot_diffs = [], [], []
     for seed in ACCEPTANCE_SEEDS:
-        acc_diffs.append(table[("apromfl", seed)].acc1_mean - table[("local", seed)].acc1_mean)
-        r1s_local_diffs.append(table[("apromfl", seed)].r1_sum - table[("local", seed)].r1_sum)
-        r1s_fediot_diffs.append(table[("apromfl", seed)].r1_sum - table[("fediot", seed)].r1_sum)
+        acc_diffs.append(table[("apromfl", seed)]["acc1_mean"] - table[("local", seed)]["acc1_mean"])
+        r1s_local_diffs.append(table[("apromfl", seed)]["r1_sum"] - table[("local", seed)]["r1_sum"])
+        r1s_fediot_diffs.append(table[("apromfl", seed)]["r1_sum"] - table[("fediot", seed)]["r1_sum"])
     mean_acc = float(np.mean(acc_diffs)) * 100
     mean_r1s_local = float(np.mean(r1s_local_diffs)) * 100
     mean_r1s_fediot = float(np.mean(r1s_fediot_diffs)) * 100
@@ -459,7 +459,7 @@ def test_c10_prototype_count_robustness(comparison_runs):
                 summary = table[("apromfl", seed)]
             else:
                 summary = summarize_reports(run_training(config).records[-1].reports)
-            accs.append(summary.acc1_mean)
+            accs.append(summary["acc1_mean"])
         per_k.append(float(np.mean(accs)))
     spread = (max(per_k) - min(per_k)) * 100
     assert spread <= 5.0, f"Acc@1 range across K is {spread:.2f}pp"

@@ -622,6 +622,42 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=f"^{field}: "):
             run_training(config)
 
+    def test_unresolved_data_seed_follows_the_run_seed(self):
+        config = tiny_config(seed=4, rounds=1)
+        unresolved = replace(config, synthetic=replace(config.synthetic, seed=None))
+        assert finalize_config(unresolved) == config
+        assert strip_wall_time(run_training(unresolved).records) == strip_wall_time(
+            run_training(config).records
+        )
+
+    @pytest.mark.parametrize(
+        "workers, counts, pools",
+        [(1, (2, 2, 1), []), (2, (2, 2, 1), [2]), (64, (2, 2, 1), [5]), (2, (1, 0, 0), [])],
+    )
+    def test_pool_never_outnumbers_the_clients(self, monkeypatch, workers, counts, pools):
+        """A process pool forks all its workers at the first task, so it
+        holds no more workers than there are clients, and a lone worker is
+        no pool. The fake pool maps serially and starts no process."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(federation, "ProcessPoolExecutor", SerialPool)
+        m, i, t = counts
+        kwargs = dict(rounds=1, clients_multimodal=m, clients_image=i, clients_text=t)
+        pooled = run_training(tiny_config(workers=workers, **kwargs))
+        assert sizes == pools
+        serial = run_training(tiny_config(**kwargs))
+        assert strip_wall_time(pooled.records) == strip_wall_time(serial.records)
+
     def test_zero_rounds(self):
         result = run_training(tiny_config(rounds=0))
         assert result.records == []
