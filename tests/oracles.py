@@ -3,8 +3,8 @@
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
 paths they check. The last sections hold the forms only tests use: the
-per-tower multimodal client round, the single-sample wrappers of the
-batched losses and a few reference reductions.
+per-step unimodal and per-tower multimodal client rounds, the single-sample
+wrappers of the batched losses and a few reference reductions.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from apromfl.federation import LOSS_TERMS, _batches
 from apromfl.losses import (
     clustering_total_loss,
+    cross_entropy_batch,
     gmt_loss_batch,
     gpt_loss_batch,
     gpt_loss_paired_batch,
@@ -26,7 +27,9 @@ from apromfl.losses import (
 from apromfl.metrics import EvalReport, _hit_rate, _true_ranks
 from apromfl.nn import (
     backward,
+    backward_head,
     flatten_module,
+    forward_head,
     forward_map,
     forward_map_trace,
     sgd_step,
@@ -51,6 +54,7 @@ from apromfl.prototypes import (
     PrototypePair,
     clustering_prototype_pairs,
     fuse,
+    label_guided_prototypes,
 )
 
 
@@ -258,6 +262,52 @@ def min_abs_preact(module, x) -> float:
         else:
             h = z
     return worst
+
+
+# -- the per-step client rounds ----------------------------------------------------
+
+
+def per_step_unimodal_round(state, rc):
+    """``federation.unimodal_client_round`` written out step by step on its
+    own ``(N, d)`` features, before a unimodal client trained as a one-tower
+    stack: a :func:`trainable` copy of the mapper and of the head, a
+    cross-entropy step through the head, and every batch embeds its
+    distillation targets itself.
+    Returns ``(mapper, head, prototypes, loss_terms)``."""
+    cfg = rc.config
+    feats, labels = state.features, state.labels
+    mapper, head = trainable(state.mapper), trainable(state.head)
+    protos = rc.global_prototypes
+    use_gmt = rc.distill and cfg.beta2 > 0
+    sums, steps = dict.fromkeys(LOSS_TERMS, 0.0), 0
+    batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
+    for _ in range(cfg.local_epochs):
+        order = batch_rng.permutation(len(labels))
+        for batch in _batches(order, cfg.batch_size, min_size=1):
+            x, y = feats[batch], labels[batch]
+            emb, trace = forward_map_trace(mapper, x)
+            task, d_logits = cross_entropy_batch(forward_head(head, emb), y)
+            head_grad, d_emb = backward_head(head, emb, d_logits)
+            gpt_value = gmt_value = 0.0
+            if protos is not None:
+                gpt_value, grad = gpt_loss_batch(unit_rows(emb), protos, cfg.tau)
+                d_emb = d_emb + cfg.beta1 * grad
+            if use_gmt:
+                target = forward_map(state.mapper, x)
+                global_task = cross_entropy_batch(forward_head(head, target), y)[0]
+                gmt_value, grad = gmt_loss_batch(
+                    unit_rows(emb), unit_rows(target), task, global_task, cfg.nu_max,
+                    cfg.distill_tau,
+                )
+                d_emb = d_emb + cfg.beta2 * grad
+            sgd_step(mapper, backward(mapper, trace, d_emb), cfg.lr)
+            sgd_step(head, head_grad, cfg.lr)
+            for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, 0.0)):
+                sums[name] += value
+            steps += 1
+    terms = {name: (sums[name] / steps if steps else 0.0) for name in LOSS_TERMS}
+    prototypes = label_guided_prototypes(forward_map(mapper, feats), labels, state.modality)
+    return mapper, head, prototypes, terms
 
 
 # -- the per-tower multimodal client round ----------------------------------------

@@ -35,6 +35,7 @@ from oracles import (
     acc_at_k,
     cosine_similarity,
     list_semantic_complete,
+    per_step_unimodal_round,
     per_tower_multimodal_round,
 )
 
@@ -309,6 +310,40 @@ class TestUnimodalClientRound:
         trained, _ = unimodal_client_round(state, round_cfg(local_epochs=20))
         logits = forward_head(trained.head, forward_map(trained.mapper, state.features))
         assert acc_at_k(logits, state.labels, 1) >= 0.95
+
+    @pytest.mark.parametrize("method", ["apromfl", "fediot"])
+    @pytest.mark.parametrize("encoder_kind", ["projection", "identity"])
+    @pytest.mark.parametrize("mapping_layers", [1, 3])
+    @pytest.mark.parametrize("round_index", [1, 2])
+    def test_matches_per_step_oracle(self, method, encoder_kind, mapping_layers, round_index):
+        """The unimodal round against its per-step oracle, bit for bit; in
+        round 2 after a real server phase (apromfl: both transfer losses)."""
+        config = tiny_config(
+            method=method, encoder_kind=encoder_kind, mapping_layers=mapping_layers
+        )
+        experiment = setup_experiment(config)
+        rc = ClientRoundConfig.from_experiment(config, 1)
+        if round_index == 2:
+            _server(experiment, [client_round(s, rc)[1] for s in experiment.clients], 1)
+            protos = global_rows(experiment) if method == "apromfl" else None
+            rc = ClientRoundConfig(config, 2, protos)
+        for state in experiment.clients:
+            if not isinstance(state, UnimodalClientState):
+                continue
+            new_state, msg = unimodal_client_round(state, rc)
+            mapper, head, protos, terms = per_step_unimodal_round(state, rc)
+            assert new_state.mapper.params.tobytes() == mapper.params.tobytes()
+            assert new_state.head.params.tobytes() == head.params.tobytes()
+            assert msg.module_params[state.modality].tobytes() == mapper.params.tobytes()
+            if method == "fediot":
+                shared_head = msg.module_params[f"{state.modality} head"]
+                assert shared_head.tobytes() == head.params.tobytes()
+            assert [p.class_id for p in msg.label_prototypes] == [p.class_id for p in protos]
+            for a, b in zip(msg.label_prototypes, protos):
+                assert a.vector.tobytes() == b.vector.tobytes()
+            assert msg.loss_terms == terms
+            active = method == "apromfl" and round_index == 2
+            assert (terms["gpt"] > 0.0 and terms["gmt"] > 0.0) == active
 
 
 class TestMultimodalClientRound:
