@@ -6,8 +6,9 @@ synthetic-data fields spelled ``synthetic.<field>``. Unknown keys are
 errors; so is any invariant violation, reported with the field name.
 
 A field's range is declared on the field, as ``metadata`` (``min``,
-``above``, ``below``, ``choices``). Validation checks every key's range in
-one loop, then the rules that span fields.
+``above``, ``below``, ``choices``). Validation checks every key's declared
+type and range in one loop, then the rules that span fields. An ``int`` is
+accepted in a ``float`` field; a ``bool`` only in a ``bool`` field.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ CONFIG_KEYS = {
     if f.name != "synthetic"
 }
 
+#: Declared field type -> the value types it accepts.
+_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+_TYPES["int | None"] = (int, type(None))
+
 #: Range rule in a field's metadata -> (the test a value fails it by, its wording).
 _RULES = {
     "choices": (lambda value, allowed: value not in allowed, "one of"),
@@ -96,6 +101,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"{name}: {msg}")
 
     for key, f, value in _items(config):
+        # a bool is an int to isinstance
+        if not isinstance(value, _TYPES[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+            fail(key, f"must be of type {f.type}, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             fail(key, "must be finite")
         for rule, bound in f.metadata.items():

@@ -32,9 +32,14 @@ round whose uploaded parameters are not finite.
 A client round trains in place. It copies each model it trains once into a
 private writable buffer, steps that buffer, and freezes it when the round
 ends; the frozen models a client state holds (at set-up, every client
-shares the same initial ones) are never written. A multimodal client's
-image and text modules train as one ``(2, P)`` stack, so each step makes
-one forward, backward and SGD call for both towers.
+shares the same initial ones) are never written. Both kinds of client run
+one task-training loop over a stack of towers: a unimodal client's module
+is a one-tower ``(1, P)`` stack, trained with its classifier head on
+cross-entropy; a multimodal client's image and text modules are one
+``(2, P)`` stack, trained on retrieval, so each step makes one forward,
+backward and SGD call for both towers. The loop adds the same transfer
+losses to either, and the regulariser toward the private clustering model
+to the multimodal one.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .losses import (
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
-    gpt_loss_batch,
+    gpt_loss_batch,  # noqa: F401 - unused here; perfbench's tracer wraps it by name
     gpt_loss_paired_batch,
     lmr_loss,
     retrieval_task_loss,
@@ -173,144 +178,157 @@ def _batches(order: np.ndarray, batch_size: int, min_size: int) -> list[np.ndarr
     return slices
 
 
-class _LossMeter:
-    def __init__(self):
-        self.sums = dict.fromkeys(LOSS_TERMS, 0.0)
-        self.steps = 0
-
-    def add(self, **terms: float):
-        for name, value in terms.items():
-            self.sums[name] += value
-        self.steps += 1
-
-    def means(self) -> dict[str, float]:
-        if self.steps == 0:
-            return dict.fromkeys(LOSS_TERMS, 0.0)
-        return {name: self.sums[name] / self.steps for name in LOSS_TERMS}
-
-
 # -- client rounds -------------------------------------------------------------
-
-
-def unimodal_client_round(
-    state: UnimodalClientState, rc: ClientRoundConfig
-) -> tuple[UnimodalClientState, RoundMessage]:
-    """Local epochs of minibatch SGD on cross-entropy plus (once the server
-    has broadcast global artifacts) the prototype- and model-transfer
-    losses, then label-guided prototype extraction."""
-    cfg = rc.config
-    mapper, head = trainable(state.mapper), trainable(state.head)
-    feats, labels = state.features, state.labels
-    n = len(labels)
-    protos = rc.global_prototypes
-    use_gmt = rc.distill and cfg.beta2 > 0
-    # the round started from the aggregate the server broadcast
-    targets = forward_map(state.mapper, feats) if use_gmt else None
-    target_rows = unit_rows(targets, "distillation targets") if use_gmt else None
-    meter = _LossMeter()
-    batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
-    for _ in range(cfg.local_epochs):
-        order = batch_rng.permutation(n)
-        for batch in _batches(order, cfg.batch_size, min_size=1):
-            x, y = feats[batch], labels[batch]
-            emb, trace = forward_map_trace(mapper, x)
-            logits = forward_head(head, emb)
-            task, d_logits = cross_entropy_batch(logits, y)
-            head_grad, d_emb = backward_head(head, emb, d_logits)
-            gpt_value = gmt_value = 0.0
-            if protos is not None or use_gmt:
-                rows = unit_rows(emb)
-            if protos is not None:
-                gpt_value, grad = gpt_loss_batch(rows, protos, cfg.tau)
-                d_emb = d_emb + cfg.beta1 * grad
-            if use_gmt:
-                global_task = cross_entropy_batch(forward_head(head, targets[batch]), y)[0]
-                gmt_value, grad = gmt_loss_batch(
-                    rows, target_rows[batch], task, global_task, cfg.nu_max, cfg.distill_tau
-                )
-                d_emb = d_emb + cfg.beta2 * grad
-            sgd_step(mapper, backward(mapper, trace, d_emb), cfg.lr)
-            sgd_step_head(head, head_grad, cfg.lr)
-            meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=0.0)
-    mapper, head = freeze(mapper), freeze(head)
-    terms = meter.means()
-    protos = label_guided_prototypes(forward_map(mapper, feats), labels, modality=state.modality)
-    params = {state.modality: flatten_module(mapper)}
-    if cfg.method == "fediot":
-        params[f"{state.modality} head"] = flatten_module(head)
-    message = RoundMessage(
-        client_id=state.client_id,
-        label_prototypes=tuple(protos),
-        pair_prototypes=None,
-        module_params=params,
-        loss_terms=terms,
-    )
-    return replace(state, mapper=mapper, head=head), message
 
 
 @dataclass(frozen=True)
 class _Towers:
-    """A multimodal client's image and text modules, run together as stacks:
-    one ``(2, P)`` stack when the two share their dims (always under
-    projection encoders), else a one-tower stack each. ``inputs`` holds each
-    stack's features, stacked the same way. Embeddings and their gradients
-    are ``(2, N, d)`` arrays, image first, so one :func:`unit_rows` call
-    normalises both towers."""
+    """A client's t mapping modules (its towers), run together as stacks: a
+    unimodal client's module as a one-tower ``(1, P)`` stack; a multimodal
+    client's image and text modules as one ``(2, P)`` stack when the two
+    share their dims (always under projection encoders), else a one-tower
+    stack each. ``inputs`` holds each stack's features, stacked the same
+    way. Embeddings are one ``(t, N, d)`` array, image first, so one
+    :func:`unit_rows` call normalises every tower; gradients are a list of
+    one ``(N, d)`` array per tower."""
 
     stacks: tuple[MappingModule, ...]
     inputs: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, image_module, text_module, image_features, text_features) -> "_Towers":
-        if image_module.dims == text_module.dims:
-            inputs = (np.stack([image_features, text_features]),)
-        else:
-            inputs = (image_features[None], text_features[None])
-        return cls((), inputs).with_modules(image_module, text_module)
-
-    def with_modules(self, image_module, text_module) -> "_Towers":
-        """Other modules of the same dims over the same inputs."""
-        if len(self.inputs) == 1:
-            return _Towers((stack(image_module, text_module),), self.inputs)
-        return _Towers((stack(image_module), stack(text_module)), self.inputs)
+    def of(cls, modules, features) -> "_Towers":
+        """The towers of ``modules`` over their ``(N, d)`` ``features``."""
+        if len(modules) == 2 and modules[0].dims == modules[1].dims:
+            return cls((stack(*modules),), (np.stack(features),))
+        return cls(tuple(stack(m) for m in modules), tuple(x[None] for x in features))
 
     def trainable(self) -> "_Towers":
         return _Towers(tuple(trainable(s) for s in self.stacks), self.inputs)
 
-    def modules(self) -> tuple[MappingModule, MappingModule]:
-        """The (image, text) modules, frozen."""
-        image, text = (m for s in self.stacks for m in unstack(s))
-        return image, text
+    def modules(self) -> tuple[MappingModule, ...]:
+        """The modules, frozen, image first."""
+        return tuple(m for s in self.stacks for m in unstack(s))
 
     def embed(self) -> np.ndarray:
         out = [forward_map(s, x) for s, x in zip(self.stacks, self.inputs)]
         return out[0] if len(out) == 1 else np.concatenate(out)
 
-    def embed_trace(self, rows) -> tuple[np.ndarray, list[ForwardTrace]]:
+    def embed_trace(self, rows) -> tuple[np.ndarray, tuple[ForwardTrace, ...]]:
+        if len(self.stacks) == 1:
+            emb, trace = forward_map_trace(self.stacks[0], self.inputs[0][:, rows])
+            return emb, (trace,)
         runs = [forward_map_trace(s, x[:, rows]) for s, x in zip(self.stacks, self.inputs)]
-        embs = [e for e, _ in runs]
-        return (embs[0] if len(embs) == 1 else np.concatenate(embs)), [t for _, t in runs]
+        return np.concatenate([e for e, _ in runs]), tuple(trace for _, trace in runs)
 
-    def lmr(self, anchor: "_Towers", weight: float) -> tuple[list[float], list[np.ndarray]]:
-        """Each tower's regulariser value toward ``anchor`` and each stack's
-        parameter gradient."""
-        values, grads = [], []
+    def lmr(self, anchor: "_Towers", weight: float) -> tuple[float, list[np.ndarray]]:
+        """The regulariser value toward ``anchor``, summed over the towers,
+        and each stack's parameter gradient."""
+        total, grads = 0.0, []
         for s, a in zip(self.stacks, anchor.stacks):
-            value, grad = lmr_loss(s, a, weight)
-            values += value
+            values, grad = lmr_loss(s, a, weight)
+            for value in values:
+                total += value
             grads.append(grad)
-        return values, grads
+        return total, grads
 
-    def descend(self, traces, upstream: np.ndarray, lr: float, extra=None) -> None:
-        """Backpropagate the embedding gradient ``upstream`` through each
-        trainable stack, add ``extra[i]`` to stack i's parameter gradient if
-        given, and step every stack in place."""
-        parts = [upstream] if len(self.stacks) == 1 else [upstream[:1], upstream[1:]]
-        for i, (s, trace, g) in enumerate(zip(self.stacks, traces, parts)):
+    def descend(self, traces, grads: list[np.ndarray], lr: float, extra=None) -> None:
+        """Backpropagate each tower's embedding gradient ``grads[i]`` through
+        the trainable stacks, add ``extra[j]`` to stack j's parameter
+        gradient if given, and step every stack in place."""
+        if len(self.stacks) == 1:
+            parts = (grads[0][None] if len(grads) == 1 else np.stack(grads),)
+        else:
+            parts = tuple(g[None] for g in grads)
+        for j, (s, trace, g) in enumerate(zip(self.stacks, traces, parts)):
             grad = backward(s, trace, g)
             if extra is not None:
-                grad += extra[i]
+                grad += extra[j]
             sgd_step(s, grad, lr)
+
+
+def _train_task(start, rc, batch_rng, min_size, task_loss, global_task_loss, anchor=None):
+    """The task training of every client: local epochs of minibatch SGD of
+    its towers from ``start`` (the round-start ones, also the distillation
+    targets) on its task loss plus, once the server has broadcast them, the
+    prototype- and model-transfer losses, plus the regulariser toward the
+    towers ``anchor`` if given. Returns the trained towers and each loss
+    term's mean over the steps.
+
+    ``task_loss(embs, batch)`` returns the task value of the ``(t, B, d)``
+    embeddings, each tower's gradient, and each tower's unit rows if it
+    built them. ``global_task_loss(targets, target, batch)`` returns the
+    task value of the targets, given as all ``(t, N, d)`` embeddings and as
+    each tower's unit rows of the batch. It runs first: ``task_loss`` may
+    step a model both read (a head)."""
+    cfg = rc.config
+    towers = start.trainable()
+    t, n = sum(len(x) for x in start.inputs), start.inputs[0].shape[1]
+    protos = rc.global_prototypes
+    use_gmt = rc.distill and cfg.beta2 > 0
+    if use_gmt:
+        targets = start.embed()
+        target_rows = unit_rows(targets, "distillation targets")
+        target_rows = [target_rows[i] for i in range(t)]
+    values = []  # each step's loss terms
+    for _ in range(cfg.local_epochs):
+        for batch in _batches(batch_rng.permutation(n), cfg.batch_size, min_size):
+            embs, traces = towers.embed_trace(batch)
+            gpt_value = gmt_value = 0.0
+            if use_gmt:
+                target = [r[batch] for r in target_rows]
+                global_task = global_task_loss(targets, target, batch)
+            task, grads, rows = task_loss(embs, batch)
+            if rows is None and (protos is not None or use_gmt):
+                rows = [unit_rows(e) for e in embs]
+            if protos is not None:
+                # a lone tower is assigned to both prototype sets
+                gpt_value, a, b = gpt_loss_paired_batch(rows[0], rows[-1], protos, cfg.tau)
+                grads = [g + cfg.beta1 * p for g, p in zip(grads, (a, b) if t == 2 else (a + b,))]
+            if use_gmt:
+                for i in range(t):
+                    value, g = gmt_loss_batch(
+                        rows[i], target[i], task, global_task, cfg.nu_max, cfg.distill_tau
+                    )
+                    gmt_value += value
+                    grads[i] = grads[i] + cfg.beta2 / t * g
+                gmt_value /= t
+            lmr_value, extra = (0.0, None) if anchor is None else towers.lmr(anchor, cfg.lmr_weight)
+            towers.descend(traces, grads, cfg.lr, extra)
+            values.append((task, gpt_value, gmt_value, lmr_value))
+    sums = [0.0] * len(LOSS_TERMS)
+    for step in values:
+        sums = [total + value for total, value in zip(sums, step)]
+    return towers, {name: total / max(len(values), 1) for name, total in zip(LOSS_TERMS, sums)}
+
+
+def unimodal_client_round(
+    state: UnimodalClientState, rc: ClientRoundConfig
+) -> tuple[UnimodalClientState, RoundMessage]:
+    """The task training of :func:`_train_task` on cross-entropy through the
+    classifier head, which steps with the mapper, then label-guided
+    prototype extraction."""
+    cfg = rc.config
+    head, labels = trainable(state.head), state.labels
+
+    def cross_entropy(embs, batch):
+        task, d_logits = cross_entropy_batch(forward_head(head, embs[0]), labels[batch])
+        head_grad, d_emb = backward_head(head, embs[0], d_logits)
+        sgd_step_head(head, head_grad, cfg.lr)
+        return task, [d_emb], None
+
+    def global_cross_entropy(targets, target, batch):
+        return cross_entropy_batch(forward_head(head, targets[0][batch]), labels[batch])[0]
+
+    batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
+    start = _Towers.of((state.mapper,), (state.features,))
+    towers, terms = _train_task(start, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
+    (mapper,), head = towers.modules(), freeze(head)
+    protos = label_guided_prototypes(forward_map(mapper, state.features), labels, state.modality)
+    params = {state.modality: flatten_module(mapper)}
+    if cfg.method == "fediot":
+        params[f"{state.modality} head"] = flatten_module(head)
+    message = RoundMessage(state.client_id, tuple(protos), None, params, terms)
+    return replace(state, mapper=mapper, head=head), message
 
 
 def multimodal_client_round(
@@ -318,19 +336,17 @@ def multimodal_client_round(
 ) -> tuple[MultimodalClientState, RoundMessage]:
     """(a) refresh the private clustering model on the clustering objective,
     re-deriving pseudo-labels each epoch, and build local prototype pairs;
-    (b) train the task model on retrieval + transfer losses plus the
+    (b) the task training of :func:`_train_task` on retrieval, plus the
     regulariser tying it to the clustering model's modules."""
     cfg = rc.config
     n = len(state.image_features)
     k_local = max(1, min(cfg.num_global_prototypes, n))
     key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
-    # the round-start task modules: the distillation target of (b)
-    start = _Towers.of(
-        state.image_mapper, state.text_mapper, state.image_features, state.text_features
-    )
+    features = (state.image_features, state.text_features)
 
     # (a) clustering model refresh (warm start from the previous round)
-    cluster = start.with_modules(state.cluster_image_mapper, state.cluster_text_mapper).trainable()
+    cluster = _Towers.of((state.cluster_image_mapper, state.cluster_text_mapper), features)
+    cluster = cluster.trainable()
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         e_img, e_txt = cluster.embed()
@@ -340,73 +356,42 @@ def multimodal_client_round(
             embs, traces = cluster.embed_trace(batch)
             e_img, e_txt = unit_rows(embs)
             _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
-            cluster.descend(traces, np.stack([g_img, g_txt]), cfg.lr)
+            cluster.descend(traces, [g_img, g_txt], cfg.lr)
     e_img, e_txt = cluster.embed()
     pairs, _ = clustering_prototype_pairs(
         e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final")
     )
 
     # (b) task model training
-    mappers = start.trainable()
-    protos = rc.global_prototypes
-    use_gmt = rc.distill and cfg.beta2 > 0
-    target_rows = unit_rows(start.embed(), "distillation targets") if use_gmt else None
-    meter = _LossMeter()
+    def retrieval(embs, batch):
+        e_img, e_txt = unit_rows(embs)
+        task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
+        return task, [g_img, g_txt], [e_img, e_txt]
+
+    def global_retrieval(targets, target, batch):
+        return retrieval_task_loss(*target, cfg.tau)[0]
+
+    start = _Towers.of((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")
-    for _ in range(cfg.local_epochs):
-        order = task_rng.permutation(n)
-        for batch in _batches(order, cfg.batch_size, min_size=2):
-            embs, traces = mappers.embed_trace(batch)
-            e_img, e_txt = unit_rows(embs)
-            task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
-            gpt_value = gmt_value = 0.0
-            if protos is not None:
-                gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
-                g_img = g_img + cfg.beta1 * a_img
-                g_txt = g_txt + cfg.beta1 * a_txt
-            if use_gmt:
-                ge_img, ge_txt = target_rows[:, batch]
-                global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
-                v_img, a_img = gmt_loss_batch(
-                    e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
-                )
-                v_txt, a_txt = gmt_loss_batch(
-                    e_txt, ge_txt, task, global_task, cfg.nu_max, cfg.distill_tau
-                )
-                gmt_value = 0.5 * (v_img + v_txt)
-                g_img = g_img + 0.5 * cfg.beta2 * a_img
-                g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
-            (lmr_img, lmr_txt), lmr_grads = mappers.lmr(cluster, cfg.lmr_weight)
-            mappers.descend(traces, np.stack([g_img, g_txt]), cfg.lr, extra=lmr_grads)
-            meter.add(task=task, gpt=gpt_value, gmt=gmt_value, lmr=lmr_img + lmr_txt)
-    terms = meter.means()
-    mapper_img, mapper_txt = mappers.modules()
-    c_img, c_txt = cluster.modules()
-    message = RoundMessage(
-        client_id=state.client_id,
-        label_prototypes=None,
-        pair_prototypes=tuple(pairs),
-        module_params={
-            "image": flatten_module(mapper_img),
-            "text": flatten_module(mapper_txt),
-        },
-        loss_terms=terms,
+    towers, terms = _train_task(start, rc, task_rng, 2, retrieval, global_retrieval, cluster)
+    (image, text), (c_image, c_text) = towers.modules(), cluster.modules()
+    params = {"image": flatten_module(image), "text": flatten_module(text)}
+    message = RoundMessage(state.client_id, None, tuple(pairs), params, terms)
+    state = replace(
+        state,
+        image_mapper=image,
+        text_mapper=text,
+        cluster_image_mapper=c_image,
+        cluster_text_mapper=c_text,
     )
-    return (
-        replace(
-            state,
-            image_mapper=mapper_img,
-            text_mapper=mapper_txt,
-            cluster_image_mapper=c_img,
-            cluster_text_mapper=c_txt,
-        ),
-        message,
-    )
+    return state, message
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def client_round(state: ClientState, rc: ClientRoundConfig):
     """One client's round. A diverged client fails here, naming its
-    uploaded parameters, before any server phase reads them."""
+    uploaded parameters, before any server phase reads them. An overflow
+    raises no numpy warning: the finiteness detectors report it once."""
     if isinstance(state, UnimodalClientState):
         state, message = unimodal_client_round(state, rc)
     else:
@@ -692,8 +677,12 @@ class RoundFailure(RuntimeError):
 
 @contextmanager
 def _located(round_index: int, phase: str, client_id: int | None, records: list[RoundRecord]):
+    """Run the body as a located phase: a failure raises :class:`RoundFailure`,
+    and an overflow raises no numpy warning before it (the finiteness
+    detectors report a divergence once)."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except Exception as err:  # noqa: BLE001 - any failure is reported with its place
         raise RoundFailure(round_index, phase, client_id, err, records) from err
 

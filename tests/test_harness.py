@@ -89,6 +89,17 @@ RANGE_RULES = [
     ("synthetic.class_sep", 0.0),
 ]
 
+#: Wrong-typed values of each declared field type: every key is tried with
+#: those of its own type (a bool is an int to isinstance, so it is one too).
+WRONG_TYPED = {
+    "str": [1, None],
+    "bool": [1, "true"],
+    "int": [True, 2.0],
+    "float": [True, "0.5"],
+    "int | None": [False, 2.0],
+}
+TYPE_CASES = [(key, value) for key, f in CONFIG_KEYS.items() for value in WRONG_TYPED[f.type]]
+
 #: The tiny config diverges at this step size after a few finished rounds.
 DIVERGENT = {"lr": 3.0, "rounds": 20}
 
@@ -177,6 +188,24 @@ class TestConfigParsing:
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(key)}: "):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value", TYPE_CASES)
+    def test_wrong_typed_value_names_key(self, key, value):
+        """Every key's value is checked against its field's declared type,
+        through the path run and apply_axis revalidate."""
+        config = ExperimentConfig()
+        name = CONFIG_KEYS[key].name
+        if key.startswith("synthetic."):
+            config = replace(config, synthetic=replace(config.synthetic, **{name: value}))
+        else:
+            config = replace(config, **{name: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}: must be of type "):
+            finalize_config(config)
+
+    def test_int_in_a_float_field_is_accepted(self):
+        config = replace(ExperimentConfig(), lr=1, synthetic=SyntheticSpec(class_sep=3))
+        text = serialize_config(finalize_config(config))
+        assert "\nlr = 1\n" in text and "\nsynthetic.class_sep = 3\n" in text
 
     def test_readme_config_table_names_every_key(self):
         readme = (ROOT / "README.md").read_text()
