@@ -183,42 +183,51 @@ def _batches(order: np.ndarray, batch_size: int, min_size: int) -> list[np.ndarr
 
 @dataclass(frozen=True)
 class _Towers:
-    """A client's t mapping modules (its towers), run together as stacks: a
-    unimodal client's module as a one-tower ``(1, P)`` stack; a multimodal
-    client's image and text modules as one ``(2, P)`` stack when the two
-    share their dims (always under projection encoders), else a one-tower
-    stack each. ``inputs`` holds each stack's features, stacked the same
-    way. Embeddings are one ``(t, N, d)`` array, image first, so one
-    :func:`unit_rows` call normalises every tower; gradients are a list of
-    one ``(N, d)`` array per tower."""
+    """A client's t mapping modules (its towers) as private writable stacks,
+    trained together: a unimodal client's module as a one-tower ``(1, P)``
+    stack; a multimodal client's image and text modules as one ``(2, P)``
+    stack when the two share their dims (always under projection encoders),
+    else a one-tower stack each. Embeddings are one ``(t, N, d)`` array,
+    image first, so one :func:`unit_rows` call normalises every tower;
+    gradients are a list of one ``(N, d)`` array per tower.
+
+    ``runs`` holds, per stack, the module a forward or backward pass runs
+    and its features: the stack over ``(t, N, d)`` features, or for a
+    one-tower stack the module viewing its row over ``(N, d)`` ones, since
+    numpy runs 2-D products with less overhead."""
 
     stacks: tuple[MappingModule, ...]
-    inputs: tuple[np.ndarray, ...]
+    runs: tuple[tuple[MappingModule, np.ndarray], ...]
 
     @classmethod
     def of(cls, modules, features) -> "_Towers":
-        """The towers of ``modules`` over their ``(N, d)`` ``features``."""
+        """Stacks of ``modules`` over their ``(N, d)`` ``features``: each a
+        :func:`trainable` copy of their :func:`stack`, made in one copy."""
         if len(modules) == 2 and modules[0].dims == modules[1].dims:
-            return cls((stack(*modules),), (np.stack(features),))
-        return cls(tuple(stack(m) for m in modules), tuple(x[None] for x in features))
-
-    def trainable(self) -> "_Towers":
-        return _Towers(tuple(trainable(s) for s in self.stacks), self.inputs)
+            groups, inputs = [modules], [np.stack(features)]
+        else:
+            groups, inputs = [[m] for m in modules], features
+        stacks = [MappingModule(g[0].dims, np.array([m.params for m in g])) for g in groups]
+        runs = [(s if x.ndim == 3 else MappingModule(s.dims, s.params[0]), x)
+                for s, x in zip(stacks, inputs)]
+        for module in stacks + [m for m, _ in runs]:
+            module.params.flags.writeable = True  # views of the private copy
+        return cls(tuple(stacks), tuple(runs))
 
     def modules(self) -> tuple[MappingModule, ...]:
         """The modules, frozen, image first."""
         return tuple(m for s in self.stacks for m in unstack(s))
 
     def embed(self) -> np.ndarray:
-        out = [forward_map(s, x) for s, x in zip(self.stacks, self.inputs)]
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return np.concatenate([_tower_axis(forward_map(m, x)) for m, x in self.runs])
 
     def embed_trace(self, rows) -> tuple[np.ndarray, tuple[ForwardTrace, ...]]:
-        if len(self.stacks) == 1:
-            emb, trace = forward_map_trace(self.stacks[0], self.inputs[0][:, rows])
-            return emb, (trace,)
-        runs = [forward_map_trace(s, x[:, rows]) for s, x in zip(self.stacks, self.inputs)]
-        return np.concatenate([e for e, _ in runs]), tuple(trace for _, trace in runs)
+        if len(self.runs) == 1:  # every client under projection encoders
+            ((module, x),) = self.runs
+            emb, trace = forward_map_trace(module, x[..., rows, :])
+            return _tower_axis(emb), (trace,)
+        runs = [forward_map_trace(m, x[..., rows, :]) for m, x in self.runs]
+        return np.concatenate([_tower_axis(e) for e, _ in runs]), tuple(t for _, t in runs)
 
     def lmr(self, anchor: "_Towers", weight: float) -> tuple[float, list[np.ndarray]]:
         """The regulariser value toward ``anchor``, summed over the towers,
@@ -233,26 +242,27 @@ class _Towers:
 
     def descend(self, traces, grads: list[np.ndarray], lr: float, extra=None) -> None:
         """Backpropagate each tower's embedding gradient ``grads[i]`` through
-        the trainable stacks, add ``extra[j]`` to stack j's parameter
-        gradient if given, and step every stack in place."""
-        if len(self.stacks) == 1:
-            parts = (grads[0][None] if len(grads) == 1 else np.stack(grads),)
-        else:
-            parts = tuple(g[None] for g in grads)
-        for j, (s, trace, g) in enumerate(zip(self.stacks, traces, parts)):
-            grad = backward(s, trace, g)
+        the stacks, add ``extra[j]`` to stack j's parameter gradient if
+        given, and step every stack in place."""
+        parts = grads if len(grads) == len(self.runs) else [np.stack(grads)]
+        for j, ((module, _), trace, g) in enumerate(zip(self.runs, traces, parts)):
+            grad = backward(module, trace, g)
             if extra is not None:
-                grad += extra[j]
-            sgd_step(s, grad, lr)
+                grad += extra[j].reshape(grad.shape)
+            sgd_step(module, grad, lr)
 
 
-def _train_task(start, rc, batch_rng, min_size, task_loss, global_task_loss, anchor=None):
+def _tower_axis(embs: np.ndarray) -> np.ndarray:
+    """``embs`` with a leading tower axis: a one-tower run's are ``(N, d)``."""
+    return embs if embs.ndim == 3 else embs[None]
+
+
+def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, anchor=None):
     """The task training of every client: local epochs of minibatch SGD of
-    its towers from ``start`` (the round-start ones, also the distillation
-    targets) on its task loss plus, once the server has broadcast them, the
-    prototype- and model-transfer losses, plus the regulariser toward the
-    towers ``anchor`` if given. Returns the trained towers and each loss
-    term's mean over the steps.
+    its ``towers``, in place, on its task loss plus, once the server has
+    broadcast them, the prototype- and model-transfer losses (toward the
+    round-start towers' embeddings), plus the regulariser toward the towers
+    ``anchor`` if given. Returns each loss term's mean over the steps.
 
     ``task_loss(embs, batch)`` returns the task value of the ``(t, B, d)``
     embeddings, each tower's gradient, and each tower's unit rows if it
@@ -261,12 +271,11 @@ def _train_task(start, rc, batch_rng, min_size, task_loss, global_task_loss, anc
     each tower's unit rows of the batch. It runs first: ``task_loss`` may
     step a model both read (a head)."""
     cfg = rc.config
-    towers = start.trainable()
-    t, n = sum(len(x) for x in start.inputs), start.inputs[0].shape[1]
+    t, n = sum(len(s.params) for s in towers.stacks), towers.runs[0][1].shape[-2]
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     if use_gmt:
-        targets = start.embed()
+        targets = towers.embed()
         target_rows = unit_rows(targets, "distillation targets")
         target_rows = [target_rows[i] for i in range(t)]
     values = []  # each step's loss terms
@@ -295,10 +304,13 @@ def _train_task(start, rc, batch_rng, min_size, task_loss, global_task_loss, anc
             lmr_value, extra = (0.0, None) if anchor is None else towers.lmr(anchor, cfg.lmr_weight)
             towers.descend(traces, grads, cfg.lr, extra)
             values.append((task, gpt_value, gmt_value, lmr_value))
-    sums = [0.0] * len(LOSS_TERMS)
-    for step in values:
-        sums = [total + value for total, value in zip(sums, step)]
-    return towers, {name: total / max(len(values), 1) for name, total in zip(LOSS_TERMS, sums)}
+    means = {}
+    for i, name in enumerate(LOSS_TERMS):
+        total = 0.0
+        for step in values:
+            total += step[i]
+        means[name] = total / max(len(values), 1)
+    return means
 
 
 def unimodal_client_round(
@@ -320,8 +332,8 @@ def unimodal_client_round(
         return cross_entropy_batch(forward_head(head, targets[0][batch]), labels[batch])[0]
 
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
-    start = _Towers.of((state.mapper,), (state.features,))
-    towers, terms = _train_task(start, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
+    towers = _Towers.of((state.mapper,), (state.features,))
+    terms = _train_task(towers, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
     (mapper,), head = towers.modules(), freeze(head)
     protos = label_guided_prototypes(forward_map(mapper, state.features), labels, state.modality)
     params = {state.modality: flatten_module(mapper)}
@@ -346,7 +358,6 @@ def multimodal_client_round(
 
     # (a) clustering model refresh (warm start from the previous round)
     cluster = _Towers.of((state.cluster_image_mapper, state.cluster_text_mapper), features)
-    cluster = cluster.trainable()
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         e_img, e_txt = cluster.embed()
@@ -371,9 +382,9 @@ def multimodal_client_round(
     def global_retrieval(targets, target, batch):
         return retrieval_task_loss(*target, cfg.tau)[0]
 
-    start = _Towers.of((state.image_mapper, state.text_mapper), features)
+    towers = _Towers.of((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")
-    towers, terms = _train_task(start, rc, task_rng, 2, retrieval, global_retrieval, cluster)
+    terms = _train_task(towers, rc, task_rng, 2, retrieval, global_retrieval, cluster)
     (image, text), (c_image, c_text) = towers.modules(), cluster.modules()
     params = {"image": flatten_module(image), "text": flatten_module(text)}
     message = RoundMessage(state.client_id, None, tuple(pairs), params, terms)
