@@ -32,14 +32,11 @@ round whose uploaded parameters are not finite.
 A client round trains in place. It copies each model it trains once into a
 private writable buffer, steps that buffer, and freezes it when the round
 ends; the frozen models a client state holds (at set-up, every client
-shares the same initial ones) are never written. Both kinds of client run
-one task-training loop over a stack of towers: a unimodal client's module
-is a one-tower ``(1, P)`` stack, trained with its classifier head on
-cross-entropy; a multimodal client's image and text modules are one
-``(2, P)`` stack, trained on retrieval, so each step makes one forward,
-backward and SGD call for both towers. The loop adds the same transfer
-losses to either, and the regulariser toward the private clustering model
-to the multimodal one.
+shares the same initial ones) are never written. Both kinds of client
+train in one loop with the same transfer losses: a unimodal client's module
+as a one-tower ``(1, P)`` stack with its head on cross-entropy, a
+multimodal client's two modules as one ``(2, P)`` stack on retrieval (one
+forward, backward and SGD call a step for both towers) plus a regulariser.
 """
 
 from __future__ import annotations
@@ -189,12 +186,9 @@ class _Towers:
     stack when the two share their dims (always under projection encoders),
     else a one-tower stack each. Embeddings are one ``(t, N, d)`` array,
     image first, so one :func:`unit_rows` call normalises every tower;
-    gradients are a list of one ``(N, d)`` array per tower.
-
-    ``runs`` holds, per stack, the module a forward or backward pass runs
-    and its features: the stack over ``(t, N, d)`` features, or for a
-    one-tower stack the module viewing its row over ``(N, d)`` ones, since
-    numpy runs 2-D products with less overhead."""
+    gradients are a list of one ``(N, d)`` array per tower. ``runs`` holds
+    what each stack's passes run on its features: the stack, or a one-tower
+    stack's row module on 2-D features (numpy's 2-D products cost less)."""
 
     stacks: tuple[MappingModule, ...]
     runs: tuple[tuple[MappingModule, np.ndarray], ...]
@@ -208,8 +202,10 @@ class _Towers:
         else:
             groups, inputs = [[m] for m in modules], features
         stacks = [MappingModule(g[0].dims, np.array([m.params for m in g])) for g in groups]
-        runs = [(s if x.ndim == 3 else MappingModule(s.dims, s.params[0]), x)
-                for s, x in zip(stacks, inputs)]
+        runs = [
+            (s if x.ndim == 3 else MappingModule(s.dims, s.params[0]), x)
+            for s, x in zip(stacks, inputs)
+        ]
         for module in stacks + [m for m, _ in runs]:
             module.params.flags.writeable = True  # views of the private copy
         return cls(tuple(stacks), tuple(runs))
@@ -258,18 +254,16 @@ def _tower_axis(embs: np.ndarray) -> np.ndarray:
 
 
 def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, anchor=None):
-    """The task training of every client: local epochs of minibatch SGD of
-    its ``towers``, in place, on its task loss plus, once the server has
-    broadcast them, the prototype- and model-transfer losses (toward the
-    round-start towers' embeddings), plus the regulariser toward the towers
-    ``anchor`` if given. Returns each loss term's mean over the steps.
+    """Every client's task training: local epochs of SGD of its ``towers``,
+    in place, on its task loss plus, once the server has broadcast them, the
+    transfer losses toward the round-start embeddings (the targets), plus
+    the regulariser toward ``anchor`` if given. Returns each term's mean.
 
-    ``task_loss(embs, batch)`` returns the task value of the ``(t, B, d)``
-    embeddings, each tower's gradient, and each tower's unit rows if it
-    built them. ``global_task_loss(targets, target, batch)`` returns the
-    task value of the targets, given as all ``(t, N, d)`` embeddings and as
-    each tower's unit rows of the batch. It runs first: ``task_loss`` may
-    step a model both read (a head)."""
+    ``task_loss(embs, batch)`` returns the value on the ``(t, B, d)``
+    embeddings, each tower's gradient and, if it built them, unit rows.
+    ``global_task_loss(targets, target, batch)`` returns the value on the
+    targets (``(t, N, d)``, and each tower's unit rows of the batch); it
+    runs first, as ``task_loss`` may step a model both read (a head)."""
     cfg = rc.config
     t, n = sum(len(s.params) for s in towers.stacks), towers.runs[0][1].shape[-2]
     protos = rc.global_prototypes
@@ -335,7 +329,7 @@ def unimodal_client_round(
     towers = _Towers.of((state.mapper,), (state.features,))
     terms = _train_task(towers, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
     (mapper,), head = towers.modules(), freeze(head)
-    protos = label_guided_prototypes(forward_map(mapper, state.features), labels, state.modality)
+    protos = label_guided_prototypes(towers.embed()[0], labels, state.modality)
     params = {state.modality: flatten_module(mapper)}
     if cfg.method == "fediot":
         params[f"{state.modality} head"] = flatten_module(head)
@@ -385,17 +379,11 @@ def multimodal_client_round(
     towers = _Towers.of((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")
     terms = _train_task(towers, rc, task_rng, 2, retrieval, global_retrieval, cluster)
-    (image, text), (c_image, c_text) = towers.modules(), cluster.modules()
-    params = {"image": flatten_module(image), "text": flatten_module(text)}
+    (img, txt), (c_img, c_txt) = towers.modules(), cluster.modules()
+    params = {"image": flatten_module(img), "text": flatten_module(txt)}
     message = RoundMessage(state.client_id, None, tuple(pairs), params, terms)
-    state = replace(
-        state,
-        image_mapper=image,
-        text_mapper=text,
-        cluster_image_mapper=c_image,
-        cluster_text_mapper=c_text,
-    )
-    return state, message
+    state = replace(state, image_mapper=img, text_mapper=txt)
+    return replace(state, cluster_image_mapper=c_img, cluster_text_mapper=c_txt), message
 
 
 @np.errstate(over="ignore", invalid="ignore")
