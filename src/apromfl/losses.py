@@ -53,7 +53,7 @@ def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
     logits = require_finite(logits, "logits")
     n = len(labels)
     lse = logsumexp(logits, axis=1)
-    value = float((lse - logits[np.arange(n), labels]).mean())
+    value = float((lse - logits[np.arange(n), labels]).sum() / n)
     grad = np.exp(logits - lse[:, None])
     grad[np.arange(n), labels] -= 1.0
     return value, grad / n
@@ -73,7 +73,7 @@ def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
     lse_rows = logsumexp(scores, axis=1)
     lse_cols = logsumexp(scores, axis=0)
     diag = np.diag(scores)
-    value = 0.5 * float((lse_rows - diag).mean() + (lse_cols - diag).mean())
+    value = 0.5 * float((lse_rows - diag).sum() / n + (lse_cols - diag).sum() / n)
     p_rows = np.exp(scores - lse_rows[:, None])
     p_cols = np.exp(scores - lse_cols[None, :])
     eye = np.eye(n)
@@ -181,7 +181,7 @@ def gpt_loss_paired_batch(img: UnitRows, txt: UnitRows, protos: UnitRows, tau: f
     p = _softmax_rows(u @ pi_unit.T / tau)
     q = _softmax_rows(v @ pt_unit.T / tau)
     rows, g_p, g_q = _js_rows(p, q)
-    value = max(float(rows.mean()), 0.0)
+    value = max(float(rows.sum() / n), 0.0)
     g_u = _softmax_rows_backward(p, g_p) @ pi_unit / tau
     g_v = _softmax_rows_backward(q, g_q) @ pt_unit / tau
     return value, img.backward(g_u) / n, txt.backward(g_v) / n
@@ -225,6 +225,6 @@ def gmt_loss_batch(
     q = np.maximum(_softmax_rows(v / t), KL_EPS)
     log_ratio = np.log(np.maximum(p, _TINY) / q)
     kl_rows = (p * log_ratio).sum(axis=1)
-    value = nu * max(float(kl_rows.mean()), 0.0)
+    value = nu * max(float(kl_rows.sum() / n), 0.0)
     g_unit = (nu / (t * n)) * p * (log_ratio - kl_rows[:, None])
     return value, local.backward(g_unit)

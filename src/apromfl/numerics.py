@@ -7,8 +7,9 @@ depend on call ordering across purposes, threads or processes.
 
 k-means gives the bits of its loop form (``tests/oracles.py``) on any BLAS:
 Lloyd screens its assignments with one GEMM and computes exactly every row
-the screen cannot decide, and the k-means++ seeding keeps each point's
-squared-distance row in an ``(n, n)`` array, filled on first use.
+the screen cannot decide, and the k-means++ seeding reads one ``(n, n)``
+squared-distance matrix, built in one call by a blocked kernel that adds
+each row's terms in numpy's own pairwise-sum order.
 
 Arguments are not range- or shape-checked: the config validation and the
 callers make them valid. What raises is a fault detector: non-finite input
@@ -101,6 +102,8 @@ KMEANS_MAX_ITERS = 100
 _SCREEN_LIMIT = float(np.finfo(float).max) / 8
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
+#: Squared-difference terms :func:`_sq_dist_rows` holds at once (1 MB).
+_SQ_DIST_BLOCK = 1 << 17
 
 
 def kmeans(points, k: int, rng: Rng):
@@ -122,20 +125,23 @@ def kmeans(points, k: int, rng: Rng):
     in index order (``np.bincount``) divided by the cluster size: for
     d >= 2, bit-for-bit ``pts[labels == c].mean(axis=0)``.
 
-    The seedings of all restarts read one :class:`_DistanceRows` store, so
-    the squared-distance row of a point is computed at most once per call
-    however often the candidates and restarts draw it. The store is one
-    ``(n, n)`` float64 buffer: 0.57 MB at the benchmark's largest n (266).
-    It is freed before the first Lloyd run. Lloyd's screen holds a few
-    ``(n, k)`` arrays, and its exact rows an ``(m, k, d)`` one for the m
-    rows it recomputes: m is small unless many points tie.
+    The seedings of all restarts read one squared-distance matrix, built in
+    one :func:`_sq_dist_rows` call before the first restart by a blocked
+    kernel that adds each row's d terms in numpy's pairwise-sum order (the
+    bits of ``.sum(axis=-1)``). It is one ``(n, n)`` float64 array, 0.57 MB
+    at the benchmark's largest n (266), plus the kernel's block buffer of at
+    most about 1 MB, and it is freed before the first Lloyd run. Lloyd's
+    screen holds a few ``(n, k)`` arrays, and its exact rows an
+    ``(m, k, d)`` one for the m rows it recomputes: m is small unless many
+    points tie.
     """
     pts = require_finite(points, "kmeans points")
     restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
-    rows = _DistanceRows(pts)
+    with np.errstate(over="ignore"):  # reported once, by the seeding's ValueError
+        rows = _sq_dist_rows(pts, np.arange(len(pts)))
     seeds = [_kmeans_pp_init(pts, k, rng, rows) for _ in range(restarts)]
     # Lloyd draws nothing from rng, so it can run after every seeding, once
-    # the rows are freed.
+    # the matrix is freed.
     del rows
     best = None
     for centroids in seeds:
@@ -215,28 +221,56 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _sq_dist_rows(pts: np.ndarray, idx) -> np.ndarray:
-    """Squared distances from the points ``idx`` to every point, ``(len(idx), n)``."""
-    return ((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)
+    """Squared distances from the points ``idx`` to every point, ``(len(idx), n)``:
+    the bits of ``((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)``.
+
+    The work runs coordinate-major, ``_SQ_DIST_BLOCK`` terms at a time: each
+    block of rows fills one reused ``(d, rows, n)`` buffer with its squared
+    differences (at most about 1 MB, or one row's ``d * n`` terms if that is
+    more) and :func:`_pairwise_sum` reduces it over d in the order numpy's
+    ``.sum`` adds a row's d terms.
+    """
+    n, d = pts.shape
+    cols = np.ascontiguousarray(pts.T)
+    idx = np.asarray(idx)
+    block = max(1, _SQ_DIST_BLOCK // (d * n))
+    out = np.empty((len(idx), n))
+    buf = np.empty((d, min(block, len(idx)), n))
+    for start in range(0, len(idx), block):
+        part = idx[start : start + block]
+        terms = buf[:, : len(part)]
+        np.subtract(cols[:, None, :], cols[:, part, None], out=terms)
+        np.square(terms, out=terms)
+        out[start : start + len(part)] = _pairwise_sum(terms)
+    return out
 
 
-class _DistanceRows:
-    """Squared-distance rows of one point set in an ``(n, n)`` buffer, each
-    computed the first time its point is asked for and kept for the rest of
-    the ``kmeans`` call. A row has the bits whichever batch computed it: the
-    sum runs over d alone."""
-
-    def __init__(self, pts: np.ndarray):
-        self.pts = pts
-        self.rows = np.empty((len(pts), len(pts)))
-        self.have = np.zeros(len(pts), dtype=bool)
-
-    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
-        have = self.have.take(idx)
-        if not have.all():
-            missing = np.unique(idx[~have])
-            self.rows[missing] = _sq_dist_rows(self.pts, missing)
-            self.have[missing] = True
-        return self.rows.take(idx, axis=0)
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)``'s bits as if axis 0 were contiguous: numpy's
+    pairwise summation of d terms, in place, returning the slab holding the
+    sum. Below 8 terms they are added in sequence; up to 128, into 8 running
+    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
+    then the leftover terms in sequence; above, each half (split at a
+    multiple of 8) is summed alike and the halves added."""
+    d = len(terms)
+    if d < 8:
+        for i in range(1, d):
+            terms[0] += terms[i]
+        return terms[0]
+    if d <= 128:
+        acc, tail = terms[:8], d - d % 8
+        for i in range(8, tail, 8):
+            acc += terms[i : i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+        for i in range(tail, d):
+            acc[0] += terms[i]
+        return acc[0]
+    half = d // 2 - (d // 2) % 8
+    total = _pairwise_sum(terms[:half])
+    total += _pairwise_sum(terms[half:])
+    return total
 
 
 def _draw_d2(closest: np.ndarray, total: float, size: int, rng: Rng) -> np.ndarray:
@@ -249,20 +283,20 @@ def _draw_d2(closest: np.ndarray, total: float, size: int, rng: Rng) -> np.ndarr
     return cdf.searchsorted(rng.random(size), side="right")
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng, rows: _DistanceRows) -> np.ndarray:
+def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng, rows: np.ndarray) -> np.ndarray:
     """Greedy k-means++: each new centroid is sampled D^2-proportionally from
     a few candidates and the one shrinking the potential most is kept; ties
-    go to the first candidate drawn. The candidates' distance rows come from
-    ``rows``, which the other candidates and restarts of the call share.
-    The winner's row of candidate minima becomes ``closest`` and its
-    potential ``total``: the bits of recomputing them."""
+    go to the first candidate drawn. The candidates' distance rows are taken
+    from ``rows``, the call's ``(n, n)`` squared-distance matrix. The
+    winner's row of candidate minima becomes ``closest`` and its potential
+    ``total``: the bits of recomputing them."""
     n = len(pts)
     n_candidates = 2 + int(np.log(k))
     chosen = np.empty(k, dtype=int)
     chosen[0] = rng.integers(n)
+    closest = rows[chosen[0]]
     with np.errstate(over="ignore"):  # reported once, by the ValueError below
-        closest = rows[chosen[:1]][0]
-    total = closest.sum()
+        total = closest.sum()
     if not np.isfinite(total):
         raise ValueError("kmeans points are too large: their squared distances overflow")
     for i in range(1, k):
@@ -271,7 +305,7 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: Rng, rows: _DistanceRows) -> n
         else:
             # all remaining points coincide with a chosen centroid
             candidates = rng.integers(n, size=1)
-        mins = rows[candidates]
+        mins = rows.take(candidates, axis=0)
         np.minimum(mins, closest, out=mins)
         potentials = mins.sum(axis=1)
         best = potentials.argmin()  # first strict minimum

@@ -157,6 +157,15 @@ class TestKMeans:
         _, _, history = kmeans(pts, 4, seeded_rng(12))
         assert history[-1] <= history[0] + 1e-12
 
+    def test_overflowing_potential_reported_only_by_the_error(self):
+        """Every squared distance is finite, but their sum overflows."""
+        pts = np.repeat([[-1e153], [1e153]], 200, axis=0)
+        assert np.isfinite(((pts - pts[0]) ** 2)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="kmeans points"):
+                kmeans(pts, 2, seeded_rng(13))
+
 
 class TestKMeansLoopOracle:
     """The vectorised kernels give the loop forms' exact bits."""
@@ -345,6 +354,23 @@ class TestD2Draw:
             assert w[got].all(), trial
             assert ours.random() == theirs.random(), trial
         assert zero_weights > 1000
+
+
+class TestSqDistRows:
+    @pytest.mark.parametrize("block", [numerics._SQ_DIST_BLOCK, 500])
+    def test_matches_row_sum_bits(self, monkeypatch, block):
+        """The blocked kernel gives ``.sum(axis=2)``'s bits for every width:
+        d < 8 in sequence, 8-128 through 8 accumulators and a tail, above
+        128 split in halves; scales 1e-150 to 1e150, any rows, repeats."""
+        monkeypatch.setattr(numerics, "_SQ_DIST_BLOCK", block)
+        for d in [*range(1, 141), *range(200, 301)]:
+            rng = seeded_rng(48, block, d)
+            n = int(rng.integers(1, 25))
+            pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150)
+            idx = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
+            want = ((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)
+            got = numerics._sq_dist_rows(pts, idx)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
 
 
 class TestUnitRows:
