@@ -37,24 +37,35 @@ CHECKS = (
 )
 
 
+def command(name: str, out) -> list[str]:
+    """The ``output_digest.py`` command line of check ``name``, writing its
+    runs under ``out``."""
+    _, digest, config, methods, sets = next(check for check in CHECKS if check[0] == name)
+    return [
+        sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+        "--config", str(ROOT / config), "--methods", methods,
+        *(arg for key_value in sets for arg in ("--set", key_value)),
+        "--out", str(out), "--expect", str(ROOT / "configs" / digest),
+    ]
+
+
+def environment() -> dict[str, str]:
+    """The process environment every check runs in: one BLAS thread, and
+    this checkout's ``src`` first on the import path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+
+
 def main(names: list[str]) -> int:
     unknown = set(names) - {check[0] for check in CHECKS}
     if unknown:
         print(f"unknown checks: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    for name, digest, config, methods, sets in CHECKS:
+    for name, digest, *_ in CHECKS:
         if names and name not in names:
             continue
         with tempfile.TemporaryDirectory() as out:
-            command = [
-                sys.executable, str(ROOT / "scripts" / "output_digest.py"),
-                "--config", str(ROOT / config), "--methods", methods,
-                *(arg for key_value in sets for arg in ("--set", key_value)),
-                "--out", out, "--expect", str(ROOT / "configs" / digest),
-            ]
-            done = subprocess.run(command, env=env, stdout=subprocess.DEVNULL)
+            done = subprocess.run(command(name, out), env=environment(), stdout=subprocess.DEVNULL)
         if done.returncode != 0:
             print(f"{name}: differs from configs/{digest}", file=sys.stderr)
             return 1

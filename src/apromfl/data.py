@@ -179,23 +179,16 @@ def role_partition(
     the active roles, giving each role its own semantic pool; otherwise all
     clients draw from the shared pool.
     """
-    num_clients = sum(counts)
-    if not disjoint_classes:
-        return dirichlet_partition(labels, num_clients, alpha, rng)
-
-    role_classes = deal_role_classes(np.unique(labels), counts)
-
-    merged: list[dict[int, np.ndarray]] = [dict() for _ in range(num_clients)]
-    offset = 0
-    for role_id, role_count in enumerate(counts):
-        if role_count == 0:
-            continue
-        pool = np.flatnonzero(np.isin(labels, role_classes[role_id]))
-        sub = dirichlet_partition(labels[pool], role_count, alpha, rng)
-        for local, share in enumerate(sub.client_shares):
-            merged[offset + local] = {c: pool[v] for c, v in share.items()}
-        offset += role_count
-    return PartitionPlan(tuple(merged))
+    if disjoint_classes:
+        dealt = deal_role_classes(np.unique(labels), counts)
+        pools = [(np.flatnonzero(np.isin(labels, dealt[r])), counts[r]) for r in dealt]
+    else:
+        pools = [(np.arange(len(labels)), sum(counts))]
+    shares: list[dict[int, np.ndarray]] = []
+    for pool, count in pools:
+        sub = dirichlet_partition(labels[pool], count, alpha, rng)
+        shares += [{c: pool[v] for c, v in share.items()} for share in sub.client_shares]
+    return PartitionPlan(tuple(shares))
 
 
 def assign_roles(

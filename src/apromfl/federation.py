@@ -34,9 +34,9 @@ private writable buffer, steps that buffer, and freezes it when the round
 ends; the frozen models a client state holds (at set-up, every client
 shares the same initial ones) are never written. Both kinds of client
 train in one loop with the same transfer losses: a unimodal client's module
-as a one-tower ``(1, P)`` stack with its head on cross-entropy, a
-multimodal client's two modules as one ``(2, P)`` stack on retrieval (one
-forward, backward and SGD call a step for both towers) plus a regulariser.
+alone with its head on cross-entropy, a multimodal client's two modules as
+one ``(2, P)`` stack on retrieval (one forward, backward and SGD call a step
+for both towers) plus a regulariser.
 """
 
 from __future__ import annotations
@@ -180,39 +180,32 @@ def _batches(order: np.ndarray, batch_size: int, min_size: int) -> list[np.ndarr
 
 @dataclass(frozen=True)
 class _Towers:
-    """A client's t mapping modules (its towers) as private writable stacks,
-    trained together: a unimodal client's module as a one-tower ``(1, P)``
-    stack; a multimodal client's image and text modules as one ``(2, P)``
-    stack when the two share their dims (always under projection encoders),
-    else a one-tower stack each. Embeddings are one ``(t, N, d)`` array,
-    image first, so one :func:`unit_rows` call normalises every tower;
-    gradients are a list of one ``(N, d)`` array per tower. ``runs`` holds
-    what each stack's passes run on its features: the stack, or a one-tower
-    stack's row module on 2-D features (numpy's 2-D products cost less)."""
+    """A client's t mapping modules (its towers), trained together as runs:
+    each run is a private writable module on its features. A multimodal
+    client's image and text modules run as one ``(2, P)`` stack on
+    ``(2, N, d)`` features when the two share their dims (always under
+    projection encoders); otherwise each module runs alone, as its own
+    :func:`trainable` copy on its ``(N, d)`` features (numpy's 2-D products
+    cost less). Embeddings are one ``(t, N, d)`` array, image first, so one
+    :func:`unit_rows` call normalises every tower; gradients are a list of
+    one ``(N, d)`` array per tower."""
 
-    stacks: tuple[MappingModule, ...]
     runs: tuple[tuple[MappingModule, np.ndarray], ...]
 
     @classmethod
     def of(cls, modules, features) -> "_Towers":
-        """Stacks of ``modules`` over their ``(N, d)`` ``features``: each a
-        :func:`trainable` copy of their :func:`stack`, made in one copy."""
+        """Runs of ``modules`` over their ``(N, d)`` ``features``: a pair's
+        :func:`trainable` :func:`stack`, made in one copy, or each alone."""
         if len(modules) == 2 and modules[0].dims == modules[1].dims:
-            groups, inputs = [modules], [np.stack(features)]
-        else:
-            groups, inputs = [[m] for m in modules], features
-        stacks = [MappingModule(g[0].dims, np.array([m.params for m in g])) for g in groups]
-        runs = [
-            (s if x.ndim == 3 else MappingModule(s.dims, s.params[0]), x)
-            for s, x in zip(stacks, inputs)
-        ]
-        for module in stacks + [m for m, _ in runs]:
-            module.params.flags.writeable = True  # views of the private copy
-        return cls(tuple(stacks), tuple(runs))
+            pair = MappingModule(modules[0].dims, np.array([m.params for m in modules]))
+            pair.params.flags.writeable = True  # a view of the private copy
+            return cls(((pair, np.stack(features)),))
+        return cls(tuple((trainable(m), x) for m, x in zip(modules, features)))
 
     def modules(self) -> tuple[MappingModule, ...]:
-        """The modules, frozen, image first."""
-        return tuple(m for s in self.stacks for m in unstack(s))
+        """The modules, frozen, image first: a pair unstacked, a lone one frozen."""
+        frozen = [unstack(m) if m.params.ndim == 2 else (freeze(m),) for m, _ in self.runs]
+        return tuple(m for ms in frozen for m in ms)
 
     def embed(self) -> np.ndarray:
         return np.concatenate([_tower_axis(forward_map(m, x)) for m, x in self.runs])
@@ -225,31 +218,27 @@ class _Towers:
         runs = [forward_map_trace(m, x[..., rows, :]) for m, x in self.runs]
         return np.concatenate([_tower_axis(e) for e, _ in runs]), tuple(t for _, t in runs)
 
-    def lmr(self, anchor: "_Towers", weight: float) -> tuple[float, list[np.ndarray]]:
-        """The regulariser value toward ``anchor``, summed over the towers,
-        and each stack's parameter gradient."""
-        total, grads = 0.0, []
-        for s, a in zip(self.stacks, anchor.stacks):
-            values, grad = lmr_loss(s, a, weight)
-            for value in values:
-                total += value
-            grads.append(grad)
-        return total, grads
-
-    def descend(self, traces, grads: list[np.ndarray], lr: float, extra=None) -> None:
+    def descend(self, traces, grads: list[np.ndarray], lr: float, anchor=None, weight=0.0) -> float:
         """Backpropagate each tower's embedding gradient ``grads[i]`` through
-        the stacks, add ``extra[j]`` to stack j's parameter gradient if
-        given, and step every stack in place."""
+        the runs and step each run in place; with an ``anchor`` (frozen
+        towers of the same layout), first add run j's regulariser gradient
+        toward ``anchor.runs[j]``. Returns the regulariser value, summed over
+        the towers (0 without an anchor)."""
         parts = grads if len(grads) == len(self.runs) else [np.stack(grads)]
+        total = 0.0
         for j, ((module, _), trace, g) in enumerate(zip(self.runs, traces, parts)):
             grad = backward(module, trace, g)
-            if extra is not None:
-                grad += extra[j].reshape(grad.shape)
+            if anchor is not None:
+                values, lmr_grad = lmr_loss(module, anchor.runs[j][0], weight)
+                for value in values:
+                    total += value
+                grad += lmr_grad
             sgd_step(module, grad, lr)
+        return total
 
 
 def _tower_axis(embs: np.ndarray) -> np.ndarray:
-    """``embs`` with a leading tower axis: a one-tower run's are ``(N, d)``."""
+    """``embs`` with a leading tower axis: a lone module's are ``(N, d)``."""
     return embs if embs.ndim == 3 else embs[None]
 
 
@@ -265,13 +254,13 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, an
     targets (``(t, N, d)``, and each tower's unit rows of the batch); it
     runs first, as ``task_loss`` may step a model both read (a head)."""
     cfg = rc.config
-    t, n = sum(len(s.params) for s in towers.stacks), towers.runs[0][1].shape[-2]
+    n = towers.runs[0][1].shape[-2]
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     if use_gmt:
         targets = towers.embed()
         target_rows = unit_rows(targets, "distillation targets")
-        target_rows = [target_rows[i] for i in range(t)]
+        target_rows = [target_rows[i] for i in range(len(targets))]
     values = []  # each step's loss terms
     for _ in range(cfg.local_epochs):
         for batch in _batches(batch_rng.permutation(n), cfg.batch_size, min_size):
@@ -283,6 +272,7 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, an
             task, grads, rows = task_loss(embs, batch)
             if rows is None and (protos is not None or use_gmt):
                 rows = [unit_rows(e) for e in embs]
+            t = len(grads)
             if protos is not None:
                 # a lone tower is assigned to both prototype sets
                 gpt_value, a, b = gpt_loss_paired_batch(rows[0], rows[-1], protos, cfg.tau)
@@ -295,8 +285,7 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, an
                     gmt_value += value
                     grads[i] = grads[i] + cfg.beta2 / t * g
                 gmt_value /= t
-            lmr_value, extra = (0.0, None) if anchor is None else towers.lmr(anchor, cfg.lmr_weight)
-            towers.descend(traces, grads, cfg.lr, extra)
+            lmr_value = towers.descend(traces, grads, cfg.lr, anchor, cfg.lmr_weight)
             values.append((task, gpt_value, gmt_value, lmr_value))
     means = {}
     for i, name in enumerate(LOSS_TERMS):
@@ -346,7 +335,7 @@ def multimodal_client_round(
     regulariser tying it to the clustering model's modules."""
     cfg = rc.config
     n = len(state.image_features)
-    k_local = max(1, min(cfg.num_global_prototypes, n))
+    k_local = min(cfg.num_global_prototypes, n)
     key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
     features = (state.image_features, state.text_features)
 

@@ -132,13 +132,14 @@ def clustering_total_loss(img: UnitRows, txt: UnitRows, labels, tau: float):
 
 def lmr_loss(module: MappingModule, anchor: MappingModule, weight: float):
     """weight * ||theta - theta_anchor||^2 with gradient w.r.t. theta only,
-    for a stack of modules against a stack of anchors: the value is a list
-    with one entry per row, and the gradient is stacked likewise.
+    for a module against its anchor, or a stack of modules against a stack
+    of anchors: the value is a list with one entry per module (row), and the
+    gradient has the parameters' shape.
 
     The anchor (the private clustering model's module) is frozen.
     """
     diff = module.params - anchor.params
-    return [weight * float(row @ row) for row in diff], 2.0 * weight * diff
+    return [weight * float(row @ row) for row in np.atleast_2d(diff)], 2.0 * weight * diff
 
 
 # -- global prototype transfer -----------------------------------------------

@@ -269,10 +269,10 @@ def min_abs_preact(module, x) -> float:
 
 def per_step_unimodal_round(state, rc):
     """``federation.unimodal_client_round`` written out step by step on its
-    own ``(N, d)`` features, before a unimodal client trained as a one-tower
-    stack: a :func:`trainable` copy of the mapper and of the head, a
-    cross-entropy step through the head, and every batch embeds its
-    distillation targets itself.
+    own ``(N, d)`` features, outside the shared task-training loop: a
+    :func:`trainable` copy of the mapper and of the head, a cross-entropy
+    step through the head, and every batch embeds its distillation targets
+    itself.
     Returns ``(mapper, head, prototypes, loss_terms)``."""
     cfg = rc.config
     feats, labels = state.features, state.labels

@@ -240,7 +240,8 @@ class TestClusteringTotalLoss:
 
 
 class TestLmrLoss:
-    """The regulariser takes stacks; these run it on one-row stacks."""
+    """The regulariser takes a module or a stack; these run it on one-row
+    stacks, and pin a lone module to its one-row stack."""
 
     def test_identical_modules(self):
         m = stack(init_mapping_module((3, 4, 2), seeded_rng(504)))
@@ -269,6 +270,16 @@ class TestLmrLoss:
 
         numeric = fd_wrt_modules(lambda ms: lmr_loss(stack(ms[0]), anchor, 0.3)[0][0], [a])
         assert grad_rel_error(grad[0], numeric) < 1e-4
+
+    def test_lone_module_matches_its_one_row_stack(self):
+        m = init_mapping_module((3, 4, 2), seeded_rng(508, "m"))
+        a = init_mapping_module((3, 4, 2), seeded_rng(508, "a"))
+        (value,), grad = lmr_loss(m, a, 0.6)
+        (row_value,), row_grad = lmr_loss(stack(m), stack(a), 0.6)
+        assert value == pytest.approx(0.6 * np.sum((m.params - a.params) ** 2))
+        assert grad.shape == m.params.shape
+        assert value == row_value
+        assert np.array_equal(grad, row_grad[0])
 
 
 class TestAssignmentProbs:
