@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import ROLE_ORDER, SyntheticSpec, deal_role_classes, eval_cut
+from .data import SyntheticSpec, eval_cut, role_pools
 
 METHODS = ("apromfl", "local", "fediot")
 
@@ -132,15 +132,9 @@ def _validate_split(config: ExperimentConfig, fail) -> None:
             "synthetic.samples_per_class",
         )
     train_per_class = spec.samples_per_class - held_out
-    if config.disjoint_role_classes:
-        dealt = deal_role_classes(range(spec.num_classes), config.client_counts)
-        pools = [
-            (f"{ROLE_ORDER[r]} clients", len(classes) * train_per_class, config.client_counts[r])
-            for r, classes in dealt.items()
-        ]
-    else:
-        pools = [("clients", spec.num_classes * train_per_class, config.num_clients)]
-    for who, samples, clients in pools:
+    pools = role_pools(range(spec.num_classes), config.client_counts, config.disjoint_role_classes)
+    for who, classes, clients in pools:
+        samples = len(classes) * train_per_class
         if samples < clients:
             fail(
                 "synthetic.samples_per_class",

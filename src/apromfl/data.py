@@ -156,14 +156,20 @@ def _repair_empty_clients(plan: list[dict[int, np.ndarray]]) -> None:
         sizes[client] += 1
 
 
-def deal_role_classes(classes, counts: tuple[int, int, int]) -> dict[int, list[int]]:
-    """The classes of each role that has clients when roles get disjoint
-    classes: dealt round-robin, in the given order, across those roles."""
+def role_pools(
+    classes, counts: tuple[int, int, int], disjoint: bool
+) -> list[tuple[str, list[int], int]]:
+    """Each partition pool as ``(who, classes, client count)``: one of every
+    class for all clients, or, if ``disjoint``, one per role that has
+    clients, the classes dealt round-robin across those roles in order."""
+    classes = [int(c) for c in classes]
+    if not disjoint:
+        return [("clients", classes, sum(counts))]
     active = [r for r, m in enumerate(counts) if m > 0]
-    dealt: dict[int, list[int]] = {r: [] for r in active}
-    for j, c in enumerate(classes):
-        dealt[active[j % len(active)]].append(int(c))
-    return dealt
+    return [
+        (f"{ROLE_ORDER[r]} clients", classes[j :: len(active)], counts[r])
+        for j, r in enumerate(active)
+    ]
 
 
 def role_partition(
@@ -173,19 +179,12 @@ def role_partition(
     rng: Rng,
     disjoint_classes: bool = False,
 ) -> PartitionPlan:
-    """Partition for (multimodal, image, text) client groups in that order.
-
-    With ``disjoint_classes`` the classes are first split round-robin across
-    the active roles, giving each role its own semantic pool; otherwise all
-    clients draw from the shared pool.
-    """
-    if disjoint_classes:
-        dealt = deal_role_classes(np.unique(labels), counts)
-        pools = [(np.flatnonzero(np.isin(labels, dealt[r])), counts[r]) for r in dealt]
-    else:
-        pools = [(np.arange(len(labels)), sum(counts))]
+    """Partition for (multimodal, image, text) client groups in that order:
+    each of the :func:`role_pools` (one shared, or with ``disjoint_classes``
+    one per role) is split across its clients."""
     shares: list[dict[int, np.ndarray]] = []
-    for pool, count in pools:
+    for _, classes, count in role_pools(np.unique(labels), counts, disjoint_classes):
+        pool = np.flatnonzero(np.isin(labels, classes))
         sub = dirichlet_partition(labels[pool], count, alpha, rng)
         shares += [{c: pool[v] for c, v in share.items()} for share in sub.client_shares]
     return PartitionPlan(tuple(shares))

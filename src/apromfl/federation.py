@@ -76,10 +76,8 @@ from .nn import (
     make_projection_encoder,
     sgd_step,
     sgd_step_head,
-    stack,
     trainable,
     unflatten_module,
-    unstack,
 )
 from .numerics import UnitRows, kmeans, require_finite, seeded_rng, unit_rows
 from .prototypes import (
@@ -88,7 +86,6 @@ from .prototypes import (
     UnimodalPrototype,
     build_global_prototypes,
     clustering_prototype_pairs,
-    completion_matrices,
     fuse,
     label_guided_prototypes,
     pair_matrix,
@@ -184,28 +181,26 @@ class _Towers:
     each run is a private writable module on its features. A multimodal
     client's image and text modules run as one ``(2, P)`` stack on
     ``(2, N, d)`` features when the two share their dims (always under
-    projection encoders); otherwise each module runs alone, as its own
-    :func:`trainable` copy on its ``(N, d)`` features (numpy's 2-D products
-    cost less). Embeddings are one ``(t, N, d)`` array, image first, so one
-    :func:`unit_rows` call normalises every tower; gradients are a list of
-    one ``(N, d)`` array per tower."""
+    projection encoders); otherwise each module runs alone on its ``(N, d)``
+    features (numpy's 2-D products cost less). Embeddings are one
+    ``(t, N, d)`` array, image first, so one :func:`unit_rows` call
+    normalises every tower; gradients are a list of one ``(N, d)`` array per
+    tower."""
 
     runs: tuple[tuple[MappingModule, np.ndarray], ...]
 
     @classmethod
     def of(cls, modules, features) -> "_Towers":
-        """Runs of ``modules`` over their ``(N, d)`` ``features``: a pair's
-        :func:`trainable` :func:`stack`, made in one copy, or each alone."""
+        """Runs of ``modules`` over their ``(N, d)`` ``features``: an
+        equal-dims pair as one :func:`trainable` stack, or each module as its
+        own :func:`trainable` copy."""
         if len(modules) == 2 and modules[0].dims == modules[1].dims:
-            pair = MappingModule(modules[0].dims, np.array([m.params for m in modules]))
-            pair.params.flags.writeable = True  # a view of the private copy
-            return cls(((pair, np.stack(features)),))
+            return cls(((trainable(*modules), np.stack(features)),))
         return cls(tuple((trainable(m), x) for m, x in zip(modules, features)))
 
     def modules(self) -> tuple[MappingModule, ...]:
-        """The modules, frozen, image first: a pair unstacked, a lone one frozen."""
-        frozen = [unstack(m) if m.params.ndim == 2 else (freeze(m),) for m, _ in self.runs]
-        return tuple(m for ms in frozen for m in ms)
+        """The modules, frozen, image first."""
+        return tuple(m for run, _ in self.runs for m in freeze(run))
 
     def embed(self) -> np.ndarray:
         return np.concatenate([_tower_axis(forward_map(m, x)) for m, x in self.runs])
@@ -317,7 +312,7 @@ def unimodal_client_round(
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
     towers = _Towers.of((state.mapper,), (state.features,))
     terms = _train_task(towers, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
-    (mapper,), head = towers.modules(), freeze(head)
+    (mapper,), (head,) = towers.modules(), freeze(head)
     protos = label_guided_prototypes(towers.embed()[0], labels, state.modality)
     params = {state.modality: flatten_module(mapper)}
     if cfg.method == "fediot":
@@ -401,7 +396,7 @@ def relationship_weights(modules: list[MappingModule]) -> np.ndarray:
     parameter-space cosine similarities with a unit diagonal, negatives
     clamped to zero, rows normalised (the diagonal keeps every row sum >= 1
     before normalisation)."""
-    unit = unit_rows(stack(*modules).params, "module parameters").unit
+    unit = unit_rows(np.stack([m.params for m in modules]), "module parameters").unit
     sim = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     clamped = np.maximum(sim, 0.0)
@@ -410,7 +405,7 @@ def relationship_weights(modules: list[MappingModule]) -> np.ndarray:
 
 def aggregate_modules(weights: np.ndarray, modules: list[MappingModule]) -> list[MappingModule]:
     """Personalised aggregation: client i receives sum_j w_ij * theta_j."""
-    flats = stack(*modules).params
+    flats = np.stack([m.params for m in modules])
     return [unflatten_module(m.dims, row @ flats) for m, row in zip(modules, weights)]
 
 
@@ -420,7 +415,7 @@ def fediot_aggregate(modules: list[MappingModule]) -> MappingModule:
     :func:`aggregate_modules`, so the two agree bit-for-bit under uniform
     weights."""
     uniform = np.full(len(modules), 1.0 / len(modules))
-    return MappingModule(modules[0].dims, uniform @ stack(*modules).params)
+    return MappingModule(modules[0].dims, uniform @ np.stack([m.params for m in modules]))
 
 
 # -- experiment setup ----------------------------------------------------------
@@ -539,8 +534,7 @@ def _aggregate_prototypes(
     completed: list[PrototypePair] = []
     if mm_pairs and unimodal:
         top_o = min(config.completion_top_o, len(mm_pairs))
-        pairs, unit = completion_matrices(mm_pairs)
-        completed = [semantic_complete(proto, pairs, unit, top_o) for proto in unimodal]
+        completed = semantic_complete(unimodal, mm_pairs, top_o)
     all_pairs = mm_pairs + completed
     if not all_pairs:
         return None

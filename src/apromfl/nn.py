@@ -11,12 +11,12 @@ architecture holds a ``(t, P)`` matrix instead, one vector per row, and its
 views and gradients carry the same leading axis: one forward or backward
 call then runs every tower of the stack.
 
-Models are frozen dataclasses with read-only parameters. A client round
-copies each model it trains once into a private writable buffer
-(:func:`trainable`), steps that buffer in place, and freezes it when the
-round ends (:func:`freeze`, :func:`unstack`); a frozen model shared between
-clients is never written. Every input is a batch: ``(N, d)``, or
-``(t, N, d)`` for a stack of t models.
+Models are frozen dataclasses with read-only parameters, and this module
+makes every private copy: a client round copies the models it trains once
+into one writable buffer (:func:`trainable`: one model, or a stack), steps
+it in place, and ends the round with :func:`freeze`, which hands back each
+frozen model; a frozen model shared between clients is never written.
+Every input is a batch: ``(N, d)``, or ``(t, N, d)`` for a stack of t models.
 
 An encoder, the frozen stand-in for a large pretrained backbone, is a fixed
 seeded random projection matrix, or ``None`` for the identity.
@@ -106,29 +106,22 @@ def init_classifier_head(in_dim: int, num_classes: int, rng: Rng) -> MappingModu
     return MappingModule((in_dim, num_classes), params)
 
 
-def trainable(model: MappingModule) -> MappingModule:
-    """A private, writable copy of ``model`` for one round of in-place
-    training: :func:`sgd_step` steps it in place, and :func:`freeze` or
-    :func:`unstack` end the round."""
-    copy = MappingModule(model.dims, model.params.copy())
+def trainable(*models: MappingModule) -> MappingModule:
+    """A private, writable copy for one round of in-place training, made in
+    one copy: of one model, or of several of one architecture as the rows of
+    a ``(t, P)`` stack, whose forward or backward call runs all t.
+    :func:`sgd_step` steps it in place, and :func:`freeze` ends the round."""
+    params = np.array([m.params for m in models])  # the one copy
+    copy = MappingModule(models[0].dims, params if len(models) > 1 else params[0])
     copy.params.flags.writeable = True  # a view of the private copy
     return copy
 
 
-def freeze(model: MappingModule) -> MappingModule:
-    """``model`` as a frozen model again: read-only parameters, no copy."""
-    return MappingModule(model.dims, model.params)
-
-
-def stack(*models: MappingModule) -> MappingModule:
-    """One frozen model holding ``models`` (one architecture) as the rows of a
-    ``(t, P)`` stack; each forward or backward call on it runs all t."""
-    return MappingModule(models[0].dims, np.stack([m.params for m in models]))
-
-
-def unstack(model: MappingModule) -> tuple[MappingModule, ...]:
-    """The frozen models a stack holds, each viewing its row without a copy."""
-    return tuple(MappingModule(model.dims, row) for row in model.params)
+def freeze(model: MappingModule) -> tuple[MappingModule, ...]:
+    """The frozen models ``model`` holds, without a copy: itself with
+    read-only parameters, or each row of a stack as its own model."""
+    rows = model.params if model.params.ndim == 2 else (model.params,)
+    return tuple(MappingModule(model.dims, row) for row in rows)
 
 
 def forward_map(module: MappingModule, x: np.ndarray) -> np.ndarray:

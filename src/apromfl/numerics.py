@@ -138,7 +138,7 @@ def kmeans(points, k: int, rng: Rng):
     pts = require_finite(points, "kmeans points")
     restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
     with np.errstate(over="ignore"):  # reported once, by the seeding's ValueError
-        rows = _sq_dist_rows(pts, np.arange(len(pts)))
+        rows = _sq_dist_rows(pts)
     seeds = [_kmeans_pp_init(pts, k, rng, rows) for _ in range(restarts)]
     # Lloyd draws nothing from rng, so it can run after every seeding, once
     # the matrix is freed.
@@ -220,9 +220,9 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _sq_dist_rows(pts: np.ndarray, idx) -> np.ndarray:
-    """Squared distances from the points ``idx`` to every point, ``(len(idx), n)``:
-    the bits of ``((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)``.
+def _sq_dist_rows(pts: np.ndarray) -> np.ndarray:
+    """Squared distances between every two points, ``(n, n)``: the bits of
+    ``((pts[None] - pts[:, None]) ** 2).sum(axis=2)``.
 
     The work runs coordinate-major, ``_SQ_DIST_BLOCK`` terms at a time: each
     block of rows fills one reused ``(d, rows, n)`` buffer with its squared
@@ -232,16 +232,15 @@ def _sq_dist_rows(pts: np.ndarray, idx) -> np.ndarray:
     """
     n, d = pts.shape
     cols = np.ascontiguousarray(pts.T)
-    idx = np.asarray(idx)
     block = max(1, _SQ_DIST_BLOCK // (d * n))
-    out = np.empty((len(idx), n))
-    buf = np.empty((d, min(block, len(idx)), n))
-    for start in range(0, len(idx), block):
-        part = idx[start : start + block]
-        terms = buf[:, : len(part)]
-        np.subtract(cols[:, None, :], cols[:, part, None], out=terms)
+    out = np.empty((n, n))
+    buf = np.empty((d, min(block, n), n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        terms = buf[:, : stop - start]
+        np.subtract(cols[:, None, :], cols[:, start:stop, None], out=terms)
         np.square(terms, out=terms)
-        out[start : start + len(part)] = _pairwise_sum(terms)
+        out[start:stop] = _pairwise_sum(terms)
     return out
 
 

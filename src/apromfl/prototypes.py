@@ -2,9 +2,10 @@
 
 Unimodal clients summarise each class by the mean of its embeddings;
 multimodal clients cluster fused image/text embeddings and emit one
-(image mean, text mean) pair per cluster. The server completes the missing
-modality of every unimodal prototype as a similarity-weighted sum over the
-multimodal pairs, then clusters everything into K global pairs.
+(image mean, text mean) pair per cluster; no record carries a class label.
+The server completes the missing modality of every unimodal prototype as a
+similarity-weighted sum over the multimodal pairs, in one
+:func:`semantic_complete` call, then clusters everything into K global pairs.
 
 Callers pass valid sizes (``k`` and ``top_o`` at most the number of points
 or pairs, every client holding a sample), so no argument is range-checked;
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, UnitRows, kmeans, require_finite, unit_rows
+from .numerics import Rng, kmeans, require_finite, unit_rows
 
 #: Below this total weight, completion falls back to uniform weights.
 WEIGHT_EPS = 1e-12
@@ -29,7 +30,6 @@ class UnimodalPrototype:
 
     modality: str  # "image" | "text"
     vector: np.ndarray
-    class_id: int
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,12 @@ class GlobalPrototypeSet:
 
 
 def label_guided_prototypes(embs, labels, modality: str = "image") -> list[UnimodalPrototype]:
-    """One prototype per present class: the mean embedding of that class."""
+    """One prototype per present class, in ascending class order: the mean
+    embedding of that class."""
     embs = require_finite(embs, "embeddings")
     return [
-        UnimodalPrototype(modality, embs[labels == class_id].mean(axis=0), int(class_id))
-        for class_id in np.unique(labels)
+        UnimodalPrototype(modality, embs[labels == c].mean(axis=0))
+        for c in np.unique(labels)
     ]
 
 
@@ -82,42 +83,40 @@ def pair_matrix(pairs) -> np.ndarray:
     return np.stack([[p.image_vec for p in pairs], [p.text_vec for p in pairs]])
 
 
-def completion_matrices(mm_pairs: list[PrototypePair]) -> tuple[np.ndarray, UnitRows]:
-    """What :func:`semantic_complete` reads: the multimodal pairs as one
-    ``(2, M, d)`` image/text stack, and its unit rows. A server phase builds
-    them once and completes every unimodal prototype against them."""
-    pairs = pair_matrix(mm_pairs)
-    return pairs, unit_rows(pairs, "multimodal prototypes")
-
-
 def semantic_complete(
-    uni: UnimodalPrototype, pairs: np.ndarray, unit: UnitRows, top_o: int
-) -> PrototypePair:
-    """Synthesise the missing modality of a unimodal prototype from the
-    multimodal pairs given by :func:`completion_matrices`.
+    unimodal: list[UnimodalPrototype], mm_pairs: list[PrototypePair], top_o: int
+) -> list[PrototypePair]:
+    """Synthesise the missing modality of each unimodal prototype, in order,
+    from the multimodal pairs, which are stacked and normalised once.
 
     Ranks the multimodal pairs by cosine similarity on the prototype's own
     modality, keeps the top_o most similar (ties broken by lower pair index),
     converts the kept similarities into weights by clamping negatives to zero
-    and normalising, and returns the weighted sum of the opposite-modality
-    prototypes paired with the original vector. If every kept similarity is
+    and normalising, and pairs the weighted sum of the opposite-modality
+    prototypes with the original vector. If every kept similarity is
     non-positive (a zero vector has cosine 0 with every pair) the weights
     fall back to uniform.
     """
-    own = 0 if uni.modality == "image" else 1
-    norm = np.linalg.norm(uni.vector)
-    sims = unit.unit[own] @ (uni.vector / (norm if norm else 1.0))
-    keep = np.argsort(-sims, kind="stable")[:top_o]
-    weights = np.maximum(sims[keep], 0.0)
-    total = weights.sum()
-    if total < WEIGHT_EPS:
-        weights = np.full(top_o, 1.0 / top_o)
-    else:
-        weights = weights / total
-    completed = weights @ pairs[1 - own][keep]
-    image_vec = uni.vector if uni.modality == "image" else completed
-    text_vec = completed if uni.modality == "image" else uni.vector
-    return PrototypePair(image_vec, text_vec)
+    pairs = pair_matrix(mm_pairs)
+    unit = unit_rows(pairs, "multimodal prototypes").unit
+    completed = []
+    for uni in unimodal:
+        own = 0 if uni.modality == "image" else 1
+        norm = np.linalg.norm(uni.vector)
+        sims = unit[own] @ (uni.vector / (norm if norm else 1.0))
+        keep = np.argsort(-sims, kind="stable")[:top_o]
+        weights = np.maximum(sims[keep], 0.0)
+        total = weights.sum()
+        if total < WEIGHT_EPS:
+            weights = np.full(top_o, 1.0 / top_o)
+        else:
+            weights = weights / total
+        filled = weights @ pairs[1 - own][keep]
+        if uni.modality == "image":
+            completed.append(PrototypePair(image_vec=uni.vector, text_vec=filled))
+        else:
+            completed.append(PrototypePair(image_vec=filled, text_vec=uni.vector))
+    return completed
 
 
 def build_global_prototypes(all_pairs: list[PrototypePair], k: int, rng: Rng) -> GlobalPrototypeSet:

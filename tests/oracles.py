@@ -26,6 +26,7 @@ from apromfl.losses import (
 )
 from apromfl.metrics import EvalReport, _hit_rate, _true_ranks
 from apromfl.nn import (
+    MappingModule,
     backward,
     backward_head,
     flatten_module,
@@ -33,7 +34,6 @@ from apromfl.nn import (
     forward_map,
     forward_map_trace,
     sgd_step,
-    stack,
     trainable,
     unflatten_module,
 )
@@ -140,9 +140,14 @@ def _loop_lloyd(pts, centroids, max_iters):
     return assignments, centroids, history, repairs
 
 
+def stack(*models: MappingModule) -> MappingModule:
+    """One frozen model holding ``models`` as the rows of a ``(t, P)`` stack."""
+    return MappingModule(models[0].dims, np.stack([m.params for m in models]))
+
+
 def list_semantic_complete(uni, mm_pairs, top_o: int) -> PrototypePair:
-    """``prototypes.semantic_complete`` taking the list of multimodal pairs:
-    it stacks and normalises the own-modality matrix for this one prototype."""
+    """``prototypes.semantic_complete`` of one unimodal prototype: it stacks
+    and normalises the own-modality matrix for this one prototype."""
     own = np.stack([p.image_vec if uni.modality == "image" else p.text_vec for p in mm_pairs])
     other = np.stack([p.text_vec if uni.modality == "image" else p.image_vec for p in mm_pairs])
     unit = uni.vector / np.linalg.norm(uni.vector)

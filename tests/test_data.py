@@ -7,6 +7,7 @@ from apromfl.data import (
     dirichlet_partition,
     generate,
     role_partition,
+    role_pools,
     train_eval_split,
 )
 from apromfl.numerics import seeded_rng
@@ -122,6 +123,17 @@ class TestDirichletPartition:
         lows = [mean_entropy(0.1, t) for t in range(10)]
         highs = [mean_entropy(5.0, t) for t in range(10)]
         assert np.mean(lows) < np.mean(highs)
+
+
+class TestRolePools:
+    def test_disjoint_pools_deal_classes_round_robin_across_roles_with_clients(self):
+        assert role_pools(range(5), (0, 2, 2), True) == [
+            ("image clients", [0, 2, 4], 2),
+            ("text clients", [1, 3], 2),
+        ]
+
+    def test_shared_pool_holds_every_class_for_all_clients(self):
+        assert role_pools(range(3), (1, 2, 3), False) == [("clients", [0, 1, 2], 6)]
 
 
 class TestAssignRoles:

@@ -301,9 +301,9 @@ class TestUnimodalClientRound:
             flatten_module(new_state.mapper), flatten_module(state.mapper)
         )
         expected = forward_map(state.mapper, state.features)
-        by_class = {p.class_id: p.vector for p in msg.label_prototypes}
-        for c in np.unique(state.labels):
-            assert np.allclose(by_class[int(c)], expected[state.labels == c].mean(axis=0))
+        classes = np.unique(state.labels)
+        for p, c in zip(msg.label_prototypes, classes, strict=True):
+            assert np.allclose(p.vector, expected[state.labels == c].mean(axis=0))
 
     def test_converges_on_separable_data(self):
         state = make_unimodal_state(n=40, separable=True)
@@ -338,8 +338,8 @@ class TestUnimodalClientRound:
             if method == "fediot":
                 shared_head = msg.module_params[f"{state.modality} head"]
                 assert shared_head.tobytes() == head.params.tobytes()
-            assert [p.class_id for p in msg.label_prototypes] == [p.class_id for p in protos]
-            for a, b in zip(msg.label_prototypes, protos):
+            classes = np.unique(state.labels)
+            for a, b, _ in zip(msg.label_prototypes, protos, classes, strict=True):
                 assert a.vector.tobytes() == b.vector.tobytes()
             assert msg.loss_terms == terms
             active = method == "apromfl" and round_index == 2
@@ -510,34 +510,28 @@ def test_global_prototypes_are_normalised_once_per_round(monkeypatch, beta1):
 
 
 def test_server_phase_completes_against_one_pair_matrix(monkeypatch):
-    """A server phase stacks and normalises the multimodal pairs once, and
-    completes every unimodal prototype, in message order, to the bits of the
-    list-taking form."""
+    """A server phase makes one ``semantic_complete`` call, which takes the
+    unimodal prototypes in message order and completes each to the bits of
+    the per-prototype form."""
     config = tiny_config()
     experiment = setup_experiment(config)
     rc = ClientRoundConfig.from_experiment(config, 1)
     messages = [client_round(s, rc)[1] for s in experiment.clients]
-    built, completed = [], []
-    real_matrices, real_complete = federation.completion_matrices, federation.semantic_complete
+    calls, real_complete = [], federation.semantic_complete
 
-    def matrices_spy(mm_pairs):
-        built.append(len(mm_pairs))
-        return real_matrices(mm_pairs)
+    def complete_spy(unimodal, mm_pairs, top_o):
+        calls.append((unimodal, top_o, real_complete(unimodal, mm_pairs, top_o)))
+        return calls[-1][2]
 
-    def complete_spy(uni, pairs, unit, top_o):
-        completed.append((uni, top_o, real_complete(uni, pairs, unit, top_o)))
-        return completed[-1][2]
-
-    monkeypatch.setattr(federation, "completion_matrices", matrices_spy)
     monkeypatch.setattr(federation, "semantic_complete", complete_spy)
     federation._aggregate_prototypes(messages, config, 1)
     mm_pairs = [p for m in messages for p in m.pair_prototypes or ()]
     unimodal = [p for m in messages for p in m.label_prototypes or ()]
-    assert built == [len(mm_pairs)]
     assert {p.modality for p in unimodal} == {"image", "text"}
-    assert [id(uni) for uni, _, _ in completed] == [id(p) for p in unimodal]
-    for uni, top_o, got in completed:
-        assert top_o == min(config.completion_top_o, len(mm_pairs))
+    ((sent, top_o, completed),) = calls
+    assert [id(uni) for uni in sent] == [id(p) for p in unimodal]
+    assert top_o == min(config.completion_top_o, len(mm_pairs))
+    for uni, got in zip(unimodal, completed, strict=True):
         want = list_semantic_complete(uni, mm_pairs, top_o)
         assert got.image_vec.tobytes() == want.image_vec.tobytes()
         assert got.text_vec.tobytes() == want.text_vec.tobytes()

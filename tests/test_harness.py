@@ -174,6 +174,22 @@ class TestConfigParsing:
         path.write_text(text + "batch_size = 2\nclients_image = %d\nclients_text = %d\n" % fits)
         setup_experiment(load_config(path))
 
+    def test_disjoint_rejection_names_the_first_pool_it_cannot_cover(self, tmp_path):
+        # 10 classes dealt over three roles: the image role gets 3 of them,
+        # with (2 - 1) training samples each, for 12 clients
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "synthetic.samples_per_class = 2\neval_fraction = 0.5\n"
+            "clients_multimodal = 3\nclients_image = 12\nclients_text = 12\n"
+            "disjoint_role_classes = True\n"
+        )
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == (
+            "synthetic.samples_per_class: 3 training samples cannot cover 12 image clients; "
+            "raise samples_per_class or lower the client counts"
+        )
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_names_field(self, tmp_path, key, raw):

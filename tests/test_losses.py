@@ -16,7 +16,7 @@ from apromfl.losses import (
     lmr_loss,
     retrieval_task_loss,
 )
-from apromfl.nn import flatten_module, init_mapping_module, stack, unflatten_module
+from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
 from apromfl.numerics import seeded_rng, unit_rows
 from oracles import (
     LN2,
@@ -29,6 +29,7 @@ from oracles import (
     inter_modal_loss,
     intra_modal_loss,
     prototype_rows,
+    stack,
 )
 
 TAU = 0.5

@@ -14,6 +14,7 @@ from apromfl.nn import (
     forward_head,
     forward_map,
     forward_map_trace,
+    freeze,
     init_classifier_head,
     init_mapping_module,
     make_projection_encoder,
@@ -162,6 +163,30 @@ class TestSgd:
         with pytest.raises(ValueError, match="trainable"):
             sgd_step_head(head, np.ones_like(head.params), 0.1)
         assert m.params.tobytes() == before
+
+
+class TestPrivateCopies:
+    def test_trainable_pair_is_one_private_stack_and_freeze_views_its_rows(self):
+        a, b = small_module(key=1), small_module(key=2)
+        pair = trainable(a, b)
+        assert pair.params.flags.writeable and pair.params.shape == (2, a.params.size)
+        assert not np.shares_memory(pair.params, a.params)
+        assert not np.shares_memory(pair.params, b.params)
+        rows = freeze(pair)
+        assert len(rows) == 2
+        for i, (row, original) in enumerate(zip(rows, (a, b))):
+            assert not row.params.flags.writeable
+            assert np.shares_memory(row.params, pair.params[i])
+            assert row.params.tobytes() == original.params.tobytes()
+            assert row.dims == original.dims
+
+    def test_freeze_of_one_trainable_model_gives_one(self):
+        a = small_module(key=3)
+        copy = trainable(a)
+        (frozen,) = freeze(copy)
+        assert not frozen.params.flags.writeable
+        assert np.shares_memory(frozen.params, copy.params)
+        assert frozen.params.tobytes() == a.params.tobytes()
 
 
 class TestFlatten:

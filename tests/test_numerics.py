@@ -249,20 +249,21 @@ class TestKMeansLoopOracle:
             self.assert_matches_loop_form(pts, k, (44, trial))
 
     def test_computes_each_distance_row_at_most_once(self, monkeypatch):
-        """All restarts of one call share the rows: no point's row is computed
-        twice, so at most n rows in all."""
+        """All restarts of one call share the matrix: one ``_sq_dist_rows``
+        call of n rows per ``kmeans`` call."""
         computed, real = [], numerics._sq_dist_rows
 
-        def rows_spy(pts, idx):
-            computed.extend(idx)
-            return real(pts, idx)
+        def rows_spy(pts):
+            rows = real(pts)
+            computed.append(len(rows))
+            return rows
 
         monkeypatch.setattr(numerics, "_sq_dist_rows", rows_spy)
         for trial in range(40):
             pts, k = self.instance(trial)
             computed.clear()
             kmeans(pts, k, seeded_rng(45, trial))
-            assert computed and len(computed) == len(set(computed)) <= len(pts), trial
+            assert computed == [len(pts)], trial
 
 
 class TestNearestScreen:
@@ -361,15 +362,15 @@ class TestSqDistRows:
     def test_matches_row_sum_bits(self, monkeypatch, block):
         """The blocked kernel gives ``.sum(axis=2)``'s bits for every width:
         d < 8 in sequence, 8-128 through 8 accumulators and a tail, above
-        128 split in halves; scales 1e-150 to 1e150, any rows, repeats."""
+        128 split in halves; scales 1e-150 to 1e150, repeated points."""
         monkeypatch.setattr(numerics, "_SQ_DIST_BLOCK", block)
         for d in [*range(1, 141), *range(200, 301)]:
             rng = seeded_rng(48, block, d)
             n = int(rng.integers(1, 25))
             pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150)
-            idx = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
-            want = ((pts[None] - pts[idx][:, None]) ** 2).sum(axis=2)
-            got = numerics._sq_dist_rows(pts, idx)
+            pts = pts[rng.integers(0, n, n)]
+            want = ((pts[None] - pts[:, None]) ** 2).sum(axis=2)
+            got = numerics._sq_dist_rows(pts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
 
 

@@ -9,7 +9,6 @@ from apromfl.prototypes import (
     UnimodalPrototype,
     build_global_prototypes,
     clustering_prototype_pairs,
-    completion_matrices,
     fuse,
     label_guided_prototypes,
     semantic_complete,
@@ -31,28 +30,25 @@ def rand_pairs(count, dim, key):
 class TestLabelGuidedPrototypes:
     def test_one_sample_per_class(self):
         embs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        protos = label_guided_prototypes(embs, np.array([3, 1]))
-        by_class = {p.class_id: p.vector for p in protos}
-        assert np.array_equal(by_class[3], embs[0])
-        assert np.array_equal(by_class[1], embs[1])
+        class_1, class_3 = label_guided_prototypes(embs, np.array([3, 1]))  # ascending
+        assert np.array_equal(class_1.vector, embs[1])
+        assert np.array_equal(class_3.vector, embs[0])
 
     def test_arithmetic_mean(self):
         embs = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 1.0]])
-        protos = label_guided_prototypes(embs + 1e-9, np.array([4, 4, 0]))
-        by_class = {p.class_id: p.vector for p in protos}
-        assert np.allclose(by_class[4], [1.0, 1.0])
+        _, class_4 = label_guided_prototypes(embs + 1e-9, np.array([4, 4, 0]))
+        assert np.allclose(class_4.vector, [1.0, 1.0])
 
     def test_matches_grouping_oracle(self):
         rng = seeded_rng(601)
         embs = rng.standard_normal((40, 5)) + 0.3
         labels = rng.integers(0, 6, size=40)
         protos = label_guided_prototypes(embs, labels)
-        assert sorted(p.class_id for p in protos) == sorted(np.unique(labels).tolist())
-        for p in protos:
+        for p, class_id in zip(protos, np.unique(labels), strict=True):
             acc = np.zeros(5)
             count = 0
             for e, y in zip(embs, labels):
-                if y == p.class_id:
+                if y == class_id:
                     acc += e
                     count += 1
             assert np.allclose(p.vector, acc / count, atol=1e-12)
@@ -112,8 +108,8 @@ class TestClusteringPrototypePairs:
 class TestSemanticComplete:
     def test_top1_copies_best_match(self):
         pairs = rand_pairs(5, 4, key=1)
-        uni = UnimodalPrototype("image", pairs[2].image_vec * 2.0, class_id=0)
-        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=1)
+        uni = UnimodalPrototype("image", pairs[2].image_vec * 2.0)
+        (completed,) = semantic_complete([uni], pairs, top_o=1)
         assert np.array_equal(completed.text_vec, pairs[2].text_vec)
         assert np.array_equal(completed.image_vec, uni.vector)
 
@@ -123,8 +119,8 @@ class TestSemanticComplete:
             PrototypePair(image_vec=v, text_vec=np.array([1.0, 1.0, 0.0])),
             PrototypePair(image_vec=2 * v, text_vec=np.array([0.0, 1.0, 1.0])),
         ]
-        uni = UnimodalPrototype("image", v.copy(), class_id=1)
-        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=2)
+        uni = UnimodalPrototype("image", v.copy())
+        (completed,) = semantic_complete([uni], pairs, top_o=2)
         assert np.allclose(completed.text_vec, [0.5, 1.0, 0.5])
 
     def test_matches_sort_select_normalize_oracle(self):
@@ -132,9 +128,9 @@ class TestSemanticComplete:
             rng = seeded_rng(608, trial)
             pairs = rand_pairs(8, 5, key=(100 + trial))
             modality = "image" if trial % 2 == 0 else "text"
-            uni = UnimodalPrototype(modality, rng.standard_normal(5) + 0.3, 0)
+            uni = UnimodalPrototype(modality, rng.standard_normal(5) + 0.3)
             top_o = int(rng.integers(1, 9))
-            completed = semantic_complete(uni, *completion_matrices(pairs), top_o)
+            (completed,) = semantic_complete([uni], pairs, top_o)
             # independent re-derivation
             own = [p.image_vec if modality == "image" else p.text_vec for p in pairs]
             other = [p.text_vec if modality == "image" else p.image_vec for p in pairs]
@@ -159,23 +155,23 @@ class TestSemanticComplete:
             PrototypePair(image_vec=np.array([-1.0, 0.0]), text_vec=np.array([1.0, 2.0])),
             PrototypePair(image_vec=np.array([-1.0, -0.1]), text_vec=np.array([3.0, 4.0])),
         ]
-        uni = UnimodalPrototype("image", v, class_id=0)
-        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=2)
+        uni = UnimodalPrototype("image", v)
+        (completed,) = semantic_complete([uni], pairs, top_o=2)
         assert np.allclose(completed.text_vec, [2.0, 3.0])
 
     @given(st.floats(0.1, 25.0))
     def test_scale_invariance_of_input_vector(self, scale):
         pairs = rand_pairs(6, 4, key=5)
-        uni = UnimodalPrototype("text", np.array([0.5, -1.0, 2.0, 0.1]), 0)
-        scaled = UnimodalPrototype("text", uni.vector * scale, 0)
-        a = semantic_complete(uni, *completion_matrices(pairs), top_o=3)
-        b = semantic_complete(scaled, *completion_matrices(pairs), top_o=3)
+        uni = UnimodalPrototype("text", np.array([0.5, -1.0, 2.0, 0.1]))
+        scaled = UnimodalPrototype("text", uni.vector * scale)
+        (a,) = semantic_complete([uni], pairs, top_o=3)
+        (b,) = semantic_complete([scaled], pairs, top_o=3)
         assert np.allclose(a.image_vec, b.image_vec, atol=1e-10)
 
     def test_weights_in_convex_hull(self):
         pairs = rand_pairs(5, 3, key=6)
-        uni = UnimodalPrototype("image", np.abs(seeded_rng(609).standard_normal(3)) + 0.1, 0)
-        completed = semantic_complete(uni, *completion_matrices(pairs), top_o=3)
+        uni = UnimodalPrototype("image", np.abs(seeded_rng(609).standard_normal(3)) + 0.1)
+        (completed,) = semantic_complete([uni], pairs, top_o=3)
         # completed vector is a convex combination of at most 3 text prototypes
         texts = np.stack([p.text_vec for p in pairs])
         low = texts.min(axis=0) - 1e-9
