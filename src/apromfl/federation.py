@@ -29,14 +29,18 @@ config once, before set-up: it resolves the data seed and validates, the
 only argument gate. Below it only fault detectors raise, such as a client
 round whose uploaded parameters are not finite.
 
-A client round trains in place. It copies each model it trains once into a
-private writable buffer, steps that buffer, and freezes it when the round
-ends; the frozen models a client state holds (at set-up, every client
-shares the same initial ones) are never written. Both kinds of client
-train in one loop with the same transfer losses: a unimodal client's module
-alone with its head on cross-entropy, a multimodal client's two modules as
-one ``(2, P)`` stack on retrieval (one forward, backward and SGD call a step
-for both towers) plus a regulariser.
+A client round trains in place. Each run (a multimodal client's task
+modules, its clustering modules, a unimodal client's module and head) copies
+the models it trains once into one private workspace (``nn.trainable``): a
+writable parameter buffer and a gradient buffer, with their views built
+once. Each step writes the gradient buffer and steps the whole parameter
+buffer once, and the round ends by freezing it; the frozen models a client
+state holds (at set-up, every client shares the same initial ones) are
+never written. Both kinds of client train in one loop with the same
+transfer losses: a unimodal client's module and head, end to end in one
+buffer, on cross-entropy; a multimodal client's two modules as one
+``(2, P)`` stack on retrieval (one forward, backward and SGD call a step for
+both towers) plus a regulariser.
 """
 
 from __future__ import annotations
@@ -53,16 +57,20 @@ from .data import SyntheticDataset, assign_roles, generate, role_partition, trai
 from .losses import (
     clustering_total_loss,
     cross_entropy_batch,
+    cross_entropy_value,
     gmt_loss_batch,
     gpt_loss_batch,  # noqa: F401 - unused here; perfbench's tracer wraps it by name
     gpt_loss_paired_batch,
     lmr_loss,
     retrieval_task_loss,
+    retrieval_task_value,
 )
 from .metrics import EvalReport, classification_report, retrieval_report
 from .nn import (
     ForwardTrace,
+    Gradient,
     MappingModule,
+    Workspace,
     backward,
     backward_head,
     encode,
@@ -75,7 +83,7 @@ from .nn import (
     init_mapping_module,
     make_projection_encoder,
     sgd_step,
-    sgd_step_head,
+    sgd_step_head,  # noqa: F401 - unused here; perfbench's tracer wraps it by name
     trainable,
     unflatten_module,
 )
@@ -177,58 +185,61 @@ def _batches(order: np.ndarray, batch_size: int, min_size: int) -> list[np.ndarr
 
 @dataclass(frozen=True)
 class _Towers:
-    """A client's t mapping modules (its towers), trained together as runs:
-    each run is a private writable module on its features. A multimodal
-    client's image and text modules run as one ``(2, P)`` stack on
-    ``(2, N, d)`` features when the two share their dims (always under
-    projection encoders); otherwise each module runs alone on its ``(N, d)``
-    features (numpy's 2-D products cost less). Embeddings are one
-    ``(t, N, d)`` array, image first, so one :func:`unit_rows` call
-    normalises every tower; gradients are a list of one ``(N, d)`` array per
-    tower."""
+    """A client's t mapping modules (its towers), trained together in one
+    private workspace ``space``: each run is a model of it on its features.
+    A multimodal client's image and text modules run as one ``(2, P)`` stack
+    on ``(2, N, d)`` features when the two share their dims (always under
+    projection encoders); otherwise each runs alone on its ``(N, d)``
+    features (numpy's 2-D products cost less), the two end to end in the
+    buffer. A unimodal client's module runs alone, its head the segment
+    after it. Embeddings are one ``(t, N, d)`` array, image first, so one
+    :func:`unit_rows` call normalises every tower; gradients are a list of
+    one ``(N, d)`` array per tower."""
 
-    runs: tuple[tuple[MappingModule, np.ndarray], ...]
+    space: Workspace
+    runs: tuple[tuple[MappingModule, Gradient, np.ndarray], ...]
 
     @classmethod
-    def of(cls, modules, features) -> "_Towers":
-        """Runs of ``modules`` over their ``(N, d)`` ``features``: an
-        equal-dims pair as one :func:`trainable` stack, or each module as its
-        own :func:`trainable` copy."""
-        if len(modules) == 2 and modules[0].dims == modules[1].dims:
-            return cls(((trainable(*modules), np.stack(features)),))
-        return cls(tuple((trainable(m), x) for m, x in zip(modules, features)))
+    def of(cls, space: Workspace, features) -> "_Towers":
+        """The towers of ``space``: its first segments, each on its features."""
+        return cls(space, tuple(zip(space.models, space.grads, features)))
 
-    def modules(self) -> tuple[MappingModule, ...]:
-        """The modules, frozen, image first."""
-        return tuple(m for run, _ in self.runs for m in freeze(run))
+    @classmethod
+    def pair(cls, modules, features) -> "_Towers":
+        """A multimodal client's two modules on their ``(N, d)`` features, as
+        one stack when they share their dims."""
+        if modules[0].dims == modules[1].dims:
+            return cls.of(trainable(*modules), (np.stack(features),))
+        return cls.of(trainable(tuple(modules)), features)
 
     def embed(self) -> np.ndarray:
-        return np.concatenate([_tower_axis(forward_map(m, x)) for m, x in self.runs])
+        return np.concatenate([_tower_axis(forward_map(m, x)) for m, _, x in self.runs])
 
     def embed_trace(self, rows) -> tuple[np.ndarray, tuple[ForwardTrace, ...]]:
         if len(self.runs) == 1:  # every client under projection encoders
-            ((module, x),) = self.runs
-            emb, trace = forward_map_trace(module, x[..., rows, :])
+            ((module, _, x),) = self.runs
+            emb, trace = forward_map_trace(module, x.take(rows, axis=-2))
             return _tower_axis(emb), (trace,)
-        runs = [forward_map_trace(m, x[..., rows, :]) for m, x in self.runs]
+        runs = [forward_map_trace(m, x.take(rows, axis=-2)) for m, _, x in self.runs]
         return np.concatenate([_tower_axis(e) for e, _ in runs]), tuple(t for _, t in runs)
 
     def descend(self, traces, grads: list[np.ndarray], lr: float, anchor=None, weight=0.0) -> float:
         """Backpropagate each tower's embedding gradient ``grads[i]`` through
-        the runs and step each run in place; with an ``anchor`` (frozen
-        towers of the same layout), first add run j's regulariser gradient
-        toward ``anchor.runs[j]``. Returns the regulariser value, summed over
-        the towers (0 without an anchor)."""
+        the runs into the workspace's gradient, with an ``anchor`` (frozen
+        towers of the same layout) adding run j's regulariser gradient toward
+        ``anchor.runs[j]``, then step the whole workspace once (a head's
+        gradient was written by the task loss). Returns the regulariser
+        value, summed over the towers (0 without an anchor)."""
         parts = grads if len(grads) == len(self.runs) else [np.stack(grads)]
         total = 0.0
-        for j, ((module, _), trace, g) in enumerate(zip(self.runs, traces, parts)):
-            grad = backward(module, trace, g)
+        for j, ((module, out, _), trace, g) in enumerate(zip(self.runs, traces, parts)):
+            grad = backward(module, trace, g, out)
             if anchor is not None:
                 values, lmr_grad = lmr_loss(module, anchor.runs[j][0], weight)
                 for value in values:
                     total += value
                 grad += lmr_grad
-            sgd_step(module, grad, lr)
+        sgd_step(self.space, self.space.grad, lr)
         return total
 
 
@@ -238,18 +249,23 @@ def _tower_axis(embs: np.ndarray) -> np.ndarray:
 
 
 def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, anchor=None):
-    """Every client's task training: local epochs of SGD of its ``towers``,
-    in place, on its task loss plus, once the server has broadcast them, the
-    transfer losses toward the round-start embeddings (the targets), plus
-    the regulariser toward ``anchor`` if given. Returns each term's mean.
+    """Every client's task training, the one training loop of both kinds of
+    client: local epochs of SGD of its ``towers``' workspace, in place, on
+    its task loss plus, once the server has broadcast them, the transfer
+    losses toward the round-start embeddings (the targets), plus the
+    regulariser toward ``anchor`` if given. Each batch makes one step of the
+    whole workspace (a unimodal client's module and head together). Returns
+    each term's mean.
 
     ``task_loss(embs, batch)`` returns the value on the ``(t, B, d)``
-    embeddings, each tower's gradient and, if it built them, unit rows.
-    ``global_task_loss(targets, target, batch)`` returns the value on the
-    targets (``(t, N, d)``, and each tower's unit rows of the batch); it
-    runs first, as ``task_loss`` may step a model both read (a head)."""
+    embeddings, each tower's gradient and, if it built them, unit rows; it
+    writes the gradient of any model it reads besides the towers (a head)
+    into that model's segment of the workspace. ``global_task_loss(targets,
+    target, batch)`` returns the value alone on the targets (``(t, N, d)``,
+    and each tower's unit rows of the batch). Both read the models as they
+    were before the batch's step."""
     cfg = rc.config
-    n = towers.runs[0][1].shape[-2]
+    n = towers.runs[0][2].shape[-2]
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     if use_gmt:
@@ -295,24 +311,22 @@ def unimodal_client_round(
     state: UnimodalClientState, rc: ClientRoundConfig
 ) -> tuple[UnimodalClientState, RoundMessage]:
     """The task training of :func:`_train_task` on cross-entropy through the
-    classifier head, which steps with the mapper, then label-guided
-    prototype extraction."""
+    classifier head, which trains with the mapper in one workspace, then
+    label-guided prototype extraction."""
     cfg = rc.config
-    head, labels = trainable(state.head), state.labels
+    towers = _Towers.of(trainable((state.mapper, state.head)), (state.features,))
+    head, head_grad, labels = towers.space.models[1], towers.space.grads[1], state.labels
 
     def cross_entropy(embs, batch):
         task, d_logits = cross_entropy_batch(forward_head(head, embs[0]), labels[batch])
-        head_grad, d_emb = backward_head(head, embs[0], d_logits)
-        sgd_step_head(head, head_grad, cfg.lr)
-        return task, [d_emb], None
+        return task, [backward_head(head, embs[0], d_logits, head_grad)[1]], None
 
     def global_cross_entropy(targets, target, batch):
-        return cross_entropy_batch(forward_head(head, targets[0][batch]), labels[batch])[0]
+        return cross_entropy_value(forward_head(head, targets[0][batch]), labels[batch])
 
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
-    towers = _Towers.of((state.mapper,), (state.features,))
     terms = _train_task(towers, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
-    (mapper,), (head,) = towers.modules(), freeze(head)
+    mapper, head = freeze(towers.space)
     protos = label_guided_prototypes(towers.embed()[0], labels, state.modality)
     params = {state.modality: flatten_module(mapper)}
     if cfg.method == "fediot":
@@ -335,7 +349,7 @@ def multimodal_client_round(
     features = (state.image_features, state.text_features)
 
     # (a) clustering model refresh (warm start from the previous round)
-    cluster = _Towers.of((state.cluster_image_mapper, state.cluster_text_mapper), features)
+    cluster = _Towers.pair((state.cluster_image_mapper, state.cluster_text_mapper), features)
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         e_img, e_txt = cluster.embed()
@@ -358,12 +372,12 @@ def multimodal_client_round(
         return task, [g_img, g_txt], [e_img, e_txt]
 
     def global_retrieval(targets, target, batch):
-        return retrieval_task_loss(*target, cfg.tau)[0]
+        return retrieval_task_value(*target, cfg.tau)
 
-    towers = _Towers.of((state.image_mapper, state.text_mapper), features)
+    towers = _Towers.pair((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")
     terms = _train_task(towers, rc, task_rng, 2, retrieval, global_retrieval, cluster)
-    (img, txt), (c_img, c_txt) = towers.modules(), cluster.modules()
+    (img, txt), (c_img, c_txt) = freeze(towers.space), freeze(cluster.space)
     params = {"image": flatten_module(img), "text": flatten_module(txt)}
     message = RoundMessage(state.client_id, None, tuple(pairs), params, terms)
     state = replace(state, image_mapper=img, text_mapper=txt)

@@ -48,18 +48,45 @@ def _softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 # -- classification ----------------------------------------------------------
 
 
-def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch; grad is of the mean."""
+def _cross_entropy(logits, labels) -> tuple[float, np.ndarray, np.ndarray]:
     logits = require_finite(logits, "logits")
     n = len(labels)
     lse = logsumexp(logits, axis=1)
-    value = float((lse - logits[np.arange(n), labels]).sum() / n)
+    return float((lse - logits[np.arange(n), labels]).sum() / n), logits, lse
+
+
+def cross_entropy_value(logits, labels) -> float:
+    """The value of :func:`cross_entropy_batch`, to the bit, without its
+    gradient."""
+    return _cross_entropy(logits, labels)[0]
+
+
+def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over a batch; grad is of the mean."""
+    value, logits, lse = _cross_entropy(logits, labels)
+    n = len(labels)
     grad = np.exp(logits - lse[:, None])
     grad[np.arange(n), labels] -= 1.0
     return value, grad / n
 
 
 # -- retrieval ---------------------------------------------------------------
+
+
+def _retrieval(u: np.ndarray, v: np.ndarray, tau: float):
+    scores = u @ v.T / tau
+    lse_rows = logsumexp(scores, axis=1)
+    lse_cols = logsumexp(scores, axis=0)
+    diag = np.diag(scores)
+    n = len(u)
+    value = 0.5 * float((lse_rows - diag).sum() / n + (lse_cols - diag).sum() / n)
+    return value, scores, lse_rows, lse_cols
+
+
+def retrieval_task_value(img: UnitRows, txt: UnitRows, tau: float) -> float:
+    """The value of :func:`retrieval_task_loss`, to the bit, without its
+    gradients."""
+    return _retrieval(img.unit, txt.unit, tau)[0]
 
 
 def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
@@ -69,11 +96,7 @@ def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
     """
     u, v = img.unit, txt.unit
     n = len(u)
-    scores = u @ v.T / tau
-    lse_rows = logsumexp(scores, axis=1)
-    lse_cols = logsumexp(scores, axis=0)
-    diag = np.diag(scores)
-    value = 0.5 * float((lse_rows - diag).sum() / n + (lse_cols - diag).sum() / n)
+    value, scores, lse_rows, lse_cols = _retrieval(u, v, tau)
     p_rows = np.exp(scores - lse_rows[:, None])
     p_cols = np.exp(scores - lse_cols[None, :])
     eye = np.eye(n)

@@ -4,18 +4,23 @@ module ``(embed_dim, num_classes)``, with lean kernels of its own.
 
 Weights are stored ``(d_in, d_out)`` so a batch forward is ``x @ W + b``.
 ReLU sits between layers and the final layer is linear. Each model holds
-one contiguous float64 parameter vector laid out W0, b0, W1, b1, ...; its
-per-layer weights and biases are views of that vector, and every gradient
-is a plain vector of the same length. A *stack* of t models of one
-architecture holds a ``(t, P)`` matrix instead, one vector per row, and its
-views and gradients carry the same leading axis: one forward or backward
-call then runs every tower of the stack.
+one float64 parameter vector laid out W0, b0, W1, b1, ...; its
+per-layer weights and biases are views of that vector, sliced by a layout
+computed once per architecture, and a gradient is a vector of the same
+layout. A *stack* of t models of one architecture holds a ``(t, P)`` matrix
+instead, one vector per row, and its views and gradients carry the same
+leading axis: one forward or backward call then runs every tower of the
+stack.
 
 Models are frozen dataclasses with read-only parameters, and this module
-makes every private copy: a client round copies the models it trains once
-into one writable buffer (:func:`trainable`: one model, or a stack), steps
-it in place, and ends the round with :func:`freeze`, which hands back each
-frozen model; a frozen model shared between clients is never written.
+makes every private copy. A client run trains in one :class:`Workspace`
+(:func:`trainable`): one writable buffer holding a copy of its models, end
+to end (a mapper and its head) or as the rows of a stack, and one gradient
+buffer of the same shape, with the models' views and the gradient's views
+built once. :func:`backward` and :func:`backward_head` write into the
+gradient's views, one :func:`sgd_step` a batch steps the whole buffer in
+place, and :func:`freeze` ends the round, handing back each frozen model; a
+frozen model shared between clients is never written.
 Every input is a batch: ``(N, d)``, or ``(t, N, d)`` for a stack of t models.
 
 An encoder, the frozen stand-in for a large pretrained backbone, is a fixed
@@ -25,29 +30,34 @@ seeded random projection matrix, or ``None`` for the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import Rng, seeded_rng
 
 
-def _param_count(dims) -> int:
-    """Length of the flat parameter vector of a net with layer widths ``dims``."""
-    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+@cache
+def _layout(dims: tuple[int, ...]) -> tuple[int, tuple[tuple[slice, tuple[int, int], slice], ...]]:
+    """The length of the parameter vector of a net with layer widths ``dims``
+    and, per layer, the slice of its weights in the vector laid out W0, b0,
+    W1, b1, ..., their shape and the slice of its bias."""
+    layers, pos = [], 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        end = pos + d_in * d_out
+        layers.append((slice(pos, end), (d_in, d_out), slice(end, end + d_out)))
+        pos = end + d_out
+    return pos, tuple(layers)
 
 
 def _layer_views(flat: np.ndarray, dims) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Per-layer weight and bias views of a vector laid out W0, b0, W1, b1,
     ..., or of a stack of such vectors (one per row)."""
     lead = flat.shape[:-1]
-    weights, biases = [], []
-    pos = 0
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[..., pos : pos + d_in * d_out].reshape(*lead, d_in, d_out))
-        pos += d_in * d_out
-        biases.append(flat[..., pos : pos + d_out])
-        pos += d_out
-    return tuple(weights), tuple(biases)
+    layers = _layout(dims)[1]
+    weights = tuple(flat[..., w].reshape(*lead, *shape) for w, shape, _ in layers)
+    return weights, tuple(flat[..., b] for _, _, b in layers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +72,10 @@ class MappingModule:
 
     def __post_init__(self):
         # keeps a read-only view of ``params`` (a vector, or a stack of
-        # vectors): a contiguous float64 array is not copied, and its own
-        # flags are left alone
-        params = np.ascontiguousarray(self.params, dtype=float).view()
-        count = _param_count(self.dims)
+        # vectors): a float64 array is not copied, so a segment of a
+        # workspace stays a view of it, and its own flags are left alone
+        params = np.asarray(self.params, dtype=float).view()
+        count = _layout(self.dims)[0]
         if params.ndim not in (1, 2) or params.shape[-1] != count:
             raise ValueError(f"flat vector length {params.shape[-1]} != parameter count {count}")
         params.flags.writeable = False
@@ -93,7 +103,7 @@ class ForwardTrace:
 
 def init_mapping_module(dims, rng: Rng) -> MappingModule:
     """He-initialised weights, zero biases. ``dims`` chains input to output."""
-    params = np.zeros(_param_count(dims))
+    params = np.zeros(_layout(dims)[0])
     for w in _layer_views(params, dims)[0]:
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
     return MappingModule(dims, params)
@@ -106,22 +116,64 @@ def init_classifier_head(in_dim: int, num_classes: int, rng: Rng) -> MappingModu
     return MappingModule((in_dim, num_classes), params)
 
 
-def trainable(*models: MappingModule) -> MappingModule:
-    """A private, writable copy for one round of in-place training, made in
-    one copy: of one model, or of several of one architecture as the rows of
-    a ``(t, P)`` stack, whose forward or backward call runs all t.
-    :func:`sgd_step` steps it in place, and :func:`freeze` ends the round."""
-    params = np.array([m.params for m in models])  # the one copy
-    copy = MappingModule(models[0].dims, params if len(models) > 1 else params[0])
-    copy.params.flags.writeable = True  # a view of the private copy
-    return copy
+class Gradient(NamedTuple):
+    """A writable gradient in a model's layout: its vector (or stack of
+    vectors) and the per-layer weight and bias views of it."""
+
+    params: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
 
 
-def freeze(model: MappingModule) -> tuple[MappingModule, ...]:
-    """The frozen models ``model`` holds, without a copy: itself with
-    read-only parameters, or each row of a stack as its own model."""
-    rows = model.params if model.params.ndim == 2 else (model.params,)
-    return tuple(MappingModule(model.dims, row) for row in rows)
+def _gradient(dims, flat: np.ndarray) -> Gradient:
+    return Gradient(flat, *_layer_views(flat, dims))
+
+
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """One client run's private buffers for a round of in-place training;
+    :func:`trainable` makes it. ``params`` holds a writable copy of the run's
+    models, ``grad`` their gradient in the same shape (written by
+    :func:`backward`/:func:`backward_head`, consumed by :func:`sgd_step`),
+    and ``models`` and ``grads`` are each segment's model and gradient
+    views, built once."""
+
+    params: np.ndarray
+    grad: np.ndarray
+    models: tuple[MappingModule, ...]
+    grads: tuple[Gradient, ...]
+
+
+def trainable(*rows) -> Workspace:
+    """The private workspace of one round of in-place training, made in one
+    copy. Each argument is a row: one model, or a tuple of models laid out
+    end to end as consecutive segments (a mapper, then its head). One row is
+    a vector; several rows of one layout are a ``(t, P)`` stack, and each
+    segment's model is then a stack whose forward or backward call runs all
+    t. :func:`sgd_step` steps the whole buffer, and :func:`freeze` ends the
+    round."""
+    rows = [row if isinstance(row, tuple) else (row,) for row in rows]
+    params = np.concatenate([m.params for row in rows for m in row])  # the one copy
+    if len(rows) > 1:
+        params = params.reshape(len(rows), -1)
+    grad = np.empty_like(params)
+    models, grads, pos = [], [], 0
+    for m in rows[0]:
+        end = pos + m.params.shape[-1]
+        models.append(MappingModule(m.dims, params[..., pos:end]))
+        grads.append(_gradient(m.dims, grad[..., pos:end]))
+        pos = end
+    return Workspace(params, grad, tuple(models), tuple(grads))
+
+
+def freeze(space: Workspace) -> tuple[MappingModule, ...]:
+    """The frozen models a workspace holds, without a copy, row by row:
+    each segment's read-only model, or of a stack, each row's segments as
+    models of their own."""
+    if space.params.ndim == 1:
+        return space.models
+    rows = range(len(space.params))
+    return tuple(MappingModule(m.dims, m.params[i]) for i in rows for m in space.models)
 
 
 def forward_map(module: MappingModule, x: np.ndarray) -> np.ndarray:
@@ -143,23 +195,25 @@ def forward_map_trace(module: MappingModule, x: np.ndarray) -> tuple[np.ndarray,
     return h, ForwardTrace(inputs, preacts)
 
 
-def backward(module: MappingModule, trace: ForwardTrace, upstream: np.ndarray) -> np.ndarray:
+def backward(
+    module: MappingModule, trace: ForwardTrace, upstream: np.ndarray, out: Gradient | None = None
+) -> np.ndarray:
     """Exact reverse-mode parameter gradient for a recorded forward pass.
 
-    ``upstream`` is dL/d(output), shaped like the traced output. Returns
-    dL/d(params), a flat vector in the module's layout (a stack of them for
-    a stack of modules). The input gradient is not computed: the inputs are
-    frozen encoder features.
+    ``upstream`` is dL/d(output), shaped like the traced output. Writes
+    dL/d(params) into ``out`` (a workspace's gradient views of ``module``;
+    a new vector if not given) and returns its vector, in the module's
+    layout (a stack of them for a stack of modules). The input gradient is
+    not computed: the inputs are frozen encoder features.
     """
+    out = out if out is not None else _gradient(module.dims, np.empty(module.params.shape))
     g = upstream
-    grad = np.empty(module.params.shape)
-    d_weights, d_biases = _layer_views(grad, module.dims)
     for i in range(module.num_layers - 1, -1, -1):
-        np.matmul(trace.layer_inputs[i].swapaxes(-1, -2), g, out=d_weights[i])
-        g.sum(axis=-2, out=d_biases[i])
+        np.matmul(trace.layer_inputs[i].swapaxes(-1, -2), g, out=out.weights[i])
+        g.sum(axis=-2, out=out.biases[i])
         if i:
             g = (g @ module.weights[i].swapaxes(-1, -2)) * (trace.preacts[i - 1] > 0)
-    return grad
+    return out.params
 
 
 def forward_head(head: MappingModule, x: np.ndarray) -> np.ndarray:
@@ -168,26 +222,28 @@ def forward_head(head: MappingModule, x: np.ndarray) -> np.ndarray:
 
 
 def backward_head(
-    head: MappingModule, x: np.ndarray, upstream: np.ndarray
+    head: MappingModule, x: np.ndarray, upstream: np.ndarray, out: Gradient | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The parameter gradient of a one-layer head at input ``x``, and the
-    gradient with respect to ``x``."""
-    grad = np.empty(head.params.size)
-    (d_weights,), (d_bias,) = _layer_views(grad, head.dims)
-    np.matmul(x.T, upstream, out=d_weights)
-    upstream.sum(axis=0, out=d_bias)
-    return grad, upstream @ head.weights[0].T
+    """The parameter gradient of a one-layer head at input ``x``, written
+    into ``out`` as in :func:`backward`, and the gradient with respect to
+    ``x``."""
+    out = out if out is not None else _gradient(head.dims, np.empty(head.params.size))
+    np.matmul(x.T, upstream, out=out.weights[0])
+    upstream.sum(axis=0, out=out.biases[0])
+    return out.params, upstream @ head.weights[0].T
 
 
-def sgd_step(model, grad: np.ndarray, lr: float) -> None:
-    """theta -= lr * grad, in place on a :func:`trainable` module or stack;
-    a frozen model is rejected. ``lr`` was validated with the config."""
-    if not model.params.flags.writeable:
+def sgd_step(space, grad: np.ndarray, lr: float) -> None:
+    """theta -= lr * grad, in place on the buffer of a :func:`trainable`
+    workspace; a frozen model is rejected. ``grad`` is consumed: it is
+    scaled in place, which gives the bits of ``params - lr * grad``. ``lr``
+    was validated with the config."""
+    if not space.params.flags.writeable:
         raise ValueError("sgd_step steps a trainable() copy in place; this model is frozen")
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient; aborting update")
-    # same bits as params - lr * grad
-    np.subtract(model.params, lr * grad, out=model.params)
+    np.multiply(grad, lr, out=grad)
+    np.subtract(space.params, grad, out=space.params)
 
 
 sgd_step_head = sgd_step

@@ -281,7 +281,8 @@ def per_step_unimodal_round(state, rc):
     Returns ``(mapper, head, prototypes, loss_terms)``."""
     cfg = rc.config
     feats, labels = state.features, state.labels
-    mapper, head = trainable(state.mapper), trainable(state.head)
+    mapper_copy, head_copy = trainable(state.mapper), trainable(state.head)
+    (mapper,), (head,) = mapper_copy.models, head_copy.models
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     sums, steps = dict.fromkeys(LOSS_TERMS, 0.0), 0
@@ -305,8 +306,8 @@ def per_step_unimodal_round(state, rc):
                     cfg.distill_tau,
                 )
                 d_emb = d_emb + cfg.beta2 * grad
-            sgd_step(mapper, backward(mapper, trace, d_emb), cfg.lr)
-            sgd_step(head, head_grad, cfg.lr)
+            sgd_step(mapper_copy, backward(mapper, trace, d_emb), cfg.lr)
+            sgd_step(head_copy, head_grad, cfg.lr)
             for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, 0.0)):
                 sums[name] += value
             steps += 1
@@ -333,7 +334,11 @@ def per_tower_multimodal_round(state, rc):
     k_local = max(1, min(cfg.num_global_prototypes, n))
     key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
 
-    c_img, c_txt = trainable(state.cluster_image_mapper), trainable(state.cluster_text_mapper)
+    copies = {
+        name: trainable(getattr(state, f"{name}_mapper"))
+        for name in ("cluster_image", "cluster_text", "image", "text")
+    }
+    c_img, c_txt, mapper_img, mapper_txt = (copy.models[0] for copy in copies.values())
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
@@ -345,13 +350,12 @@ def per_tower_multimodal_round(state, rc):
             _, g_img, g_txt = clustering_total_loss(
                 unit_rows(e_img), unit_rows(e_txt), pseudo[batch], cfg.tau
             )
-            sgd_step(c_img, backward(c_img, tr_img, g_img), cfg.lr)
-            sgd_step(c_txt, backward(c_txt, tr_txt, g_txt), cfg.lr)
+            sgd_step(copies["cluster_image"], backward(c_img, tr_img, g_img), cfg.lr)
+            sgd_step(copies["cluster_text"], backward(c_txt, tr_txt, g_txt), cfg.lr)
     pairs, _ = clustering_prototype_pairs(
         forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
     )
 
-    mapper_img, mapper_txt = trainable(state.image_mapper), trainable(state.text_mapper)
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
     sums, steps = dict.fromkeys(LOSS_TERMS, 0.0), 0
@@ -387,8 +391,8 @@ def per_tower_multimodal_round(state, rc):
             grad_txt = backward(mapper_txt, tr_txt, g_txt)
             grad_img += lmr_grad_img[0]
             grad_txt += lmr_grad_txt[0]
-            sgd_step(mapper_img, grad_img, cfg.lr)
-            sgd_step(mapper_txt, grad_txt, cfg.lr)
+            sgd_step(copies["image"], grad_img, cfg.lr)
+            sgd_step(copies["text"], grad_txt, cfg.lr)
             for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, lmr_img + lmr_txt)):
                 sums[name] += value
             steps += 1

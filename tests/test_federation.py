@@ -346,6 +346,99 @@ class TestUnimodalClientRound:
             assert (terms["gpt"] > 0.0 and terms["gmt"] > 0.0) == active
 
 
+    def test_each_step_of_a_run_writes_and_steps_one_gradient_buffer(self, monkeypatch):
+        """A unimodal round steps its module and head together, once a
+        batch, and every step's gradient is the same buffer of one
+        workspace (a multimodal round: one per run, clustering and task), so
+        no gradient is allocated per step."""
+        config = tiny_config(method="fediot")
+        experiment = setup_experiment(config)
+        rc = ClientRoundConfig.from_experiment(config, 1)
+        steps, written = [], []
+        real_step, real_backward, real_head = (
+            federation.sgd_step, federation.backward, federation.backward_head
+        )
+
+        def sgd_step_spy(space, grad, lr):
+            steps.append((space, grad))
+            real_step(space, grad, lr)
+
+        def backward_spy(*args):
+            written.append(real_backward(*args))
+            return written[-1]
+
+        def backward_head_spy(*args):
+            result = real_head(*args)
+            written.append(result[0])
+            return result
+
+        monkeypatch.setattr(federation, "sgd_step", sgd_step_spy)
+        monkeypatch.setattr(federation, "backward", backward_spy)
+        monkeypatch.setattr(federation, "backward_head", backward_head_spy)
+        for state in experiment.clients:
+            steps.clear()
+            written.clear()
+            client_round(state, rc)
+            unimodal = isinstance(state, UnimodalClientState)
+            n = len(state.labels) if unimodal else len(state.image_features)
+            batches = len(federation._batches(np.arange(n), config.batch_size, 1 if unimodal else 2))
+            runs = 1 if unimodal else 2
+            assert len(steps) == runs * config.local_epochs * batches
+            buffers = {id(grad): (space, grad) for space, grad in steps}
+            assert len(buffers) == runs
+            for space, grad in buffers.values():
+                assert grad is space.grad and space.params.shape == grad.shape
+            assert all(any(np.shares_memory(w, g) for _, g in buffers.values()) for w in written)
+            if unimodal:
+                ((space, _),) = buffers.values()
+                assert [m.dims for m in space.models] == [state.mapper.dims, state.head.dims]
+
+    def test_returned_models_are_frozen_and_the_next_round_copies_them(self, monkeypatch):
+        """The mapper and head a round returns are read-only views of its
+        workspace, and the next round trains a private copy that does not
+        alias them."""
+        config = tiny_config(method="fediot")
+        state = next(s for s in setup_experiment(config).clients if isinstance(s, UnimodalClientState))
+        first, _ = unimodal_client_round(state, ClientRoundConfig.from_experiment(config, 1))
+        before = [m.params.tobytes() for m in (first.mapper, first.head)]
+        spaces, real_trainable = [], federation.trainable
+
+        def trainable_spy(*rows):
+            spaces.append(real_trainable(*rows))
+            return spaces[-1]
+
+        monkeypatch.setattr(federation, "trainable", trainable_spy)
+        second, _ = unimodal_client_round(first, ClientRoundConfig.from_experiment(config, 2))
+        (space,) = spaces
+        for model in (first.mapper, first.head, second.mapper, second.head):
+            assert not model.params.flags.writeable
+            with pytest.raises(ValueError):
+                model.params[0] = 0.0
+            assert not np.shares_memory(space.params, first.mapper.params)
+            assert not np.shares_memory(space.params, first.head.params)
+        assert [m.params.tobytes() for m in (first.mapper, first.head)] == before
+        assert second.mapper.params.tobytes() != before[0]
+
+    def test_non_finite_head_gradient_fails_the_round_naming_the_client(self, monkeypatch):
+        real_head = federation.backward_head
+
+        def poisoned_head(head, x, upstream, out=None):
+            grad, d_x = real_head(head, x, upstream, out)
+            grad[-1] = np.inf
+            return grad, d_x
+
+        monkeypatch.setattr(federation, "backward_head", poisoned_head)
+        config = tiny_config(method="fediot", rounds=1)
+        with pytest.raises(federation.RoundFailure) as info:
+            run_training(config)
+        first = next(
+            s.client_id for s in setup_experiment(config).clients if isinstance(s, UnimodalClientState)
+        )
+        assert (info.value.round_index, info.value.phase) == (1, "client round")
+        assert info.value.client_id == first
+        assert "non-finite gradient" in info.value.message
+
+
 class TestMultimodalClientRound:
     def test_message_contains_only_task_modules(self):
         state = make_multimodal_state()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from apromfl.losses import (
     clustering_total_loss,
     cross_entropy_batch,
+    cross_entropy_value,
     gmt_loss_batch,
     gpt_loss_batch,
     gpt_loss_paired_batch,
@@ -15,6 +16,7 @@ from apromfl.losses import (
     intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
+    retrieval_task_value,
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
 from apromfl.numerics import seeded_rng, unit_rows
@@ -73,6 +75,15 @@ class TestCrossEntropy:
         numeric = fd_wrt_arrays(lambda l: cross_entropy_batch(l, labels)[0], [logits])[0]
         assert grad_rel_error(grad, numeric) < 1e-4
 
+    def test_value_form_gives_the_bits_of_the_batch_value(self):
+        for trial in range(5):
+            logits = seeded_rng(503, trial).standard_normal((7, 4)) * 3.0
+            labels = seeded_rng(504, trial).integers(0, 4, 7)
+            value = cross_entropy_value(logits, labels)
+            assert value.hex() == cross_entropy_batch(logits, labels)[0].hex()
+        with pytest.raises(ValueError, match="logits contains non-finite"):
+            cross_entropy_value(np.full((2, 3), np.nan), np.array([0, 1]))
+
 
 class TestRetrievalTaskLoss:
     def test_matched_orthogonal_pairs_vanish_at_small_tau(self):
@@ -106,6 +117,14 @@ class TestRetrievalTaskLoss:
         )
         assert grad_rel_error(g_img, n_img) < 1e-4
         assert grad_rel_error(g_txt, n_txt) < 1e-4
+
+    def test_value_form_gives_the_bits_of_the_loss_value(self):
+        for trial in range(5):
+            img = unit_rows(seeded_rng(505, trial).standard_normal((6, 4)))
+            txt = unit_rows(seeded_rng(506, trial).standard_normal((6, 4)))
+            for tau in (0.07, 0.5):
+                value = retrieval_task_value(img, txt, tau)
+                assert value.hex() == retrieval_task_loss(img, txt, tau)[0].hex()
 
 
 def brute_intra(embs, clusters, i, tau):

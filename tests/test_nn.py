@@ -131,21 +131,24 @@ class TestSgd:
         m = small_module()
         stepped = trainable(m)
         sgd_step(stepped, np.zeros_like(m.params), lr=0.5)
-        assert all(np.array_equal(a, b) for a, b in zip(m.weights, stepped.weights))
+        (model,) = stepped.models
+        assert all(np.array_equal(a, b) for a, b in zip(m.weights, model.weights))
 
     def test_scalar_arithmetic(self):
         m = trainable(MappingModule((1, 1), np.array([1.0, 0.0])))
         sgd_step(m, np.array([2.0, 0.0]), lr=0.1)
-        assert m.weights[0][0, 0] == pytest.approx(0.8)
+        assert m.models[0].weights[0][0, 0] == pytest.approx(0.8)
 
     def test_deterministic(self):
         m = small_module()
         out, trace = forward_map_trace(m, seeded_rng(5).standard_normal((2, 4)))
         grad = backward(m, trace, out)
+        expected = (m.params - 0.05 * grad).tobytes()
         s1, s2 = trainable(m), trainable(m)
-        sgd_step(s1, grad, 0.05)
-        sgd_step(s2, grad, 0.05)
-        assert s1.params.tobytes() == s2.params.tobytes() == (m.params - 0.05 * grad).tobytes()
+        # a step consumes its gradient (scales it in place), so each gets a copy
+        sgd_step(s1, grad.copy(), 0.05)
+        sgd_step(s2, grad.copy(), 0.05)
+        assert s1.params.tobytes() == s2.params.tobytes() == expected
 
     def test_non_finite_gradient_rejected(self):
         m = trainable(small_module())
@@ -187,6 +190,43 @@ class TestPrivateCopies:
         assert not frozen.params.flags.writeable
         assert np.shares_memory(frozen.params, copy.params)
         assert frozen.params.tobytes() == a.params.tobytes()
+
+
+    def test_mapper_and_head_are_one_buffer_stepped_as_two_separate_steps(self):
+        """A workspace of a mapper and its head holds both end to end; one
+        step of it gives the bits of ``params - lr * grad`` for each."""
+        mapper, head = small_module((4, 5, 3), key=4), init_classifier_head(3, 2, seeded_rng(9))
+        space = trainable((mapper, head))
+        assert space.params.shape == space.grad.shape == (mapper.params.size + head.params.size,)
+        assert not np.shares_memory(space.params, mapper.params)
+        for model, grad in zip(space.models, space.grads):
+            assert np.shares_memory(model.params, space.params)
+            assert np.shares_memory(grad.params, space.grad)
+        g_mapper = seeded_rng(10).standard_normal(mapper.params.shape)
+        g_head = seeded_rng(11).standard_normal(head.params.shape)
+        space.grads[0].params[...] = g_mapper
+        space.grads[1].params[...] = g_head
+        sgd_step(space, space.grad, 0.05)
+        stepped_mapper, stepped_head = freeze(space)
+        assert stepped_mapper.params.tobytes() == (mapper.params - 0.05 * g_mapper).tobytes()
+        assert stepped_head.params.tobytes() == (head.params - 0.05 * g_head).tobytes()
+        assert stepped_head.dims == head.dims and not stepped_head.params.flags.writeable
+
+    def test_backward_writes_the_workspace_gradient(self):
+        """Given a workspace's gradient views, both backward kernels write
+        into its buffer, to the bits of the gradient they allocate without."""
+        mapper, head = small_module((4, 5, 3), key=5), init_classifier_head(3, 2, seeded_rng(12))
+        space = trainable((mapper, head))
+        x = seeded_rng(13).standard_normal((6, 4))
+        emb, trace = forward_map_trace(mapper, x)
+        upstream = seeded_rng(14).standard_normal((6, 2))
+        written = backward_head(space.models[1], emb, upstream, space.grads[1])
+        allocated = backward_head(head, emb, upstream)
+        assert np.shares_memory(written[0], space.grad)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(written, allocated))
+        grad = backward(space.models[0], trace, written[1], space.grads[0])
+        assert np.shares_memory(grad, space.grad)
+        assert grad.tobytes() == backward(mapper, trace, allocated[1]).tobytes()
 
 
 class TestFlatten:
@@ -263,5 +303,5 @@ class TestHead:
     def test_sgd_head(self):
         head = trainable(MappingModule((2, 2), np.concatenate([np.ones(4), np.zeros(2)])))
         sgd_step_head(head, np.ones(6), 0.5)
-        assert np.allclose(head.weights[0], 0.5)
-        assert np.allclose(head.biases[0], -0.5)
+        assert np.allclose(head.models[0].weights[0], 0.5)
+        assert np.allclose(head.models[0].biases[0], -0.5)
