@@ -40,7 +40,10 @@ never written. Both kinds of client train in one loop with the same
 transfer losses: a unimodal client's module and head, end to end in one
 buffer, on cross-entropy; a multimodal client's two modules as one
 ``(2, P)`` stack on retrieval (one forward, backward and SGD call a step for
-both towers) plus a regulariser.
+both towers) plus a regulariser. A step's embeddings and gradients are one
+``(t, B, d)`` stack of the client's t towers, so each transfer loss runs
+once a step for every tower, and the distributions GMT distills toward are
+computed once a round.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .losses import (
     cross_entropy_batch,
     cross_entropy_value,
     gmt_loss_batch,
+    gmt_targets,
     gpt_loss_batch,  # noqa: F401 - unused here; perfbench's tracer wraps it by name
     gpt_loss_paired_batch,
     lmr_loss,
@@ -192,9 +196,9 @@ class _Towers:
     projection encoders); otherwise each runs alone on its ``(N, d)``
     features (numpy's 2-D products cost less), the two end to end in the
     buffer. A unimodal client's module runs alone, its head the segment
-    after it. Embeddings are one ``(t, N, d)`` array, image first, so one
-    :func:`unit_rows` call normalises every tower; gradients are a list of
-    one ``(N, d)`` array per tower."""
+    after it. Embeddings and their gradients are each one ``(t, N, d)``
+    array, image first, so one :func:`unit_rows` call normalises every tower
+    and each transfer loss runs once on them."""
 
     space: Workspace
     runs: tuple[tuple[MappingModule, Gradient, np.ndarray], ...]
@@ -223,14 +227,14 @@ class _Towers:
         runs = [forward_map_trace(m, x.take(rows, axis=-2)) for m, _, x in self.runs]
         return np.concatenate([_tower_axis(e) for e, _ in runs]), tuple(t for _, t in runs)
 
-    def descend(self, traces, grads: list[np.ndarray], lr: float, anchor=None, weight=0.0) -> float:
-        """Backpropagate each tower's embedding gradient ``grads[i]`` through
-        the runs into the workspace's gradient, with an ``anchor`` (frozen
-        towers of the same layout) adding run j's regulariser gradient toward
-        ``anchor.runs[j]``, then step the whole workspace once (a head's
-        gradient was written by the task loss). Returns the regulariser
-        value, summed over the towers (0 without an anchor)."""
-        parts = grads if len(grads) == len(self.runs) else [np.stack(grads)]
+    def descend(self, traces, grads: np.ndarray, lr: float, anchor=None, weight=0.0) -> float:
+        """Backpropagate the ``(t, B, d)`` embedding gradients ``grads``
+        through the runs into the workspace's gradient, with an ``anchor``
+        (frozen towers of the same layout) adding run j's regulariser
+        gradient toward ``anchor.runs[j]``, then step the whole workspace
+        once (a head's gradient was written by the task loss). Returns the
+        regulariser value, summed over the towers (0 without an anchor)."""
+        parts = grads if len(grads) == len(self.runs) else (grads,)
         total = 0.0
         for j, ((module, out, _), trace, g) in enumerate(zip(self.runs, traces, parts)):
             grad = backward(module, trace, g, out)
@@ -257,13 +261,16 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, an
     whole workspace (a unimodal client's module and head together). Returns
     each term's mean.
 
+    Every tower of a step is one ``(t, B, d)`` stack: each transfer loss
+    runs once on it, and GMT distills toward the targets' distributions,
+    computed once a round for all ``(t, N, d)`` rows and gathered per batch.
     ``task_loss(embs, batch)`` returns the value on the ``(t, B, d)``
-    embeddings, each tower's gradient and, if it built them, unit rows; it
-    writes the gradient of any model it reads besides the towers (a head)
-    into that model's segment of the workspace. ``global_task_loss(targets,
-    target, batch)`` returns the value alone on the targets (``(t, N, d)``,
-    and each tower's unit rows of the batch). Both read the models as they
-    were before the batch's step."""
+    embeddings, their ``(t, B, d)`` gradient and, if it built them, their
+    unit rows; it writes the gradient of any model it reads besides the
+    towers (a head) into that model's segment of the workspace.
+    ``global_task_loss(targets, target_rows, batch)`` returns the value alone
+    on the batch of the targets (``(t, N, d)``, and their unit rows). Both
+    read the models as they were before the batch's step."""
     cfg = rc.config
     n = towers.runs[0][2].shape[-2]
     protos = rc.global_prototypes
@@ -271,31 +278,27 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, an
     if use_gmt:
         targets = towers.embed()
         target_rows = unit_rows(targets, "distillation targets")
-        target_rows = [target_rows[i] for i in range(len(targets))]
+        target_dists = gmt_targets(target_rows, cfg.distill_tau)
+        gmt_weight = cfg.beta2 / len(targets)
     values = []  # each step's loss terms
     for _ in range(cfg.local_epochs):
         for batch in _batches(batch_rng.permutation(n), cfg.batch_size, min_size):
             embs, traces = towers.embed_trace(batch)
             gpt_value = gmt_value = 0.0
             if use_gmt:
-                target = [r[batch] for r in target_rows]
-                global_task = global_task_loss(targets, target, batch)
+                global_task = global_task_loss(targets, target_rows, batch)
             task, grads, rows = task_loss(embs, batch)
             if rows is None and (protos is not None or use_gmt):
-                rows = [unit_rows(e) for e in embs]
-            t = len(grads)
+                rows = unit_rows(embs)
             if protos is not None:
-                # a lone tower is assigned to both prototype sets
-                gpt_value, a, b = gpt_loss_paired_batch(rows[0], rows[-1], protos, cfg.tau)
-                grads = [g + cfg.beta1 * p for g, p in zip(grads, (a, b) if t == 2 else (a + b,))]
+                gpt_value, g = gpt_loss_paired_batch(rows, protos, cfg.tau)
+                grads = grads + cfg.beta1 * g
             if use_gmt:
-                for i in range(t):
-                    value, g = gmt_loss_batch(
-                        rows[i], target[i], task, global_task, cfg.nu_max, cfg.distill_tau
-                    )
-                    gmt_value += value
-                    grads[i] = grads[i] + cfg.beta2 / t * g
-                gmt_value /= t
+                target = target_dists.take(batch, axis=-2)
+                gmt_value, g = gmt_loss_batch(
+                    rows, target, task, global_task, cfg.nu_max, cfg.distill_tau
+                )
+                grads = grads + gmt_weight * g
             lmr_value = towers.descend(traces, grads, cfg.lr, anchor, cfg.lmr_weight)
             values.append((task, gpt_value, gmt_value, lmr_value))
     means = {}
@@ -319,10 +322,11 @@ def unimodal_client_round(
 
     def cross_entropy(embs, batch):
         task, d_logits = cross_entropy_batch(forward_head(head, embs[0]), labels[batch])
-        return task, [backward_head(head, embs[0], d_logits, head_grad)[1]], None
+        return task, backward_head(head, embs[0], d_logits, head_grad)[1][None], None
 
-    def global_cross_entropy(targets, target, batch):
-        return cross_entropy_value(forward_head(head, targets[0][batch]), labels[batch])
+    def global_cross_entropy(targets, target_rows, batch):
+        target = targets[0].take(batch, axis=0)
+        return cross_entropy_value(forward_head(head, target), labels[batch])
 
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
     terms = _train_task(towers, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
@@ -359,7 +363,7 @@ def multimodal_client_round(
             embs, traces = cluster.embed_trace(batch)
             e_img, e_txt = unit_rows(embs)
             _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
-            cluster.descend(traces, [g_img, g_txt], cfg.lr)
+            cluster.descend(traces, np.stack([g_img, g_txt]), cfg.lr)
     e_img, e_txt = cluster.embed()
     pairs, _ = clustering_prototype_pairs(
         e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final")
@@ -367,12 +371,12 @@ def multimodal_client_round(
 
     # (b) task model training
     def retrieval(embs, batch):
-        e_img, e_txt = unit_rows(embs)
-        task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
-        return task, [g_img, g_txt], [e_img, e_txt]
+        rows = unit_rows(embs)
+        task, g_img, g_txt = retrieval_task_loss(*rows, cfg.tau)
+        return task, np.stack([g_img, g_txt]), rows
 
-    def global_retrieval(targets, target, batch):
-        return retrieval_task_value(*target, cfg.tau)
+    def global_retrieval(targets, target_rows, batch):
+        return retrieval_task_value(*target_rows.unit.take(batch, axis=-2), cfg.tau)
 
     towers = _Towers.pair((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")

@@ -228,19 +228,25 @@ def _sq_dist_rows(pts: np.ndarray) -> np.ndarray:
     block of rows fills one reused ``(d, rows, n)`` buffer with its squared
     differences (at most about 1 MB, or one row's ``d * n`` terms if that is
     more) and :func:`_pairwise_sum` reduces it over d in the order numpy's
-    ``.sum`` adds a row's d terms.
+    ``.sum`` adds a row's d terms. The matrix is symmetric to the bit (each
+    term of row i, column j is the square of the negated term of row j,
+    column i, added in the same order), so a block computes only the columns
+    from its first row on and mirrors the ones after its last row into the
+    rows below it.
     """
     n, d = pts.shape
     cols = np.ascontiguousarray(pts.T)
     block = max(1, _SQ_DIST_BLOCK // (d * n))
     out = np.empty((n, n))
-    buf = np.empty((d, min(block, n), n))
+    buf = np.empty(d * min(block, n) * n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        terms = buf[:, : stop - start]
-        np.subtract(cols[:, None, :], cols[:, start:stop, None], out=terms)
+        shape = (d, stop - start, n - start)
+        terms = buf[: shape[0] * shape[1] * shape[2]].reshape(shape)
+        np.subtract(cols[:, None, start:], cols[:, start:stop, None], out=terms)
         np.square(terms, out=terms)
-        out[start:stop] = _pairwise_sum(terms)
+        out[start:stop, start:] = _pairwise_sum(terms)
+        out[stop:, start:stop] = out[start:stop, stop:].T
     return out
 
 

@@ -3,8 +3,9 @@
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
 paths they check. The last sections hold the forms only tests use: the
-per-step unimodal and per-tower multimodal client rounds, the single-sample
-wrappers of the batched losses and a few reference reductions.
+per-tower loop forms of the two transfer losses, the per-step unimodal and
+per-tower multimodal client rounds, the single-sample wrappers of the
+batched losses and a few reference reductions.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import numpy as np
 
 from apromfl.federation import LOSS_TERMS, _batches
 from apromfl.losses import (
+    TASK_LOSS_FLOOR,
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
+    gmt_targets,
     gpt_loss_batch,
-    gpt_loss_paired_batch,
     lmr_loss,
     retrieval_task_loss,
 )
@@ -269,6 +271,81 @@ def min_abs_preact(module, x) -> float:
     return worst
 
 
+# -- the per-tower transfer losses -------------------------------------------------
+# The two transfer losses as they ran before they took a client's stack of
+# towers: one call per tower (GMT) or per prototype set (GPT), each on an
+# (N, d) batch with its own ``rows.backward`` call, and the target
+# distributions computed from each batch's target unit rows.
+
+_TINY = np.finfo(float).tiny
+
+
+def _loop_softmax_rows(scores):
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _loop_softmax_rows_backward(p, g):
+    return p * (g - (p * g).sum(axis=1, keepdims=True))
+
+
+def _loop_js_rows(p, q):
+    mid = 0.5 * (p + q)
+    log_p = np.log(np.maximum(p, _TINY) / mid)
+    log_q = np.log(np.maximum(q, _TINY) / mid)
+    rows = 0.5 * (p * log_p).sum(axis=1) + 0.5 * (q * log_q).sum(axis=1)
+    return rows, 0.5 * log_p, 0.5 * log_q
+
+
+def loop_gpt_loss_paired_batch(img: UnitRows, txt: UnitRows, protos: UnitRows, tau: float):
+    """``losses.gpt_loss_paired_batch`` on two ``(N, d)`` towers, one
+    prototype set at a time. Returns (mean value, grad_img, grad_txt)."""
+    u, v = img.unit, txt.unit
+    n = len(u)
+    pi_unit, pt_unit = protos.unit
+    p = _loop_softmax_rows(u @ pi_unit.T / tau)
+    q = _loop_softmax_rows(v @ pt_unit.T / tau)
+    rows, g_p, g_q = _loop_js_rows(p, q)
+    value = max(float(rows.sum() / n), 0.0)
+    g_u = _loop_softmax_rows_backward(p, g_p) @ pi_unit / tau
+    g_v = _loop_softmax_rows_backward(q, g_q) @ pt_unit / tau
+    return value, img.backward(g_u) / n, txt.backward(g_v) / n
+
+
+def loop_gpt_loss_batch(rows: UnitRows, protos: UnitRows, tau: float):
+    """The unimodal form of :func:`loop_gpt_loss_paired_batch`: the same
+    ``(N, d)`` embedding on both sides. Returns (mean value, grad)."""
+    value, g_img, g_txt = loop_gpt_loss_paired_batch(rows, rows, protos, tau)
+    return value, g_img + g_txt
+
+
+def loop_transfer_ratio(task_loss_local, task_loss_global, nu_max: float) -> float:
+    """``losses.transfer_ratio`` in numpy scalars."""
+    ratio = task_loss_local / max(task_loss_global, TASK_LOSS_FLOOR)
+    if not np.isfinite(ratio):
+        raise ValueError(f"non-finite transfer ratio from {task_loss_local}/{task_loss_global}")
+    return float(np.clip(ratio, 0.0, nu_max))
+
+
+def loop_gmt_loss_batch(
+    local: UnitRows, target: UnitRows, task_loss_local, task_loss_global, nu_max, distill_tau
+):
+    """``losses.gmt_loss_batch`` of one ``(N, d)`` tower toward the unit
+    rows of its targets. Returns (mean value, grad)."""
+    u, v = local.unit, target.unit
+    nu = loop_transfer_ratio(task_loss_local, task_loss_global, nu_max)
+    t = distill_tau
+    n = len(u)
+    p = _loop_softmax_rows(u / t)
+    q = np.maximum(_loop_softmax_rows(v / t), KL_EPS)
+    log_ratio = np.log(np.maximum(p, _TINY) / q)
+    kl_rows = (p * log_ratio).sum(axis=1)
+    value = nu * max(float(kl_rows.sum() / n), 0.0)
+    g_unit = (nu / (t * n)) * p * (log_ratio - kl_rows[:, None])
+    return value, local.backward(g_unit)
+
+
 # -- the per-step client rounds ----------------------------------------------------
 
 
@@ -296,12 +373,12 @@ def per_step_unimodal_round(state, rc):
             head_grad, d_emb = backward_head(head, emb, d_logits)
             gpt_value = gmt_value = 0.0
             if protos is not None:
-                gpt_value, grad = gpt_loss_batch(unit_rows(emb), protos, cfg.tau)
+                gpt_value, grad = loop_gpt_loss_batch(unit_rows(emb), protos, cfg.tau)
                 d_emb = d_emb + cfg.beta1 * grad
             if use_gmt:
                 target = forward_map(state.mapper, x)
                 global_task = cross_entropy_batch(forward_head(head, target), y)[0]
-                gmt_value, grad = gmt_loss_batch(
+                gmt_value, grad = loop_gmt_loss_batch(
                     unit_rows(emb), unit_rows(target), task, global_task, cfg.nu_max,
                     cfg.distill_tau,
                 )
@@ -369,17 +446,19 @@ def per_tower_multimodal_round(state, rc):
             task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
             if protos is not None:
-                gpt_value, a_img, a_txt = gpt_loss_paired_batch(e_img, e_txt, protos, cfg.tau)
+                gpt_value, a_img, a_txt = loop_gpt_loss_paired_batch(
+                    e_img, e_txt, protos, cfg.tau
+                )
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
                 ge_img = unit_rows(forward_map(state.image_mapper, xi[batch]))
                 ge_txt = unit_rows(forward_map(state.text_mapper, xt[batch]))
                 global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
-                v_img, a_img = gmt_loss_batch(
+                v_img, a_img = loop_gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
                 )
-                v_txt, a_txt = gmt_loss_batch(
+                v_txt, a_txt = loop_gmt_loss_batch(
                     e_txt, ge_txt, task, global_task, cfg.nu_max, cfg.distill_tau
                 )
                 gmt_value = 0.5 * (v_img + v_txt)
@@ -506,9 +585,9 @@ def gpt_loss(e, image_protos, text_protos, tau: float):
     """Single-embedding form of ``losses.gpt_loss_batch``."""
     e = np.asarray(e, dtype=float)
     value, grad = gpt_loss_batch(
-        unit_rows(e[None, :]), prototype_rows(image_protos, text_protos), tau
+        unit_rows(e[None, None, :]), prototype_rows(image_protos, text_protos), tau
     )
-    return value, grad[0]
+    return value, grad[0, 0]
 
 
 def gmt_loss(
@@ -518,14 +597,14 @@ def gmt_loss(
     local_emb = np.asarray(local_emb, dtype=float)
     global_emb = np.asarray(global_emb, dtype=float)
     value, grad = gmt_loss_batch(
-        unit_rows(local_emb[None, :]),
-        unit_rows(global_emb[None, :]),
+        unit_rows(local_emb[None, None, :]),
+        gmt_targets(unit_rows(global_emb[None, None, :]), distill_tau),
         task_loss_local,
         task_loss_global,
         nu_max,
         distill_tau,
     )
-    return value, grad[0]
+    return value, grad[0, 0]
 
 
 def eval_report_from_dict(d: dict) -> EvalReport:

@@ -25,6 +25,7 @@ from apromfl.losses import (
     clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
+    gmt_targets,
     gpt_loss_batch,
     gpt_loss_paired_batch,
     inter_modal_total,
@@ -99,6 +100,12 @@ def _check(loss_of_modules, analytic_of_modules, modules):
     assert grad_rel_error(np.concatenate(grads), numeric) < GRAD_TOL
 
 
+def _towers_out(value, grad):
+    """A transfer loss's value and its ``(t, N, d)`` gradient, one ``(N, d)``
+    gradient per tower."""
+    return value, *grad
+
+
 def _gradient_cases(depth: int, key: int):
     tau = 0.5
     clusters = np.array([0, 1, 0, 1])
@@ -134,7 +141,8 @@ def _gradient_cases(depth: int, key: int):
     protos = prototype_rows(protos_i, protos_t)
     yield single_emb_case("intra-modal", lambda e: intra_modal_total(unit_rows(e), clusters, tau))
     yield single_emb_case(
-        "prototype-transfer", lambda e: gpt_loss_batch(unit_rows(e), protos, tau)
+        "prototype-transfer",
+        lambda e: _towers_out(*gpt_loss_batch(unit_rows(e[None]), protos, tau)),
     )
 
     for attempt in itertools.count():
@@ -144,8 +152,15 @@ def _gradient_cases(depth: int, key: int):
             break
     yield single_emb_case(
         "model-transfer",
-        lambda e: gmt_loss_batch(
-            unit_rows(e), unit_rows(global_emb), 0.8, 0.5, nu_max=10.0, distill_tau=0.7
+        lambda e: _towers_out(
+            *gmt_loss_batch(
+                unit_rows(e[None]),
+                gmt_targets(unit_rows(global_emb[None]), 0.7),
+                0.8,
+                0.5,
+                nu_max=10.0,
+                distill_tau=0.7,
+            )
         ),
     )
 
@@ -176,7 +191,9 @@ def _gradient_cases(depth: int, key: int):
     )
     yield two_emb_case(
         "paired-prototype-transfer",
-        lambda a, b: gpt_loss_paired_batch(unit_rows(a), unit_rows(b), protos, tau),
+        lambda a, b: _towers_out(
+            *gpt_loss_paired_batch(unit_rows(np.stack([a, b])), protos, tau)
+        ),
     )
 
     anchor = init_mapping_module(mods[0].dims, seeded_rng(1005, depth, key))
@@ -318,7 +335,7 @@ def test_c04_loss_bounds():
         k, d = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         e = rng.standard_normal(d) + 0.05
         value, _ = gpt_loss_batch(
-            unit_rows(e[None, :]),
+            unit_rows(e[None, None, :]),
             prototype_rows(
                 rng.standard_normal((k, d)) + 0.05, rng.standard_normal((k, d)) - 0.05
             ),
@@ -331,7 +348,7 @@ def test_c04_loss_bounds():
         assert kl_divergence(p / p.sum(), q / q.sum()) >= 0.0
     protos = seeded_rng(1301).standard_normal((5, 4)) + 0.1
     identical, _ = gpt_loss_batch(
-        unit_rows(np.ones((1, 4))), prototype_rows(protos, protos.copy()), 0.5
+        unit_rows(np.ones((1, 1, 4))), prototype_rows(protos, protos.copy()), 0.5
     )
     assert identical == 0.0
     report(4, "prototype-transfer loss within [0, ln 2] on 1000 inputs, zero on "

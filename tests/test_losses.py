@@ -10,6 +10,7 @@ from apromfl.losses import (
     cross_entropy_batch,
     cross_entropy_value,
     gmt_loss_batch,
+    gmt_targets,
     gpt_loss_batch,
     gpt_loss_paired_batch,
     inter_modal_total,
@@ -17,9 +18,10 @@ from apromfl.losses import (
     lmr_loss,
     retrieval_task_loss,
     retrieval_task_value,
+    transfer_ratio,
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
-from apromfl.numerics import seeded_rng, unit_rows
+from apromfl.numerics import KL_EPS, seeded_rng, unit_rows
 from oracles import (
     LN2,
     assignment_probs,
@@ -30,6 +32,10 @@ from oracles import (
     grad_rel_error,
     inter_modal_loss,
     intra_modal_loss,
+    loop_gmt_loss_batch,
+    loop_gpt_loss_batch,
+    loop_gpt_loss_paired_batch,
+    loop_transfer_ratio,
     prototype_rows,
     stack,
 )
@@ -123,7 +129,7 @@ class TestRetrievalTaskLoss:
             img = unit_rows(seeded_rng(505, trial).standard_normal((6, 4)))
             txt = unit_rows(seeded_rng(506, trial).standard_normal((6, 4)))
             for tau in (0.07, 0.5):
-                value = retrieval_task_value(img, txt, tau)
+                value = retrieval_task_value(img.unit, txt.unit, tau)
                 assert value.hex() == retrieval_task_loss(img, txt, tau)[0].hex()
 
 
@@ -247,6 +253,25 @@ class TestClusteringTotalLoss:
         )
         assert value == pytest.approx(expected, abs=1e-10)
 
+    def test_gives_the_bits_of_its_terms_computed_apart(self):
+        """Sharing the scores, their softmax and the label mask between the
+        terms changes no bit of the value or of either gradient."""
+        for trial in range(400):
+            rng = seeded_rng(511, trial)
+            n, d = int(rng.integers(2, 41)), int(rng.integers(2, 25))
+            img = unit_rows(rng.standard_normal((n, d)) * float(rng.uniform(0.1, 10.0)))
+            txt = unit_rows(rng.standard_normal((n, d)))
+            clusters = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            tau = float(rng.uniform(0.05, 2.0))
+            value, gi, gt = clustering_total_loss(img, txt, clusters, tau)
+            task, g_img, g_txt = retrieval_task_loss(img, txt, tau)
+            intra_i, ai = intra_modal_total(img, clusters, tau)
+            intra_t, at = intra_modal_total(txt, clusters, tau)
+            inter, hi, ht = inter_modal_total(img, txt, clusters, tau)
+            assert value.hex() == (task + intra_i + intra_t + inter).hex(), trial
+            assert gi.tobytes() == (g_img + ai + hi).tobytes(), trial
+            assert gt.tobytes() == (g_txt + at + ht).tobytes(), trial
+
     def test_finite_difference(self):
         img, txt = rand_embs(4, 3, 18), rand_embs(4, 3, 19)
         clusters = np.array([0, 1, 1, 0])
@@ -365,17 +390,19 @@ class TestGptLoss:
         img_p, txt_p = rand_embs(4, 3, 23), rand_embs(4, 3, 24)
         embs = rand_embs(3, 3, 25)
         protos = prototype_rows(img_p, txt_p)
-        _, grad = gpt_loss_batch(unit_rows(embs), protos, TAU)
-        numeric = fd_wrt_arrays(lambda e: gpt_loss_batch(unit_rows(e), protos, TAU)[0], [embs])[0]
+        _, (grad,) = gpt_loss_batch(unit_rows(embs[None]), protos, TAU)
+        numeric = fd_wrt_arrays(
+            lambda e: gpt_loss_batch(unit_rows(e[None]), protos, TAU)[0], [embs]
+        )[0]
         assert grad_rel_error(grad, numeric) < 1e-4
 
     def test_paired_finite_difference(self):
         img_p, txt_p = rand_embs(4, 3, 26), rand_embs(4, 3, 27)
         img_e, txt_e = rand_embs(3, 3, 28), rand_embs(3, 3, 29)
         protos = prototype_rows(img_p, txt_p)
-        _, gi, gt = gpt_loss_paired_batch(unit_rows(img_e), unit_rows(txt_e), protos, TAU)
+        _, (gi, gt) = gpt_loss_paired_batch(unit_rows(np.stack([img_e, txt_e])), protos, TAU)
         ni, nt = fd_wrt_arrays(
-            lambda a, b: gpt_loss_paired_batch(unit_rows(a), unit_rows(b), protos, TAU)[0],
+            lambda a, b: gpt_loss_paired_batch(unit_rows(np.stack([a, b])), protos, TAU)[0],
             [img_e, txt_e],
         )
         assert grad_rel_error(gi, ni) < 1e-4
@@ -409,10 +436,10 @@ class TestGmtLoss:
 
     def test_gradient_flows_only_into_local(self):
         local, glob = rand_embs(3, 4, 30), rand_embs(3, 4, 31)
-        target = unit_rows(glob)
-        _, grad = gmt_loss_batch(unit_rows(local), target, 0.8, 0.5, NU_MAX, DISTILL_TAU)
+        target = gmt_targets(unit_rows(glob[None]), DISTILL_TAU)
+        _, (grad,) = gmt_loss_batch(unit_rows(local[None]), target, 0.8, 0.5, NU_MAX, DISTILL_TAU)
         numeric = fd_wrt_arrays(
-            lambda l: gmt_loss_batch(unit_rows(l), target, 0.8, 0.5, NU_MAX, DISTILL_TAU)[0],
+            lambda l: gmt_loss_batch(unit_rows(l[None]), target, 0.8, 0.5, NU_MAX, DISTILL_TAU)[0],
             [local],
         )[0]
         assert grad_rel_error(grad, numeric) < 1e-4
@@ -420,3 +447,92 @@ class TestGmtLoss:
     def test_non_finite_ratio_rejected(self):
         with pytest.raises(ValueError):
             gmt_loss(np.ones(2), np.ones(2), float("nan"), 1.0, NU_MAX, DISTILL_TAU)
+
+
+def _transfer_case(key, t):
+    """Random ``(t, B, d)`` unit rows, their ``(t, N, d)`` targets with a
+    batch of N, and prototypes, at B in 1-64, K in 1-80 and a few scales."""
+    rng = seeded_rng(512, key, t)
+    b, d, k = int(rng.integers(1, 65)), int(rng.integers(2, 25)), int(rng.integers(1, 81))
+    n = b + int(rng.integers(0, 40))
+    scale = 10.0 ** float(rng.uniform(-2, 2))
+    rows = unit_rows(rng.standard_normal((t, b, d)) * scale)
+    targets = unit_rows(rng.standard_normal((t, n, d)) * scale, "distillation targets")
+    batch = rng.permutation(n)[:b]
+    protos = prototype_rows(rng.standard_normal((k, d)), rng.standard_normal((k, d)))
+    return rng, rows, targets, batch, protos
+
+
+class TestStackedTransferLosses:
+    """Each transfer loss on a client's stack of towers gives the bits of its
+    per-tower loop form (``tests/oracles.py``): one call for t = 1 and 2."""
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_gpt_gives_the_bits_of_the_loop_form(self, t):
+        for trial in range(150):
+            rng, rows, _, _, protos = _transfer_case(("gpt", trial), t)
+            tau = float(rng.uniform(0.05, 2.0))
+            value, grad = gpt_loss_paired_batch(rows, protos, tau)
+            if t == 2:
+                want, g_img, g_txt = loop_gpt_loss_paired_batch(rows[0], rows[1], protos, tau)
+                want_grad = np.stack([g_img, g_txt])
+            else:
+                want, g = loop_gpt_loss_batch(rows[0], protos, tau)
+                want_grad = g[None]
+            assert value.hex() == want.hex(), trial
+            assert grad.shape == rows.unit.shape, trial
+            assert grad.tobytes() == want_grad.tobytes(), trial
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_gmt_gives_the_bits_of_the_loop_form(self, t):
+        """Against one loop call per tower, each toward its batch's target
+        unit rows; the value is their mean, added in tower order. The ratio
+        runs unclamped, clamped and with a zero global loss, and temperatures
+        down to 0.01 floor target probabilities at ``KL_EPS``."""
+        floored = 0
+        for trial in range(150):
+            rng, rows, targets, batch, _ = _transfer_case(("gmt", trial), t)
+            distill_tau = 10.0 ** float(rng.uniform(-2.0, 0.3))
+            local_task = float(rng.uniform(0.0, 3.0))
+            global_task = (0.0, float(rng.uniform(0.01, 3.0)))[trial % 2]
+            nu_max = float(rng.uniform(0.5, 10.0))
+            target = gmt_targets(targets, distill_tau).take(batch, axis=-2)
+            value, grad = gmt_loss_batch(
+                rows, target, local_task, global_task, nu_max, distill_tau
+            )
+            want = 0.0
+            for i in range(t):
+                v, g = loop_gmt_loss_batch(
+                    rows[i], targets[i][batch], local_task, global_task, nu_max, distill_tau
+                )
+                want += v
+                assert grad[i].tobytes() == g.tobytes(), trial
+            assert value.hex() == (want / t).hex(), trial
+            floored += bool((target == KL_EPS).any())
+        assert floored > 20
+
+    def test_target_distributions_gathered_equal_those_of_the_batch(self):
+        """The distributions of all N target rows, computed once and then
+        gathered, are those computed from the batch's own unit rows."""
+        for trial in range(200):
+            rng, _, targets, batch, _ = _transfer_case(("targets", trial), 1 + trial % 2)
+            distill_tau = float(rng.uniform(0.05, 2.0))
+            gathered = gmt_targets(targets, distill_tau).take(batch, axis=-2)
+            own = gmt_targets(targets[:, batch], distill_tau)
+            assert gathered.tobytes() == own.tobytes(), trial
+
+    def test_transfer_ratio_gives_the_bits_of_the_numpy_form(self):
+        rng = seeded_rng(513)
+        for trial in range(5000):
+            local = float(rng.uniform(0.0, 5.0)) * float(trial % 7 != 0)
+            glob = float(rng.uniform(0.0, 5.0)) * float(trial % 5 != 0)
+            nu_max = float(rng.uniform(0.5, 10.0))
+            got = transfer_ratio(local, glob, nu_max)
+            want = loop_transfer_ratio(local, glob, nu_max)
+            assert type(got) is float and got.hex() == want.hex(), trial
+        for local, glob in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="non-finite transfer ratio") as ours:
+                transfer_ratio(local, glob, NU_MAX)
+            with pytest.raises(ValueError) as theirs:
+                loop_transfer_ratio(local, glob, NU_MAX)
+            assert str(ours.value) == str(theirs.value)

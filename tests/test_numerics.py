@@ -373,6 +373,19 @@ class TestSqDistRows:
             got = numerics._sq_dist_rows(pts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
 
+    @pytest.mark.parametrize("block", [numerics._SQ_DIST_BLOCK, 500, 1])
+    def test_exactly_symmetric_with_a_zero_diagonal(self, monkeypatch, block):
+        """Every block's mirrored columns equal the ones computed, to the
+        bit, at block sizes of many rows, a few rows and one row."""
+        monkeypatch.setattr(numerics, "_SQ_DIST_BLOCK", block)
+        for trial in range(200):
+            rng = seeded_rng(49, block, trial)
+            n, d = int(rng.integers(1, 120)), int(rng.integers(1, 40))
+            pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-100, 100)
+            got = numerics._sq_dist_rows(pts[rng.integers(0, n, n)])
+            assert got.tobytes() == got.T.copy().tobytes(), trial
+            assert not got.diagonal().any(), trial
+
 
 class TestUnitRows:
     def test_stacked_and_gathered_rows_match_per_slice_bits(self):
