@@ -41,9 +41,10 @@ transfer losses: a unimodal client's module and head, end to end in one
 buffer, on cross-entropy; a multimodal client's two modules as one
 ``(2, P)`` stack on retrieval (one forward, backward and SGD call a step for
 both towers) plus a regulariser. A step's embeddings and gradients are one
-``(t, B, d)`` stack of the client's t towers, so each transfer loss runs
-once a step for every tower, and the distributions GMT distills toward are
-computed once a round.
+``(t, B, d)`` stack of the client's t towers, so each transfer loss and the
+clustering objective run once a step for every tower, and the distributions
+GMT distills toward are computed once a round. A round evaluates each
+distinct model once (under fediot every sender of a part holds the same).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .data import SyntheticDataset, assign_roles, generate, role_partition, trai
 from .losses import (
     clustering_total_loss,
     cross_entropy_batch,
-    cross_entropy_value,
     gmt_loss_batch,
     gmt_targets,
     gpt_loss_batch,  # noqa: F401 - unused here; perfbench's tracer wraps it by name
@@ -252,7 +252,7 @@ def _tower_axis(embs: np.ndarray) -> np.ndarray:
     return embs if embs.ndim == 3 else embs[None]
 
 
-def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, anchor=None):
+def _train_task(towers, rc, batch_rng, min_size, task_loss, anchor=None):
     """Every client's task training, the one training loop of both kinds of
     client: local epochs of SGD of its ``towers``' workspace, in place, on
     its task loss plus, once the server has broadcast them, the transfer
@@ -264,30 +264,30 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, global_task_loss, an
     Every tower of a step is one ``(t, B, d)`` stack: each transfer loss
     runs once on it, and GMT distills toward the targets' distributions,
     computed once a round for all ``(t, N, d)`` rows and gathered per batch.
-    ``task_loss(embs, batch)`` returns the value on the ``(t, B, d)``
-    embeddings, their ``(t, B, d)`` gradient and, if it built them, their
-    unit rows; it writes the gradient of any model it reads besides the
-    towers (a head) into that model's segment of the workspace.
-    ``global_task_loss(targets, target_rows, batch)`` returns the value alone
-    on the batch of the targets (``(t, N, d)``, and their unit rows). Both
-    read the models as they were before the batch's step."""
+    ``task_loss(embs, batch, targets)`` returns the value on the
+    ``(t, B, d)`` embeddings, their ``(t, B, d)`` gradient, their unit rows
+    if it built them, and, once there are targets (the round's ``(t, N, d)``
+    targets and their unit rows, else ``None``), the value alone on the
+    batch of the targets (else ``None``). It writes the gradient of any
+    model it reads besides the towers (a head) into that model's segment of
+    the workspace, and reads the models as they were before the batch's
+    step."""
     cfg = rc.config
     n = towers.runs[0][2].shape[-2]
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
+    targets = None
     if use_gmt:
-        targets = towers.embed()
-        target_rows = unit_rows(targets, "distillation targets")
-        target_dists = gmt_targets(target_rows, cfg.distill_tau)
-        gmt_weight = cfg.beta2 / len(targets)
+        start = towers.embed()
+        targets = start, unit_rows(start, "distillation targets")
+        target_dists = gmt_targets(targets[1], cfg.distill_tau)
+        gmt_weight = cfg.beta2 / len(start)
     values = []  # each step's loss terms
     for _ in range(cfg.local_epochs):
         for batch in _batches(batch_rng.permutation(n), cfg.batch_size, min_size):
             embs, traces = towers.embed_trace(batch)
             gpt_value = gmt_value = 0.0
-            if use_gmt:
-                global_task = global_task_loss(targets, target_rows, batch)
-            task, grads, rows = task_loss(embs, batch)
+            task, grads, rows, global_task = task_loss(embs, batch, targets)
             if rows is None and (protos is not None or use_gmt):
                 rows = unit_rows(embs)
             if protos is not None:
@@ -320,16 +320,19 @@ def unimodal_client_round(
     towers = _Towers.of(trainable((state.mapper, state.head)), (state.features,))
     head, head_grad, labels = towers.space.models[1], towers.space.grads[1], state.labels
 
-    def cross_entropy(embs, batch):
-        task, d_logits = cross_entropy_batch(forward_head(head, embs[0]), labels[batch])
-        return task, backward_head(head, embs[0], d_logits, head_grad)[1][None], None
-
-    def global_cross_entropy(targets, target_rows, batch):
-        target = targets[0].take(batch, axis=0)
-        return cross_entropy_value(forward_head(head, target), labels[batch])
+    def cross_entropy(embs, batch, targets):
+        global_task = None
+        if targets is None:
+            task, d_logits = cross_entropy_batch(forward_head(head, embs[0]), labels[batch])
+        else:  # the batch and its targets, in one pass through the head
+            pair = np.concatenate([embs, targets[0].take(batch, axis=-2)])
+            task, d_logits, global_task = cross_entropy_batch(
+                forward_head(head, pair), labels[batch]
+            )
+        return task, backward_head(head, embs[0], d_logits, head_grad)[1][None], None, global_task
 
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
-    terms = _train_task(towers, rc, batch_rng, 1, cross_entropy, global_cross_entropy)
+    terms = _train_task(towers, rc, batch_rng, 1, cross_entropy)
     mapper, head = freeze(towers.space)
     protos = label_guided_prototypes(towers.embed()[0], labels, state.modality)
     params = {state.modality: flatten_module(mapper)}
@@ -361,26 +364,25 @@ def multimodal_client_round(
         order = cluster_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
             embs, traces = cluster.embed_trace(batch)
-            e_img, e_txt = unit_rows(embs)
-            _, g_img, g_txt = clustering_total_loss(e_img, e_txt, pseudo[batch], cfg.tau)
-            cluster.descend(traces, np.stack([g_img, g_txt]), cfg.lr)
+            _, grads = clustering_total_loss(unit_rows(embs), pseudo[batch], cfg.tau)
+            cluster.descend(traces, grads, cfg.lr)
     e_img, e_txt = cluster.embed()
     pairs, _ = clustering_prototype_pairs(
         e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final")
     )
 
     # (b) task model training
-    def retrieval(embs, batch):
+    def retrieval(embs, batch, targets):
+        global_task = None
+        if targets is not None:
+            global_task = retrieval_task_value(*targets[1].unit.take(batch, axis=-2), cfg.tau)
         rows = unit_rows(embs)
         task, g_img, g_txt = retrieval_task_loss(*rows, cfg.tau)
-        return task, np.stack([g_img, g_txt]), rows
-
-    def global_retrieval(targets, target_rows, batch):
-        return retrieval_task_value(*target_rows.unit.take(batch, axis=-2), cfg.tau)
+        return task, np.stack([g_img, g_txt]), rows, global_task
 
     towers = _Towers.pair((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")
-    terms = _train_task(towers, rc, task_rng, 2, retrieval, global_retrieval, cluster)
+    terms = _train_task(towers, rc, task_rng, 2, retrieval, cluster)
     (img, txt), (c_img, c_txt) = freeze(towers.space), freeze(cluster.space)
     params = {"image": flatten_module(img), "text": flatten_module(txt)}
     message = RoundMessage(state.client_id, None, tuple(pairs), params, terms)
@@ -605,6 +607,13 @@ def _server(experiment: Experiment, messages: list[RoundMessage], round_index: i
 # -- evaluation and the round loop ----------------------------------------------
 
 
+def _evaluated_models(state: ClientState) -> tuple:
+    """What :func:`evaluate_client` reads of a client, by identity."""
+    if isinstance(state, UnimodalClientState):
+        return state.modality, id(state.mapper), id(state.head)
+    return "multimodal", id(state.image_mapper), id(state.text_mapper)
+
+
 def evaluate_client(state: ClientState, test: SyntheticDataset) -> EvalReport:
     if isinstance(state, UnimodalClientState):
         feats = test.images if state.modality == "image" else test.texts
@@ -721,10 +730,13 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
                 with _located(round_index, "server", None, records):
                     _server(experiment, messages, round_index)
 
-            reports = {}
+            reports, evaluated = {}, {}  # each distinct model evaluated once
             for c in experiment.clients:
-                with _located(round_index, "evaluation", c.client_id, records):
-                    reports[c.client_id] = evaluate_client(c, experiment.test)
+                key = _evaluated_models(c)
+                if key not in evaluated:
+                    with _located(round_index, "evaluation", c.client_id, records):
+                        evaluated[key] = evaluate_client(c, experiment.test)
+                reports[c.client_id] = evaluated[key]
             client_losses = {m.client_id: dict(m.loss_terms) for m in messages}
             mean_losses = {
                 term: float(np.mean([m.loss_terms[term] for m in messages]))

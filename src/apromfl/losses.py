@@ -10,12 +10,15 @@ differences in the test suite.
 Conventions: every cosine-based loss takes its embeddings as
 :class:`~apromfl.numerics.UnitRows`, which the caller builds once per step
 with :func:`~apromfl.numerics.unit_rows` and shares between the losses, and
-returns its gradients with respect to the raw embeddings. The task and
-clustering losses take one ``(N, d)`` batch per modality; the two transfer
-losses take a client's ``(t, N, d)`` stack of towers (t = 2, image first, or
-1 for a unimodal client) and make one ``rows.backward`` call on it.
-Contrastive denominators run over every sample in the batch including the
-anchor itself.
+returns its gradients with respect to the raw embeddings. The retrieval
+task loss takes one ``(N, d)`` batch per modality. The clustering objective
+and the two transfer losses take a client's ``(t, N, d)`` stack of towers
+(t = 2, image first, or 1 for a unimodal client) and make one
+``rows.backward`` call on it: each term writes its gradient with respect to
+the unit rows into one array, which is mapped back to the raw embeddings at
+once. Cross-entropy takes a batch's logits, or the pair of a batch's and its
+distillation targets' logits in one pass. Contrastive denominators run over
+every sample in the batch including the anchor itself.
 
 Arguments are not range-checked here: ``config.validate_config`` is the one
 gate for temperatures, weights and the ratio clamp, and the client rounds
@@ -53,26 +56,26 @@ def _softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 # -- classification ----------------------------------------------------------
 
 
-def _cross_entropy(logits, labels) -> tuple[float, np.ndarray, np.ndarray]:
+def cross_entropy_batch(logits, labels):
+    """Mean cross-entropy over a batch of ``(B, C)`` logits; grad is of the
+    mean. Returns (value, grad).
+
+    Given a ``(2, B, C)`` pair against the same labels (a batch's logits and
+    those of its distillation targets), both sets pass one finiteness check
+    and one logsumexp, and it returns (value, grad) of the first set plus
+    the value of the second: the bits of two separate calls.
+    """
     logits = require_finite(logits, "logits")
     n = len(labels)
-    lse = logsumexp(logits, axis=1)
-    return float((lse - logits[np.arange(n), labels]).sum() / n), logits, lse
-
-
-def cross_entropy_value(logits, labels) -> float:
-    """The value of :func:`cross_entropy_batch`, to the bit, without its
-    gradient."""
-    return _cross_entropy(logits, labels)[0]
-
-
-def cross_entropy_batch(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch; grad is of the mean."""
-    value, logits, lse = _cross_entropy(logits, labels)
-    n = len(labels)
-    grad = np.exp(logits - lse[:, None])
-    grad[np.arange(n), labels] -= 1.0
-    return value, grad / n
+    rows = np.arange(n)
+    lse = logsumexp(logits, axis=-1)
+    values = (lse - logits[..., rows, labels]).sum(axis=-1) / n
+    local, local_lse = (logits, lse) if logits.ndim == 2 else (logits[0], lse[0])
+    grad = np.exp(local - local_lse[:, None])
+    grad[rows, labels] -= 1.0
+    if logits.ndim == 2:
+        return float(values), grad / n
+    return float(values[0]), grad / n, float(values[1])
 
 
 # -- retrieval ---------------------------------------------------------------
@@ -88,16 +91,13 @@ def _retrieval(u: np.ndarray, v: np.ndarray, tau: float):
     return value, scores, lse_rows, lse_cols
 
 
-def _retrieval_grads(img: UnitRows, txt: UnitRows, tau: float, scores, lse_cols, p_rows):
-    """The gradients of :func:`retrieval_task_loss` from its scores, their
-    column logsumexp and their row softmax."""
+def _retrieval_d_scores(scores, lse_cols, p_rows):
+    """The gradient of :func:`retrieval_task_loss`'s value w.r.t. its scores,
+    from the scores, their column logsumexp and their row softmax."""
     n = len(scores)
     p_cols = np.exp(scores - lse_cols[None, :])
     eye = np.eye(n)
-    d_scores = 0.5 * ((p_rows - eye) + (p_cols - eye)) / n
-    g_u = d_scores @ txt.unit / tau
-    g_v = d_scores.T @ img.unit / tau
-    return img.backward(g_u), txt.backward(g_v)
+    return 0.5 * ((p_rows - eye) + (p_cols - eye)) / n
 
 
 def retrieval_task_value(u: np.ndarray, v: np.ndarray, tau: float) -> float:
@@ -112,76 +112,62 @@ def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
     diagonal. Returns (value, grad_img, grad_txt).
     """
     value, scores, lse_rows, lse_cols = _retrieval(img.unit, txt.unit, tau)
-    p_rows = np.exp(scores - lse_rows[:, None])
-    return (value, *_retrieval_grads(img, txt, tau, scores, lse_cols, p_rows))
+    d_scores = _retrieval_d_scores(scores, lse_cols, np.exp(scores - lse_rows[:, None]))
+    g_u = d_scores @ txt.unit / tau
+    g_v = d_scores.T @ img.unit / tau
+    return value, img.backward(g_u), txt.backward(g_v)
 
 
 # -- pseudo-label contrastive losses -----------------------------------------
 
 
-def _label_mask(labels):
-    """Which samples share each sample's pseudo-label, and how many do."""
-    mask = labels[:, None] == labels[None, :]
-    return mask, mask.sum(axis=1)
+def clustering_total_loss(rows: UnitRows, labels, tau: float):
+    """Clustering-model objective on a multimodal client's ``(2, B, d)``
+    stack of towers, image first: the retrieval task loss plus, summed over
+    samples, the intra-modal contrastive loss of each modality and the
+    inter-modal one. A contrastive term scores each anchor against the
+    samples sharing its pseudo-label (itself included), with the
+    denominator over every sample of the other side: its own modality
+    (intra) or the text embeddings (inter, image anchors).
 
+    The two intra-modal terms run as one batched product against a copy of
+    the stack (numpy multiplies an array by its own transpose with a
+    symmetric kernel, whose last bits differ), and the inter-modal term
+    reuses the retrieval scores, their row logsumexp and row softmax. Every
+    term writes its unit-space gradients into one ``(4, 2, B, d)`` array
+    that makes one ``rows.backward`` call, and the results are added per
+    tower as retrieval + (anchor + other side of intra) + inter.
 
-def _contrastive(img: UnitRows, txt: UnitRows, mask, counts, tau: float, scores, lse, probs):
-    """:func:`inter_modal_total` from the label mask and counts, the scores
-    ``u @ v.T / tau``, their row logsumexp and their row softmax."""
-    value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
-    g_scores = (probs - mask / counts[:, None]) / tau
-    return value, img.backward(g_scores @ txt.unit), txt.backward(g_scores.T @ img.unit)
-
-
-def _scored(u: np.ndarray, v: np.ndarray, tau: float):
-    """The scores ``u @ v.T / tau``, their row logsumexp and row softmax."""
-    scores = u @ v.T / tau
-    lse = logsumexp(scores, axis=1)
-    return scores, lse, np.exp(scores - lse[:, None])
-
-
-def _intra(rows: UnitRows, mask, counts, tau: float):
-    # the other side gets its own buffer: numpy multiplies an array by its
-    # own transpose with a symmetric kernel, whose last bits differ
-    other = UnitRows(rows.unit.copy(), rows.norms)
-    scored = _scored(rows.unit, other.unit, tau)
-    value, g_anchor, g_other = _contrastive(rows, other, mask, counts, tau, *scored)
-    return value, g_anchor + g_other
-
-
-def intra_modal_total(rows: UnitRows, labels, tau: float):
-    """Contrastive loss of each sample against the samples sharing its
-    pseudo-label (itself included), with the denominator running over all
-    samples of the modality; summed over samples, with gradients. This is
-    :func:`inter_modal_total` with the one modality on both sides."""
-    return _intra(rows, *_label_mask(labels), tau)
-
-
-def inter_modal_total(img: UnitRows, txt: UnitRows, labels, tau: float):
-    """Contrastive loss of each image anchor against the text embeddings
-    sharing its pseudo-label, with the denominator running over all text
-    embeddings; summed over samples, with gradients for both modalities."""
-    scored = _scored(img.unit, txt.unit, tau)
-    return _contrastive(img, txt, *_label_mask(labels), tau, *scored)
-
-
-def clustering_total_loss(img: UnitRows, txt: UnitRows, labels, tau: float):
-    """Clustering-model objective: retrieval task loss plus the summed
-    intra-modal (both modalities) and inter-modal contrastive losses. The
-    retrieval and inter-modal terms share the scores, their row logsumexp
-    and row softmax, and all three contrastive terms one label mask.
-
-    Returns (value, grad_img, grad_txt).
+    Returns (value, grad w.r.t. the ``(2, B, d)`` stack).
     """
-    task, scores, lse_rows, lse_cols = _retrieval(img.unit, txt.unit, tau)
+    u = rows.unit
+    img, txt = u
+    task, scores, lse_rows, lse_cols = _retrieval(img, txt, tau)
     p_rows = np.exp(scores - lse_rows[:, None])
-    g_img, g_txt = _retrieval_grads(img, txt, tau, scores, lse_cols, p_rows)
-    mask, counts = _label_mask(labels)
-    intra_i, gi = _intra(img, mask, counts, tau)
-    intra_t, gt = _intra(txt, mask, counts, tau)
-    inter, hi, ht = _contrastive(img, txt, mask, counts, tau, scores, lse_rows, p_rows)
-    value = task + intra_i + intra_t + inter
-    return value, g_img + gi + hi, g_txt + gt + ht
+    mask = labels[:, None] == labels[None, :]
+    counts = mask.sum(axis=1)
+    share = mask / counts[:, None]
+    other = u.copy()
+    intra = u @ other.transpose(0, 2, 1) / tau
+    intra_lse = logsumexp(intra, axis=-1)
+    intra_probs = np.exp(intra - intra_lse[..., None])
+    intra_i, intra_t = (intra_lse - np.where(mask, intra, 0.0).sum(axis=-1) / counts).sum(axis=-1)
+    inter = float(np.sum(lse_rows - np.where(mask, scores, 0.0).sum(axis=1) / counts))
+
+    pieces = np.empty((4, *u.shape))
+    d_scores = _retrieval_d_scores(scores, lse_cols, p_rows)
+    np.matmul(d_scores, txt, out=pieces[0, 0])
+    np.matmul(d_scores.T, img, out=pieces[0, 1])
+    pieces[0] /= tau
+    g_intra = (intra_probs - share) / tau
+    np.matmul(g_intra, other, out=pieces[1])
+    np.matmul(g_intra.transpose(0, 2, 1), u, out=pieces[2])
+    g_inter = (p_rows - share) / tau
+    np.matmul(g_inter, txt, out=pieces[3, 0])
+    np.matmul(g_inter.T, img, out=pieces[3, 1])
+    back = rows.backward(pieces)
+    value = task + float(intra_i) + float(intra_t) + inter
+    return value, back[0] + (back[1] + back[2]) + back[3]
 
 
 # -- mapping-module regulariser ----------------------------------------------

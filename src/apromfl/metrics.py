@@ -49,11 +49,19 @@ class EvalReport:
 def _true_ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Position of each row's true column under a stable descending sort of
     that row: the count of strictly greater scores plus the equal scores at a
-    lower column. A row is a top-k hit exactly when its rank is below k."""
+    lower column. A row is a top-k hit exactly when its rank is below k.
+
+    The greater scores are summed as bytes into the narrowest unsigned type
+    that holds a row's length, and the equal ones are counted only when some
+    row has one besides its own score."""
     own = scores[np.arange(len(scores)), truth][:, None]
-    lower = np.arange(scores.shape[1]) < truth[:, None]
-    ahead = np.count_nonzero(scores > own, axis=1)
-    return ahead + np.count_nonzero((scores == own) & lower, axis=1)
+    greater = (scores > own).view(np.uint8)
+    ranks = greater.sum(axis=1, dtype=np.min_scalar_type(scores.shape[1]))
+    equal = scores == own
+    if np.count_nonzero(equal) > len(scores):
+        lower = np.arange(scores.shape[1]) < truth[:, None]
+        ranks = ranks + np.count_nonzero(equal & lower, axis=1)
+    return ranks
 
 
 def _hit_rate(ranks: np.ndarray, k: int) -> float:

@@ -125,10 +125,6 @@ class Gradient(NamedTuple):
     biases: tuple[np.ndarray, ...]
 
 
-def _gradient(dims, flat: np.ndarray) -> Gradient:
-    return Gradient(flat, *_layer_views(flat, dims))
-
-
 @dataclass(frozen=True, eq=False)
 class Workspace:
     """One client run's private buffers for a round of in-place training;
@@ -161,7 +157,8 @@ def trainable(*rows) -> Workspace:
     for m in rows[0]:
         end = pos + m.params.shape[-1]
         models.append(MappingModule(m.dims, params[..., pos:end]))
-        grads.append(_gradient(m.dims, grad[..., pos:end]))
+        flat = grad[..., pos:end]
+        grads.append(Gradient(flat, *_layer_views(flat, m.dims)))
         pos = end
     return Workspace(params, grad, tuple(models), tuple(grads))
 
@@ -196,17 +193,16 @@ def forward_map_trace(module: MappingModule, x: np.ndarray) -> tuple[np.ndarray,
 
 
 def backward(
-    module: MappingModule, trace: ForwardTrace, upstream: np.ndarray, out: Gradient | None = None
+    module: MappingModule, trace: ForwardTrace, upstream: np.ndarray, out: Gradient
 ) -> np.ndarray:
     """Exact reverse-mode parameter gradient for a recorded forward pass.
 
     ``upstream`` is dL/d(output), shaped like the traced output. Writes
-    dL/d(params) into ``out`` (a workspace's gradient views of ``module``;
-    a new vector if not given) and returns its vector, in the module's
-    layout (a stack of them for a stack of modules). The input gradient is
-    not computed: the inputs are frozen encoder features.
+    dL/d(params) into ``out`` (a workspace's gradient views of ``module``)
+    and returns its vector, in the module's layout (a stack of them for a
+    stack of modules). The input gradient is not computed: the inputs are
+    frozen encoder features.
     """
-    out = out if out is not None else _gradient(module.dims, np.empty(module.params.shape))
     g = upstream
     for i in range(module.num_layers - 1, -1, -1):
         np.matmul(trace.layer_inputs[i].swapaxes(-1, -2), g, out=out.weights[i])
@@ -222,12 +218,11 @@ def forward_head(head: MappingModule, x: np.ndarray) -> np.ndarray:
 
 
 def backward_head(
-    head: MappingModule, x: np.ndarray, upstream: np.ndarray, out: Gradient | None = None
+    head: MappingModule, x: np.ndarray, upstream: np.ndarray, out: Gradient
 ) -> tuple[np.ndarray, np.ndarray]:
     """The parameter gradient of a one-layer head at input ``x``, written
     into ``out`` as in :func:`backward`, and the gradient with respect to
     ``x``."""
-    out = out if out is not None else _gradient(head.dims, np.empty(head.params.size))
     np.matmul(x.T, upstream, out=out.weights[0])
     upstream.sum(axis=0, out=out.biases[0])
     return out.params, upstream @ head.weights[0].T

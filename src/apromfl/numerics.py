@@ -7,9 +7,11 @@ depend on call ordering across purposes, threads or processes.
 
 k-means gives the bits of its loop form (``tests/oracles.py``) on any BLAS:
 Lloyd screens its assignments with one GEMM and computes exactly every row
-the screen cannot decide, and the k-means++ seeding reads one ``(n, n)``
-squared-distance matrix, built in one call by a blocked kernel that adds
-each row's terms in numpy's own pairwise-sum order.
+the screen cannot decide (a row whose second-best screen value lies within
+the screen's error bound of its best), and stops at the first repeated
+assignment without recomputing its means. The k-means++ seeding reads one
+``(n, n)`` squared-distance matrix, built in one call by a blocked kernel
+that adds each row's terms in numpy's own pairwise-sum order.
 
 Arguments are not range- or shape-checked: the config validation and the
 callers make them valid. What raises is a fault detector: non-finite input
@@ -114,7 +116,9 @@ def kmeans(points, k: int, rng: Rng):
     generator; every label in ``0..k-1`` is used on return. ``history`` is
     the winning restart's SSE: ``history[0]`` is the SSE of the k-means++
     centroids under their induced assignment; each later entry is measured
-    after a full Lloyd update. The sequence is non-increasing by
+    after a full Lloyd update, and the last repeats the one before it once
+    the assignments repeat (their means and SSE are the last ones, to the
+    bit, so they are not recomputed). The sequence is non-increasing by
     construction: empty clusters are repaired at the assignment level (the
     point fitting its own cluster worst moves into the empty cluster) before
     centroids are recomputed as means, which can only lower the objective.
@@ -143,21 +147,22 @@ def kmeans(points, k: int, rng: Rng):
     # Lloyd draws nothing from rng, so it can run after every seeding, once
     # the matrix is freed.
     del rows
+    x_sq_max = _sq_norm_max(pts)
     best = None
     for centroids in seeds:
-        result = _lloyd(pts, centroids)
+        result = _lloyd(pts, centroids, x_sq_max)
         if best is None or result[2][-1] < best[2][-1]:
             best = result
     return best
 
 
-def _lloyd(pts: np.ndarray, centroids: np.ndarray):
+def _lloyd(pts: np.ndarray, centroids: np.ndarray, x_sq_max: float):
     d, k = pts.shape[1], len(centroids)
     coords = np.arange(d)
     history: list[float] = []
     prev = None
     for iteration in range(KMEANS_MAX_ITERS):
-        assignments = _nearest(pts, centroids)
+        assignments = _nearest(pts, centroids, x_sq_max)
         counts = np.bincount(assignments, minlength=k)
         if not counts.all():
             # each point's exact squared distance to its centroid (the bits
@@ -171,15 +176,17 @@ def _lloyd(pts: np.ndarray, centroids: np.ndarray):
                 counts[assignments[worst]] -= 1
                 assignments[worst] = empty
                 counts[empty] = 1
+        if prev is not None and np.array_equal(assignments, prev):
+            # the means and SSE of these assignments are the last ones
+            history.append(history[-1])
+            break
         if iteration == 0:
-            history.append(float(((pts - centroids[assignments]) ** 2).sum()))
+            history.append(float(((pts - centroids.take(assignments, axis=0)) ** 2).sum()))
         # one bin per (cluster, coordinate), filled in point order
         bins = (assignments[:, None] * d + coords).ravel()
         sums = np.bincount(bins, weights=pts.ravel(), minlength=k * d).reshape(k, d)
         centroids = sums / counts[:, None]
-        history.append(float(((pts - centroids[assignments]) ** 2).sum()))
-        if prev is not None and np.array_equal(assignments, prev):
-            break
+        history.append(float(((pts - centroids.take(assignments, axis=0)) ** 2).sum()))
         prev = assignments
     return assignments, centroids, history
 
@@ -189,8 +196,15 @@ def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``np.argmin(_sq_dists(pts, centroids), axis=1)`` through one GEMM.
+def _sq_norm_max(pts: np.ndarray) -> float:
+    """``max |x|^2`` over the points, the screen's per-call scale term (inf
+    when it overflows)."""
+    return float(np.einsum("nd,nd->n", pts, pts).max())
+
+
+def _nearest(pts: np.ndarray, centroids: np.ndarray, x_sq_max: float) -> np.ndarray:
+    """``np.argmin(_sq_dists(pts, centroids), axis=1)`` through one GEMM,
+    given ``x_sq_max``, the points' :func:`_sq_norm_max`.
 
     The screen ``|c|^2 - 2 x.c`` is ``|x - c|^2`` less the row's constant
     ``|x|^2``, so its argmin is the nearest centroid, but it rounds
@@ -202,19 +216,23 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     one's by ``slack``: more than four times that bound at the largest
     norms (both forms' errors, on both values compared), so both forms then
     have the same strict minimum. The other rows get their exact distances:
-    exact ties (which go to the lowest index) and near-ties. All rows do
-    when the norms are so large that the screen could overflow.
+    exact ties (which go to the lowest index) and near-ties, found as the
+    rows whose second-smallest screen value is within ``slack`` of the
+    best. All rows do when the norms are so large that the screen could
+    overflow.
     """
-    scale = float(np.einsum("nd,nd->n", pts, pts).max())
     c_sq = np.einsum("kd,kd->k", centroids, centroids)
-    scale += float(c_sq.max())  # python floats: an overflow is inf, not a warning
+    scale = x_sq_max + float(c_sq.max())  # python floats: an overflow is inf, not a warning
     if not scale < _SCREEN_LIMIT:
         return np.argmin(_sq_dists(pts, centroids), axis=1)
     screen = pts @ (-2.0 * centroids.T) + c_sq
     labels = screen.argmin(axis=1)
+    rows = np.arange(len(screen))
+    best = screen[rows, labels]
+    screen[rows, labels] = np.inf
+    second = screen[rows, screen.argmin(axis=1)]  # a row's argmin costs less than its min
     slack = 8 * (pts.shape[1] + 4) * (_EPS * scale + _TINY)
-    near = (screen <= screen.min(axis=1, keepdims=True) + slack).sum(axis=1)
-    recheck = np.flatnonzero(near > 1)
+    recheck = np.flatnonzero(second <= best + slack)
     if len(recheck):
         labels[recheck] = np.argmin(_sq_dists(pts[recheck], centroids), axis=1)
     return labels

@@ -3,9 +3,10 @@
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
 paths they check. The last sections hold the forms only tests use: the
-per-tower loop forms of the two transfer losses, the per-step unimodal and
-per-tower multimodal client rounds, the single-sample wrappers of the
-batched losses and a few reference reductions.
+per-term clustering objective, the per-tower loop forms of the two
+transfer losses, the per-step unimodal and per-tower multimodal client
+rounds, the single-sample wrappers of the batched losses and a few
+reference reductions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from apromfl.federation import LOSS_TERMS, _batches
 from apromfl.losses import (
     TASK_LOSS_FLOOR,
-    clustering_total_loss,
     cross_entropy_batch,
     gmt_loss_batch,
     gmt_targets,
@@ -40,6 +40,7 @@ from apromfl.nn import (
     unflatten_module,
 )
 from apromfl.numerics import (
+    _SCREEN_LIMIT,
     KL_EPS,
     KMEANS_RESTARTS,
     KMEANS_RESTARTS_SMALL,
@@ -88,6 +89,28 @@ def loop_kmeans(points, k: int, rng, max_iters: int = 100):
         if best is None or result[2][-1] < best[2][-1]:
             best = result
     return best
+
+
+def row_count_nearest(pts, centroids):
+    """``numerics._nearest`` in its row-count form: a row is rechecked on its
+    exact squared distances when more than one of its screen values lies
+    within ``slack`` of its minimum, every row when the screen could
+    overflow. Returns ``(labels, the indices of the rechecked rows)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - centroids[None, :, :]
+        exact = np.argmin(np.einsum("nkd,nkd->nk", diff, diff), axis=1)
+    c_sq = np.einsum("kd,kd->k", centroids, centroids)
+    scale = float(np.einsum("nd,nd->n", pts, pts).max()) + float(c_sq.max())
+    if not scale < _SCREEN_LIMIT:
+        return exact, np.arange(len(pts))
+    screen = pts @ (-2.0 * centroids.T) + c_sq
+    labels = screen.argmin(axis=1)
+    eps, subnormal = float(np.finfo(float).eps), float(np.finfo(float).smallest_subnormal)
+    slack = 8 * (pts.shape[1] + 4) * (eps * scale + subnormal)
+    near = (screen <= screen.min(axis=1, keepdims=True) + slack).sum(axis=1)
+    recheck = np.flatnonzero(near > 1)
+    labels[recheck] = exact[recheck]
+    return labels, recheck
 
 
 def _loop_kmeans_pp_init(pts, k, rng):
@@ -239,7 +262,7 @@ def _unit_rows(embs) -> np.ndarray:
 def intra_modal_loss(embs, labels, i: int, tau: float) -> float:
     """Contrastive loss of sample i against the samples sharing its
     pseudo-label, with the denominator running over all samples of the
-    modality: the per-sample term that ``losses.intra_modal_total`` sums."""
+    modality: the per-sample term that :func:`intra_modal_total` sums."""
     labels = np.asarray(labels)
     u = _unit_rows(embs)
     sims = u @ u[i] / tau
@@ -249,11 +272,23 @@ def intra_modal_loss(embs, labels, i: int, tau: float) -> float:
 def inter_modal_loss(img_embs, txt_embs, labels, i: int, tau: float) -> float:
     """Cross-modal counterpart of :func:`intra_modal_loss`: image anchor i
     against the text embeddings sharing its pseudo-label, denominator over
-    all text embeddings (the term ``losses.inter_modal_total`` sums)."""
+    all text embeddings (the term :func:`inter_modal_total` sums)."""
     labels = np.asarray(labels)
     u, v = _unit_rows(img_embs), _unit_rows(txt_embs)
     sims = v @ u[i] / tau
     return float(logsumexp(sims) - sims[labels == labels[i]].mean())
+
+
+def backward_alone(module, trace, upstream) -> np.ndarray:
+    """``nn.backward`` into the gradient of a :func:`trainable` workspace of
+    the module's own."""
+    return backward(module, trace, upstream, trainable(module).grads[0])
+
+
+def backward_head_alone(head, x, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """``nn.backward_head`` into the gradient of a :func:`trainable`
+    workspace of the head's own."""
+    return backward_head(head, x, upstream, trainable(head).grads[0])
 
 
 def min_abs_preact(module, x) -> float:
@@ -269,6 +304,47 @@ def min_abs_preact(module, x) -> float:
         else:
             h = z
     return worst
+
+
+# -- the per-term clustering objective ---------------------------------------------
+# ``losses.clustering_total_loss`` as it ran before it took a client's stack
+# of towers: each contrastive term on its own ``(N, d)`` batches, with its
+# own label mask, scores and ``rows.backward`` calls.
+
+
+def inter_modal_total(img: UnitRows, txt: UnitRows, labels, tau: float):
+    """Contrastive loss of each image anchor against the text embeddings
+    sharing its pseudo-label, with the denominator running over all text
+    embeddings; summed over samples, with gradients for both modalities
+    (the sum of :func:`inter_modal_loss` over anchors)."""
+    mask = labels[:, None] == labels[None, :]
+    counts = mask.sum(axis=1)
+    scores = img.unit @ txt.unit.T / tau
+    lse = logsumexp(scores, axis=1)
+    probs = np.exp(scores - lse[:, None])
+    value = float(np.sum(lse - np.where(mask, scores, 0.0).sum(axis=1) / counts))
+    g_scores = (probs - mask / counts[:, None]) / tau
+    return value, img.backward(g_scores @ txt.unit), txt.backward(g_scores.T @ img.unit)
+
+
+def intra_modal_total(rows: UnitRows, labels, tau: float):
+    """:func:`inter_modal_total` with the one modality on both sides (the sum
+    of :func:`intra_modal_loss`); the other side gets its own buffer, since
+    numpy multiplies an array by its own transpose with a symmetric kernel,
+    whose last bits differ. Returns (value, grad)."""
+    other = UnitRows(rows.unit.copy(), rows.norms)
+    value, g_anchor, g_other = inter_modal_total(rows, other, labels, tau)
+    return value, g_anchor + g_other
+
+
+def loop_clustering_total_loss(img: UnitRows, txt: UnitRows, labels, tau: float):
+    """The clustering objective term by term: retrieval plus both intra-modal
+    totals plus the inter-modal one. Returns (value, grad_img, grad_txt)."""
+    task, g_img, g_txt = retrieval_task_loss(img, txt, tau)
+    intra_i, a_img = intra_modal_total(img, labels, tau)
+    intra_t, a_txt = intra_modal_total(txt, labels, tau)
+    inter, h_img, h_txt = inter_modal_total(img, txt, labels, tau)
+    return task + intra_i + intra_t + inter, g_img + a_img + h_img, g_txt + a_txt + h_txt
 
 
 # -- the per-tower transfer losses -------------------------------------------------
@@ -370,7 +446,7 @@ def per_step_unimodal_round(state, rc):
             x, y = feats[batch], labels[batch]
             emb, trace = forward_map_trace(mapper, x)
             task, d_logits = cross_entropy_batch(forward_head(head, emb), y)
-            head_grad, d_emb = backward_head(head, emb, d_logits)
+            head_grad, d_emb = backward_head(head, emb, d_logits, head_copy.grads[0])
             gpt_value = gmt_value = 0.0
             if protos is not None:
                 gpt_value, grad = loop_gpt_loss_batch(unit_rows(emb), protos, cfg.tau)
@@ -383,7 +459,7 @@ def per_step_unimodal_round(state, rc):
                     cfg.distill_tau,
                 )
                 d_emb = d_emb + cfg.beta2 * grad
-            sgd_step(mapper_copy, backward(mapper, trace, d_emb), cfg.lr)
+            sgd_step(mapper_copy, backward(mapper, trace, d_emb, mapper_copy.grads[0]), cfg.lr)
             sgd_step(head_copy, head_grad, cfg.lr)
             for name, value in zip(LOSS_TERMS, (task, gpt_value, gmt_value, 0.0)):
                 sums[name] += value
@@ -424,11 +500,14 @@ def per_tower_multimodal_round(state, rc):
         for batch in _batches(order, cfg.batch_size, min_size=2):
             e_img, tr_img = forward_map_trace(c_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(c_txt, xt[batch])
-            _, g_img, g_txt = clustering_total_loss(
+            _, g_img, g_txt = loop_clustering_total_loss(
                 unit_rows(e_img), unit_rows(e_txt), pseudo[batch], cfg.tau
             )
-            sgd_step(copies["cluster_image"], backward(c_img, tr_img, g_img), cfg.lr)
-            sgd_step(copies["cluster_text"], backward(c_txt, tr_txt, g_txt), cfg.lr)
+            for name, module, trace, g in (
+                ("cluster_image", c_img, tr_img, g_img),
+                ("cluster_text", c_txt, tr_txt, g_txt),
+            ):
+                sgd_step(copies[name], backward(module, trace, g, copies[name].grads[0]), cfg.lr)
     pairs, _ = clustering_prototype_pairs(
         forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
     )
@@ -466,8 +545,8 @@ def per_tower_multimodal_round(state, rc):
                 g_txt = g_txt + 0.5 * cfg.beta2 * a_txt
             (lmr_img,), lmr_grad_img = lmr_loss(stack(mapper_img), stack(c_img), cfg.lmr_weight)
             (lmr_txt,), lmr_grad_txt = lmr_loss(stack(mapper_txt), stack(c_txt), cfg.lmr_weight)
-            grad_img = backward(mapper_img, tr_img, g_img)
-            grad_txt = backward(mapper_txt, tr_txt, g_txt)
+            grad_img = backward(mapper_img, tr_img, g_img, copies["image"].grads[0])
+            grad_txt = backward(mapper_txt, tr_txt, g_txt, copies["text"].grads[0])
             grad_img += lmr_grad_img[0]
             grad_txt += lmr_grad_txt[0]
             sgd_step(copies["image"], grad_img, cfg.lr)
@@ -497,6 +576,16 @@ def acc_at_k(logits_list, labels, k: int) -> float:
     Every label must be a class index in ``[0, C)``."""
     logits = require_finite(logits_list, "logits")
     return _hit_rate(_true_ranks(logits, np.asarray(labels, dtype=int)), k)
+
+
+def two_pass_true_ranks(scores, truth) -> np.ndarray:
+    """``metrics._true_ranks`` in its two-pass form: each row's count of
+    strictly greater scores plus its count of equal scores at a lower
+    column, always both."""
+    own = scores[np.arange(len(scores)), truth][:, None]
+    lower = np.arange(scores.shape[1]) < truth[:, None]
+    ahead = np.count_nonzero(scores > own, axis=1)
+    return ahead + np.count_nonzero((scores == own) & lower, axis=1)
 
 
 def recall_at_k(query_embs, gallery_embs, ground_truth, k: int) -> float:

@@ -28,14 +28,10 @@ from apromfl.losses import (
     gmt_targets,
     gpt_loss_batch,
     gpt_loss_paired_batch,
-    inter_modal_total,
-    intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
 )
 from apromfl.nn import (
-    backward,
-    backward_head,
     flatten_module,
     forward_head,
     forward_map,
@@ -53,10 +49,14 @@ from apromfl.prototypes import (
 from oracles import (
     LN2,
     acc_at_k,
+    backward_alone,
+    backward_head_alone,
     cosine_similarity,
     exhaustive_kmeans_sse,
     fd_wrt_modules,
     grad_rel_error,
+    inter_modal_total,
+    intra_modal_total,
     kl_divergence,
     min_abs_preact,
     prototype_rows,
@@ -120,8 +120,8 @@ def _gradient_cases(depth: int, key: int):
     def ce_analytic(ms):
         emb, trace = forward_map_trace(ms[0], xs[0])
         _, d_logits = cross_entropy_batch(forward_head(head, emb), labels)
-        _, d_emb = backward_head(head, emb, d_logits)
-        return [backward(ms[0], trace, d_emb)]
+        _, d_emb = backward_head_alone(head, emb, d_logits)
+        return [backward_alone(ms[0], trace, d_emb)]
 
     yield "cross-entropy", [mods[0]], ce_loss, ce_analytic
 
@@ -132,7 +132,7 @@ def _gradient_cases(depth: int, key: int):
         def analytic(ms):
             emb, trace = forward_map_trace(ms[0], xs[0])
             _, grad = value_grad(emb)
-            return [backward(ms[0], trace, grad)]
+            return [backward_alone(ms[0], trace, grad)]
 
         return name, [mods[0]], loss, analytic
 
@@ -174,7 +174,7 @@ def _gradient_cases(depth: int, key: int):
             e0, tr0 = forward_map_trace(ms[0], pair_xs[0])
             e1, tr1 = forward_map_trace(ms[1], pair_xs[1])
             _, g0, g1 = value_grads(e0, e1)
-            return [backward(ms[0], tr0, g0), backward(ms[1], tr1, g1)]
+            return [backward_alone(ms[0], tr0, g0), backward_alone(ms[1], tr1, g1)]
 
         return name, pair_mods, loss, analytic
 
@@ -187,7 +187,9 @@ def _gradient_cases(depth: int, key: int):
     )
     yield two_emb_case(
         "clustering-objective",
-        lambda a, b: clustering_total_loss(unit_rows(a), unit_rows(b), clusters, tau),
+        lambda a, b: _towers_out(
+            *clustering_total_loss(unit_rows(np.stack([a, b])), clusters, tau)
+        ),
     )
     yield two_emb_case(
         "paired-prototype-transfer",

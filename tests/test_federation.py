@@ -853,6 +853,37 @@ class TestRunTraining:
         assert result.experiment.global_prototypes is None
         assert len(result.records) == cfg.rounds
 
+    @pytest.mark.parametrize("method, per_round", [("fediot", 2), ("apromfl", 4), ("local", 4)])
+    def test_each_distinct_model_is_evaluated_once_a_round(self, monkeypatch, method, per_round):
+        """Under fediot every sender of a modality holds the same mapper and
+        head, so two image and two text clients make two evaluations a
+        round; each client's report is still its own evaluation's. Under
+        apromfl and local every client holds its own models."""
+        calls, real = [], federation.evaluate_client
+
+        def counting(state, test):
+            calls.append(state.client_id)
+            return real(state, test)
+
+        monkeypatch.setattr(federation, "evaluate_client", counting)
+        kwargs = dict(clients_multimodal=0, clients_image=2, clients_text=2)
+        cfg = tiny_config(method=method, **kwargs)
+        result = run_training(cfg)
+        assert len(calls) == per_round * cfg.rounds
+        reports = result.records[-1].reports
+        for state in result.experiment.clients:
+            assert reports[state.client_id] == real(state, result.experiment.test)
+
+    def test_a_failing_shared_evaluation_names_its_first_holder(self, monkeypatch):
+        def failing(state, test):
+            raise ValueError("evaluation failed")
+
+        monkeypatch.setattr(federation, "evaluate_client", failing)
+        cfg = tiny_config(method="fediot", clients_multimodal=0, clients_image=2, clients_text=2)
+        with pytest.raises(federation.RoundFailure) as failure:
+            run_training(cfg)
+        assert (failure.value.round_index, failure.value.client_id) == (1, 0)
+
     def test_evaluate_client_shapes(self):
         cfg = tiny_config(rounds=1)
         result = run_training(cfg)

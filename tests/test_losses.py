@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from apromfl.losses import (
     clustering_total_loss,
     cross_entropy_batch,
-    cross_entropy_value,
     gmt_loss_batch,
     gmt_targets,
     gpt_loss_batch,
     gpt_loss_paired_batch,
-    inter_modal_total,
-    intra_modal_total,
     lmr_loss,
     retrieval_task_loss,
     retrieval_task_value,
@@ -31,7 +28,10 @@ from oracles import (
     gpt_loss,
     grad_rel_error,
     inter_modal_loss,
+    inter_modal_total,
     intra_modal_loss,
+    intra_modal_total,
+    loop_clustering_total_loss,
     loop_gmt_loss_batch,
     loop_gpt_loss_batch,
     loop_gpt_loss_paired_batch,
@@ -82,13 +82,33 @@ class TestCrossEntropy:
         assert grad_rel_error(grad, numeric) < 1e-4
 
     def test_value_form_gives_the_bits_of_the_batch_value(self):
+        """The second set of a ``(2, B, C)`` pair, value only, gives the
+        bits of its own batch value; either set being non-finite raises."""
         for trial in range(5):
-            logits = seeded_rng(503, trial).standard_normal((7, 4)) * 3.0
+            logits = seeded_rng(503, trial).standard_normal((2, 7, 4)) * 3.0
             labels = seeded_rng(504, trial).integers(0, 4, 7)
-            value = cross_entropy_value(logits, labels)
-            assert value.hex() == cross_entropy_batch(logits, labels)[0].hex()
-        with pytest.raises(ValueError, match="logits contains non-finite"):
-            cross_entropy_value(np.full((2, 3), np.nan), np.array([0, 1]))
+            value = cross_entropy_batch(logits, labels)[2]
+            assert value.hex() == cross_entropy_batch(logits[1], labels)[0].hex()
+        for bad in range(2):
+            logits = np.zeros((2, 2, 3))
+            logits[bad, 1, 2] = np.nan
+            with pytest.raises(ValueError, match="logits contains non-finite"):
+                cross_entropy_batch(logits, np.array([0, 1]))
+
+    def test_pair_gives_the_bits_of_two_separate_calls(self):
+        """One pass over a batch's logits and its targets' gives the bits of
+        the two separate calls: the first set's value and gradient and the
+        second's value."""
+        for trial in range(300):
+            rng = seeded_rng(507, trial)
+            n, c = int(rng.integers(1, 65)), int(rng.integers(2, 21))
+            logits = rng.standard_normal((2, n, c)) * float(10.0 ** rng.uniform(-2, 2))
+            labels = rng.integers(0, c, n)
+            value, grad, global_value = cross_entropy_batch(logits, labels)
+            local, local_grad = cross_entropy_batch(logits[0], labels)
+            assert value.hex() == local.hex(), trial
+            assert grad.tobytes() == local_grad.tobytes(), trial
+            assert global_value.hex() == cross_entropy_batch(logits[1], labels)[0].hex(), trial
 
 
 class TestRetrievalTaskLoss:
@@ -224,27 +244,19 @@ class TestContrastiveLosses:
         assert grad_rel_error(gi, ni) < 1e-4
         assert grad_rel_error(gt, nt) < 1e-4
 
-    def test_intra_gives_the_bits_of_two_normalised_copies(self):
-        """numpy multiplies an array by its own transpose with a symmetric
-        kernel whose last bits differ from the general product's; the
-        intra-modal total must not take it."""
-        for trial in range(40):
-            n = int(seeded_rng(509, trial).integers(2, 33))
-            embs = rand_embs(n, 16, ("intra-bits", trial))
-            clusters = seeded_rng(510, trial).integers(0, 3, n)
-            value, grad = intra_modal_total(unit_rows(embs), clusters, TAU)
-            expected, g_anchor, g_other = inter_modal_total(
-                unit_rows(embs), unit_rows(embs.copy()), clusters, TAU
-            )
-            assert value == expected, trial
-            assert grad.tobytes() == (g_anchor + g_other).tobytes(), trial
+
+def clustering_on_stack(img, txt, clusters, tau):
+    """``clustering_total_loss`` on the stack of two ``(N, d)`` batches.
+    Returns (value, grad_img, grad_txt)."""
+    value, grad = clustering_total_loss(unit_rows(np.stack([img, txt])), clusters, tau)
+    return value, *grad
 
 
 class TestClusteringTotalLoss:
     def test_equals_component_sum(self):
         img, txt = rand_embs(6, 4, 16), rand_embs(6, 4, 17)
         clusters = np.array([0, 0, 1, 1, 2, 2])
-        value, _, _ = clustering_total_loss(unit_rows(img), unit_rows(txt), clusters, TAU)
+        value, _, _ = clustering_on_stack(img, txt, clusters, TAU)
         expected = (
             retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)[0]
             + intra_modal_total(unit_rows(img), clusters, TAU)[0]
@@ -255,15 +267,17 @@ class TestClusteringTotalLoss:
 
     def test_gives_the_bits_of_its_terms_computed_apart(self):
         """Sharing the scores, their softmax and the label mask between the
-        terms changes no bit of the value or of either gradient."""
+        terms, and one backward call for all of them, changes no bit of the
+        value or of either gradient."""
         for trial in range(400):
             rng = seeded_rng(511, trial)
             n, d = int(rng.integers(2, 41)), int(rng.integers(2, 25))
-            img = unit_rows(rng.standard_normal((n, d)) * float(rng.uniform(0.1, 10.0)))
-            txt = unit_rows(rng.standard_normal((n, d)))
+            img = rng.standard_normal((n, d)) * float(rng.uniform(0.1, 10.0))
+            txt = rng.standard_normal((n, d))
             clusters = rng.integers(0, int(rng.integers(1, n + 1)), n)
             tau = float(rng.uniform(0.05, 2.0))
-            value, gi, gt = clustering_total_loss(img, txt, clusters, tau)
+            value, gi, gt = clustering_on_stack(img, txt, clusters, tau)
+            img, txt = unit_rows(img), unit_rows(txt)
             task, g_img, g_txt = retrieval_task_loss(img, txt, tau)
             intra_i, ai = intra_modal_total(img, clusters, tau)
             intra_t, at = intra_modal_total(txt, clusters, tau)
@@ -272,13 +286,29 @@ class TestClusteringTotalLoss:
             assert gi.tobytes() == (g_img + ai + hi).tobytes(), trial
             assert gt.tobytes() == (g_txt + at + ht).tobytes(), trial
 
+    def test_stacked_gives_the_bits_of_the_loop_form(self):
+        """The stacked objective against the per-term loop form, bit for bit,
+        over batch sizes 2-64, dims 2-24, scales 1e-2 to 1e2 (each tower its
+        own), temperatures 0.05-1 and 1-12 pseudo-labels."""
+        for trial in range(400):
+            rng = seeded_rng(512, trial)
+            n, d = int(rng.integers(2, 65)), int(rng.integers(2, 25))
+            scales = 10.0 ** rng.uniform(-2, 2, (2, 1, 1))
+            embs = rng.standard_normal((2, n, d)) * scales
+            clusters = rng.integers(0, int(rng.integers(1, 13)), n)
+            tau = float(rng.uniform(0.05, 1.0))
+            rows = unit_rows(embs)
+            value, grad = clustering_total_loss(rows, clusters, tau)
+            expected, g_img, g_txt = loop_clustering_total_loss(*rows, clusters, tau)
+            assert value.hex() == expected.hex(), trial
+            assert grad.tobytes() == np.stack([g_img, g_txt]).tobytes(), trial
+
     def test_finite_difference(self):
         img, txt = rand_embs(4, 3, 18), rand_embs(4, 3, 19)
         clusters = np.array([0, 1, 1, 0])
-        _, gi, gt = clustering_total_loss(unit_rows(img), unit_rows(txt), clusters, TAU)
+        _, gi, gt = clustering_on_stack(img, txt, clusters, TAU)
         ni, nt = fd_wrt_arrays(
-            lambda a, b: clustering_total_loss(unit_rows(a), unit_rows(b), clusters, TAU)[0],
-            [img, txt],
+            lambda a, b: clustering_on_stack(a, b, clusters, TAU)[0], [img, txt]
         )
         assert grad_rel_error(gi, ni) < 1e-4
         assert grad_rel_error(gt, nt) < 1e-4

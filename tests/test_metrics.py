@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.metrics import EvalReport, classification_report, retrieval_report
+from apromfl.metrics import EvalReport, _true_ranks, classification_report, retrieval_report
 from apromfl.numerics import seeded_rng
-from oracles import acc_at_k, eval_report_from_dict, recall_at_k
+from oracles import acc_at_k, eval_report_from_dict, recall_at_k, two_pass_true_ranks
 
 
 def sort_oracle_acc(logits, labels, k):
@@ -145,6 +145,27 @@ class TestRecallAtK:
         q, g = rng.standard_normal((10, 3)), rng.standard_normal((6, 3))
         truth = rng.integers(0, 6, 10)
         assert recall_at_k(q, g, truth, k + 1) >= recall_at_k(q, g, truth, k)
+
+
+class TestTrueRanks:
+    def test_gives_the_ranks_of_the_two_pass_form(self):
+        """Rows of 2 to 400 columns, half of them integer-valued (many
+        ties), give the ranks of the two-pass form, and so do rows without
+        any tie and rows whose rank needs more than a byte."""
+        for trial in range(400):
+            rng = seeded_rng(520, trial)
+            n, c = int(rng.integers(1, 40)), int(rng.choice([2, 5, 10, 255, 256, 300, 400]))
+            scores = rng.standard_normal((n, c))
+            if trial % 2:
+                scores = np.round(scores * float(rng.uniform(0.5, 3.0)))
+            truth = rng.integers(0, c, n)
+            assert np.array_equal(_true_ranks(scores, truth), two_pass_true_ranks(scores, truth))
+        for c in (255, 256, 300):
+            scores = np.tile(np.arange(c, dtype=float), (3, 1))
+            truth = np.array([0, c // 2, c - 1])
+            ranks = _true_ranks(scores, truth)
+            assert ranks.tolist() == [c - 1, c - 1 - c // 2, 0]
+            assert np.array_equal(ranks, two_pass_true_ranks(scores, truth))
 
 
 class TestReports:

@@ -24,7 +24,13 @@ from apromfl.nn import (
     unflatten_module,
 )
 from apromfl.numerics import seeded_rng
-from oracles import fd_wrt_modules, grad_rel_error, min_abs_preact
+from oracles import (
+    backward_alone,
+    backward_head_alone,
+    fd_wrt_modules,
+    grad_rel_error,
+    min_abs_preact,
+)
 
 
 def small_module(dims=(4, 5, 3), key=0):
@@ -98,14 +104,14 @@ class TestBackward:
         m = from_layers((w,), (b,))
         x = rng.standard_normal((1, 3))
         out, trace = forward_map_trace(m, x)
-        grad = backward(m, trace, out)
+        grad = backward_alone(m, trace, out)
         assert np.allclose(grad[:6].reshape(3, 2), np.outer(x[0], out[0]), atol=1e-12)
         assert np.allclose(grad[6:], out[0], atol=1e-12)
 
     def test_zero_upstream_zero_gradients(self):
         m = small_module()
         _, trace = forward_map_trace(m, seeded_rng(4).standard_normal((3, 4)))
-        grad = backward(m, trace, np.zeros((3, 3)))
+        grad = backward_alone(m, trace, np.zeros((3, 3)))
         assert grad.shape == m.params.shape
         assert np.all(grad == 0)
 
@@ -121,7 +127,7 @@ class TestBackward:
                 return 0.5 * float((forward_map(modules[0], x) ** 2).sum())
 
             out, trace = forward_map_trace(m, x)
-            grad = backward(m, trace, out)
+            grad = backward_alone(m, trace, out)
             numeric = fd_wrt_modules(loss, [m])
             assert grad_rel_error(grad, numeric) < 1e-4
 
@@ -142,7 +148,7 @@ class TestSgd:
     def test_deterministic(self):
         m = small_module()
         out, trace = forward_map_trace(m, seeded_rng(5).standard_normal((2, 4)))
-        grad = backward(m, trace, out)
+        grad = backward_alone(m, trace, out)
         expected = (m.params - 0.05 * grad).tobytes()
         s1, s2 = trainable(m), trainable(m)
         # a step consumes its gradient (scales it in place), so each gets a copy
@@ -214,19 +220,20 @@ class TestPrivateCopies:
 
     def test_backward_writes_the_workspace_gradient(self):
         """Given a workspace's gradient views, both backward kernels write
-        into its buffer, to the bits of the gradient they allocate without."""
+        into its buffer, to the bits they write into a workspace of the
+        model's own."""
         mapper, head = small_module((4, 5, 3), key=5), init_classifier_head(3, 2, seeded_rng(12))
         space = trainable((mapper, head))
         x = seeded_rng(13).standard_normal((6, 4))
         emb, trace = forward_map_trace(mapper, x)
         upstream = seeded_rng(14).standard_normal((6, 2))
         written = backward_head(space.models[1], emb, upstream, space.grads[1])
-        allocated = backward_head(head, emb, upstream)
+        alone = backward_head_alone(head, emb, upstream)
         assert np.shares_memory(written[0], space.grad)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(written, allocated))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(written, alone))
         grad = backward(space.models[0], trace, written[1], space.grads[0])
         assert np.shares_memory(grad, space.grad)
-        assert grad.tobytes() == backward(mapper, trace, allocated[1]).tobytes()
+        assert grad.tobytes() == backward_alone(mapper, trace, alone[1]).tobytes()
 
 
 class TestFlatten:
@@ -287,16 +294,16 @@ class TestHead:
         head = init_classifier_head(4, 3, seeded_rng(6))
         x = seeded_rng(7).standard_normal((5, 4))
         upstream = seeded_rng(8).standard_normal((5, 3))
-        grad, _ = backward_head(head, x, upstream)
+        grad, _ = backward_head_alone(head, x, upstream)
         _, trace = forward_map_trace(head, x)
-        assert np.array_equal(grad, backward(head, trace, upstream))
+        assert np.array_equal(grad, backward_alone(head, trace, upstream))
 
     def test_forward_backward_shapes(self):
         head = init_classifier_head(4, 3, seeded_rng(6))
         x = seeded_rng(7).standard_normal((5, 4))
         logits = forward_head(head, x)
         assert logits.shape == (5, 3)
-        grad, dx = backward_head(head, x, np.ones_like(logits))
+        grad, dx = backward_head_alone(head, x, np.ones_like(logits))
         assert grad.shape == head.params.shape == (4 * 3 + 3,)
         assert dx.shape == x.shape
 

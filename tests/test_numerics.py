@@ -15,6 +15,7 @@ from oracles import (
     grad_rel_error,
     kl_divergence,
     loop_kmeans,
+    row_count_nearest,
     softmax_temp,
 )
 
@@ -274,7 +275,8 @@ class TestNearestScreen:
     def assert_exact_argmin(pts, centroids, key):
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.argmin(numerics._sq_dists(pts, centroids), axis=1)
-        assert np.array_equal(numerics._nearest(pts, centroids), want), key
+        got = numerics._nearest(pts, centroids, numerics._sq_norm_max(pts))
+        assert np.array_equal(got, want), key
 
     @staticmethod
     def tied(rng, n, k, d):
@@ -326,14 +328,52 @@ class TestNearestScreen:
         monkeypatch.setattr(numerics, "_sq_dists", dists_spy)
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
         centroids = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [9.0, 1.0]])
-        assert numerics._nearest(pts, centroids).tolist() == [0, 0, 3, 3]
+        assert numerics._nearest(pts, centroids, numerics._sq_norm_max(pts)).tolist() == [
+            0, 0, 3, 3
+        ]
         assert rechecked == [2]  # (0, 0) ties centroids 0 and 2; (1, 0) ties 0, 1 and 2
         rechecked.clear()
         rng = seeded_rng(51)
         centroids = 10.0 * rng.standard_normal((10, 16))
         pts = centroids[rng.integers(0, 10, 266)] + rng.standard_normal((266, 16))
-        numerics._nearest(pts, centroids)
+        numerics._nearest(pts, centroids, numerics._sq_norm_max(pts))
         assert rechecked == []
+
+
+    def test_rechecks_the_rows_of_the_row_count_form(self, monkeypatch):
+        """The second-minimum screen rechecks exactly the rows the row-count
+        form does, and gives its labels: on exact ties, duplicate centroids,
+        near-ties, the overflow path, and a row whose second screen value
+        lies exactly ``slack`` above its best."""
+        rechecked, real = [], numerics._sq_dists
+
+        def dists_spy(pts, centroids):
+            rechecked.append(pts.copy())
+            return real(pts, centroids)
+
+        monkeypatch.setattr(numerics, "_sq_dists", dists_spy)
+        # x = 0 screens to |c|^2 exactly: 1 and 1 + 2^-44, where the scale
+        # |c|^2 = 4 gives slack = 8 (d + 4) eps 4 = 2^-44 at d = 4
+        boundary = np.zeros((1, 4)), np.array(
+            [[1.0, 2.0**-22, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]]
+        )
+        cases = [("boundary", boundary)]
+        for trial in range(60):
+            rng = seeded_rng(52, trial)
+            n, k, d = int(rng.integers(1, 120)), int(rng.integers(1, 40)), (2, 3, 16)[trial % 3]
+            pts, centroids = TestNearestScreen.tied(rng, n, k, d)
+            cases.append((("tied", trial), (pts, centroids)))
+            near = centroids + rng.integers(-2, 3, centroids.shape) * np.spacing(centroids)
+            cases.append((("near", trial), (pts, near)))
+            cases.append((("overflow", trial), (pts * 1e154, centroids * 1e154)))
+        for key, (pts, centroids) in cases:
+            rechecked.clear()
+            labels = numerics._nearest(pts, centroids, numerics._sq_norm_max(pts))
+            want, rows = row_count_nearest(pts, centroids)
+            assert np.array_equal(labels, want), key
+            expected = [pts[rows]] if len(rows) else []
+            assert [r.tobytes() for r in rechecked] == [r.tobytes() for r in expected], key
+        assert len(row_count_nearest(*boundary)[1]) == 1
 
 
 class TestD2Draw:
