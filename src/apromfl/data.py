@@ -39,9 +39,6 @@ class SyntheticDataset:
     texts: np.ndarray  # (N, text_dim)
     labels: np.ndarray  # (N,) int
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def subset(self, indices: np.ndarray) -> "SyntheticDataset":
         return SyntheticDataset(self.images[indices], self.texts[indices], self.labels[indices])
 

@@ -41,9 +41,9 @@ transfer losses: a unimodal client's module and head, end to end in one
 buffer, on cross-entropy; a multimodal client's two modules as one
 ``(2, P)`` stack on retrieval (one forward, backward and SGD call a step for
 both towers) plus a regulariser. A step's embeddings and gradients are one
-``(t, B, d)`` stack of the client's t towers, so each transfer loss and the
-clustering objective run once a step for every tower, and the distributions
-GMT distills toward are computed once a round. A round evaluates each
+``(t, B, d)`` stack of the client's t towers, so each transfer loss, the
+retrieval loss and the clustering objective run once a step for every
+tower, and the distributions GMT distills toward are computed once a round. A round evaluates each
 distinct model once (under fediot every sender of a part holds the same).
 """
 
@@ -360,25 +360,23 @@ def multimodal_client_round(
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         e_img, e_txt = cluster.embed()
-        pseudo, _, _ = kmeans(fuse(e_img, e_txt), k_local, seeded_rng(*key, "kmeans", epoch))
+        pseudo = kmeans(fuse(e_img, e_txt), k_local, seeded_rng(*key, "kmeans", epoch))
         order = cluster_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
             embs, traces = cluster.embed_trace(batch)
             _, grads = clustering_total_loss(unit_rows(embs), pseudo[batch], cfg.tau)
             cluster.descend(traces, grads, cfg.lr)
     e_img, e_txt = cluster.embed()
-    pairs, _ = clustering_prototype_pairs(
-        e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final")
-    )
+    pairs = clustering_prototype_pairs(e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final"))
 
     # (b) task model training
     def retrieval(embs, batch, targets):
         global_task = None
         if targets is not None:
-            global_task = retrieval_task_value(*targets[1].unit.take(batch, axis=-2), cfg.tau)
+            global_task = retrieval_task_value(targets[1].unit.take(batch, axis=-2), cfg.tau)
         rows = unit_rows(embs)
-        task, g_img, g_txt = retrieval_task_loss(*rows, cfg.tau)
-        return task, np.stack([g_img, g_txt]), rows, global_task
+        task, grads = retrieval_task_loss(rows, cfg.tau)
+        return task, grads, rows, global_task
 
     towers = _Towers.pair((state.image_mapper, state.text_mapper), features)
     task_rng = seeded_rng(*key, "task-batches")

@@ -10,13 +10,12 @@ differences in the test suite.
 Conventions: every cosine-based loss takes its embeddings as
 :class:`~apromfl.numerics.UnitRows`, which the caller builds once per step
 with :func:`~apromfl.numerics.unit_rows` and shares between the losses, and
-returns its gradients with respect to the raw embeddings. The retrieval
-task loss takes one ``(N, d)`` batch per modality. The clustering objective
-and the two transfer losses take a client's ``(t, N, d)`` stack of towers
-(t = 2, image first, or 1 for a unimodal client) and make one
-``rows.backward`` call on it: each term writes its gradient with respect to
-the unit rows into one array, which is mapped back to the raw embeddings at
-once. Cross-entropy takes a batch's logits, or the pair of a batch's and its
+returns its gradients with respect to the raw embeddings. Each takes a
+client's ``(t, N, d)`` stack of towers (t = 2, image first, or 1 for a
+unimodal client under the transfer losses) and makes one ``rows.backward``
+call on it: each term writes its gradient with respect to the unit rows
+into one array, which is mapped back to the raw embeddings at once.
+Cross-entropy takes a batch's logits, or the pair of a batch's and its
 distillation targets' logits in one pass. Contrastive denominators run over
 every sample in the batch including the anchor itself.
 
@@ -91,31 +90,37 @@ def _retrieval(u: np.ndarray, v: np.ndarray, tau: float):
     return value, scores, lse_rows, lse_cols
 
 
-def _retrieval_d_scores(scores, lse_cols, p_rows):
-    """The gradient of :func:`retrieval_task_loss`'s value w.r.t. its scores,
-    from the scores, their column logsumexp and their row softmax."""
+def _retrieval_grad(u: np.ndarray, scores, lse_cols, p_rows, tau: float, out: np.ndarray):
+    """The gradient of :func:`retrieval_task_loss`'s value w.r.t. the
+    ``(2, N, d)`` unit rows ``u``, written into ``out``, from the scores,
+    their column logsumexp and their row softmax."""
     n = len(scores)
     p_cols = np.exp(scores - lse_cols[None, :])
     eye = np.eye(n)
-    return 0.5 * ((p_rows - eye) + (p_cols - eye)) / n
+    d_scores = 0.5 * ((p_rows - eye) + (p_cols - eye)) / n
+    np.matmul(d_scores, u[1], out=out[0])
+    np.matmul(d_scores.T, u[0], out=out[1])
+    out /= tau
+    return out
 
 
-def retrieval_task_value(u: np.ndarray, v: np.ndarray, tau: float) -> float:
+def retrieval_task_value(unit: np.ndarray, tau: float) -> float:
     """The value of :func:`retrieval_task_loss`, to the bit, without its
-    gradients, from the two ``(N, d)`` arrays of unit rows."""
-    return _retrieval(u, v, tau)[0]
+    gradient, from the ``(2, N, d)`` unit rows."""
+    return _retrieval(*unit, tau)[0]
 
 
-def retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
-    """Symmetric InfoNCE over the N x N cosine-similarity matrix: the value
-    averages the image-to-text and text-to-image cross entropies against the
-    diagonal. Returns (value, grad_img, grad_txt).
+def retrieval_task_loss(rows: UnitRows, tau: float):
+    """Symmetric InfoNCE over the N x N cosine-similarity matrix of a
+    multimodal client's ``(2, N, d)`` stack of towers, image first: the
+    value averages the image-to-text and text-to-image cross entropies
+    against the diagonal. Returns (value, grad w.r.t. the stack).
     """
-    value, scores, lse_rows, lse_cols = _retrieval(img.unit, txt.unit, tau)
-    d_scores = _retrieval_d_scores(scores, lse_cols, np.exp(scores - lse_rows[:, None]))
-    g_u = d_scores @ txt.unit / tau
-    g_v = d_scores.T @ img.unit / tau
-    return value, img.backward(g_u), txt.backward(g_v)
+    u = rows.unit
+    value, scores, lse_rows, lse_cols = _retrieval(*u, tau)
+    p_rows = np.exp(scores - lse_rows[:, None])
+    g_unit = _retrieval_grad(u, scores, lse_cols, p_rows, tau, np.empty_like(u))
+    return value, rows.backward(g_unit)
 
 
 # -- pseudo-label contrastive losses -----------------------------------------
@@ -155,10 +160,7 @@ def clustering_total_loss(rows: UnitRows, labels, tau: float):
     inter = float(np.sum(lse_rows - np.where(mask, scores, 0.0).sum(axis=1) / counts))
 
     pieces = np.empty((4, *u.shape))
-    d_scores = _retrieval_d_scores(scores, lse_cols, p_rows)
-    np.matmul(d_scores, txt, out=pieces[0, 0])
-    np.matmul(d_scores.T, img, out=pieces[0, 1])
-    pieces[0] /= tau
+    _retrieval_grad(u, scores, lse_cols, p_rows, tau, pieces[0])
     g_intra = (intra_probs - share) / tau
     np.matmul(g_intra, other, out=pieces[1])
     np.matmul(g_intra.transpose(0, 2, 1), u, out=pieces[2])

@@ -5,13 +5,16 @@ randomness in the whole project is :func:`seeded_rng`; callers derive one
 generator per purpose (init / batching / clustering / ...), so results never
 depend on call ordering across purposes, threads or processes.
 
-k-means gives the bits of its loop form (``tests/oracles.py``) on any BLAS:
-Lloyd screens its assignments with one GEMM and computes exactly every row
-the screen cannot decide (a row whose second-best screen value lies within
-the screen's error bound of its best), and stops at the first repeated
-assignment without recomputing its means. The k-means++ seeding reads one
-``(n, n)`` squared-distance matrix, built in one call by a blocked kernel
-that adds each row's terms in numpy's own pairwise-sum order.
+k-means returns only its labels, every one of ``0..k-1`` used: each
+restart measures its SSE once, after its last Lloyd update, and the lowest
+wins. The labels are the bits of its loop form (``tests/oracles.py``, which
+also keeps each iteration's SSE) on any BLAS: Lloyd screens its assignments
+with one GEMM and computes exactly every row the screen cannot decide (a row
+whose second-best screen value lies within the screen's error bound of its
+best), and stops at the first repeated assignment without recomputing its
+means. The k-means++ seeding reads one ``(n, n)`` squared-distance matrix,
+built in one call by a blocked kernel that adds each row's terms in numpy's
+own pairwise-sum order.
 
 Arguments are not range- or shape-checked: the config validation and the
 callers make them valid. What raises is a fault detector: non-finite input
@@ -108,20 +111,17 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 _SQ_DIST_BLOCK = 1 << 17
 
 
-def kmeans(points, k: int, rng: Rng):
+def kmeans(points, k: int, rng: Rng) -> np.ndarray:
     """Greedy k-means++ init (best of a few restarts) plus Lloyd iterations
     on an ``(n, d)`` array of points, with ``1 <= k <= n``.
 
-    Returns ``(labels, centroids, history)``. Deterministic given the
-    generator; every label in ``0..k-1`` is used on return. ``history`` is
-    the winning restart's SSE: ``history[0]`` is the SSE of the k-means++
-    centroids under their induced assignment; each later entry is measured
-    after a full Lloyd update, and the last repeats the one before it once
-    the assignments repeat (their means and SSE are the last ones, to the
-    bit, so they are not recomputed). The sequence is non-increasing by
-    construction: empty clusters are repaired at the assignment level (the
-    point fitting its own cluster worst moves into the empty cluster) before
-    centroids are recomputed as means, which can only lower the objective.
+    Returns the ``(n,)`` labels, every one of ``0..k-1`` used. Deterministic
+    given the generator. Each restart's SSE is measured once, after its
+    last Lloyd update, and the restart with the strictly lowest SSE wins
+    (ties to the first). Empty clusters are repaired at the assignment
+    level (the point fitting its own cluster worst moves into the empty
+    cluster) before centroids are recomputed as means, so no Lloyd update
+    raises the objective.
 
     Each Lloyd assignment is the argmin of the exact squared distances
     (:func:`_sq_dists`, ties to the lowest index), found through one GEMM
@@ -148,20 +148,17 @@ def kmeans(points, k: int, rng: Rng):
     # the matrix is freed.
     del rows
     x_sq_max = _sq_norm_max(pts)
-    best = None
-    for centroids in seeds:
-        result = _lloyd(pts, centroids, x_sq_max)
-        if best is None or result[2][-1] < best[2][-1]:
-            best = result
-    return best
+    runs = [_lloyd(pts, centroids, x_sq_max) for centroids in seeds]
+    return min(runs, key=lambda run: run[1])[0]  # the first of equal SSEs
 
 
 def _lloyd(pts: np.ndarray, centroids: np.ndarray, x_sq_max: float):
+    """Lloyd iterations from ``centroids``; returns the last assignments and
+    their SSE against the last centroids."""
     d, k = pts.shape[1], len(centroids)
     coords = np.arange(d)
-    history: list[float] = []
     prev = None
-    for iteration in range(KMEANS_MAX_ITERS):
+    for _ in range(KMEANS_MAX_ITERS):
         assignments = _nearest(pts, centroids, x_sq_max)
         counts = np.bincount(assignments, minlength=k)
         if not counts.all():
@@ -177,18 +174,13 @@ def _lloyd(pts: np.ndarray, centroids: np.ndarray, x_sq_max: float):
                 assignments[worst] = empty
                 counts[empty] = 1
         if prev is not None and np.array_equal(assignments, prev):
-            # the means and SSE of these assignments are the last ones
-            history.append(history[-1])
-            break
-        if iteration == 0:
-            history.append(float(((pts - centroids.take(assignments, axis=0)) ** 2).sum()))
+            break  # the centroids are already the means of these assignments
         # one bin per (cluster, coordinate), filled in point order
         bins = (assignments[:, None] * d + coords).ravel()
         sums = np.bincount(bins, weights=pts.ravel(), minlength=k * d).reshape(k, d)
         centroids = sums / counts[:, None]
-        history.append(float(((pts - centroids.take(assignments, axis=0)) ** 2).sum()))
         prev = assignments
-    return assignments, centroids, history
+    return assignments, float(((pts - centroids.take(assignments, axis=0)) ** 2).sum())
 
 
 def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:

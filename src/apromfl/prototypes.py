@@ -47,7 +47,7 @@ class GlobalPrototypeSet:
     pairs: tuple[PrototypePair, ...]
 
 
-def label_guided_prototypes(embs, labels, modality: str = "image") -> list[UnimodalPrototype]:
+def label_guided_prototypes(embs, labels, modality: str) -> list[UnimodalPrototype]:
     """One prototype per present class, in ascending class order: the mean
     embedding of that class."""
     embs = require_finite(embs, "embeddings")
@@ -62,20 +62,17 @@ def fuse(e_img, e_txt) -> np.ndarray:
     return (e_img + e_txt) / 2.0
 
 
-def clustering_prototype_pairs(
-    img_embs, txt_embs, k: int, rng: Rng
-) -> tuple[list[PrototypePair], np.ndarray]:
+def clustering_prototype_pairs(img_embs, txt_embs, k: int, rng: Rng) -> list[PrototypePair]:
     """Cluster fused embeddings into k pseudo-labels; per cluster, in
     ascending label order, pair the mean image embedding with the mean text
-    embedding. Returns the pairs and the pseudo-label of every sample."""
+    embedding."""
     img_embs = require_finite(img_embs, "image embeddings")
     txt_embs = require_finite(txt_embs, "text embeddings")
-    labels, _, _ = kmeans(fuse(img_embs, txt_embs), k, rng)
-    pairs = [
+    labels = kmeans(fuse(img_embs, txt_embs), k, rng)
+    return [
         PrototypePair(img_embs[labels == c].mean(axis=0), txt_embs[labels == c].mean(axis=0))
         for c in range(k)
     ]
-    return pairs, labels
 
 
 def pair_matrix(pairs) -> np.ndarray:
@@ -121,5 +118,4 @@ def semantic_complete(
 
 def build_global_prototypes(all_pairs: list[PrototypePair], k: int, rng: Rng) -> GlobalPrototypeSet:
     """Cluster fused pair representations into exactly k global pairs."""
-    pairs, _ = clustering_prototype_pairs(*pair_matrix(all_pairs), k, rng)
-    return GlobalPrototypeSet(tuple(pairs))
+    return GlobalPrototypeSet(tuple(clustering_prototype_pairs(*pair_matrix(all_pairs), k, rng)))

@@ -3,10 +3,10 @@
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
 paths they check. The last sections hold the forms only tests use: the
-per-term clustering objective, the per-tower loop forms of the two
-transfer losses, the per-step unimodal and per-tower multimodal client
-rounds, the single-sample wrappers of the batched losses and a few
-reference reductions.
+per-term clustering objective and per-tower retrieval loss, the per-tower
+loop forms of the two transfer losses, the per-step unimodal and per-tower
+multimodal client rounds, the single-sample wrappers of the batched losses
+and a few reference reductions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from apromfl.losses import (
     gmt_targets,
     gpt_loss_batch,
     lmr_loss,
-    retrieval_task_loss,
 )
 from apromfl.metrics import EvalReport, _hit_rate, _true_ranks
 from apromfl.nn import (
@@ -76,11 +75,22 @@ def exhaustive_kmeans_sse(points: np.ndarray, k: int) -> float:
     return best
 
 
+def kmeans_sse(points, labels) -> float:
+    """SSE of a labelling: each point against the mean of its cluster."""
+    points = np.asarray(points, dtype=float)
+    return sum(
+        float(((points[labels == c] - points[labels == c].mean(axis=0)) ** 2).sum())
+        for c in np.unique(labels)
+    )
+
+
 def loop_kmeans(points, k: int, rng, max_iters: int = 100):
     """``numerics.kmeans`` in its loop form: each greedy k-means++ candidate
     is scored on its own, and each Lloyd centroid is the ``mean`` of its
-    members. Returns ``(labels, centroids, history, repairs)``, where
-    ``repairs`` counts the empty clusters the winning restart refilled."""
+    members. Returns ``(labels, centroids, history, repairs)``: ``history``
+    is the winning restart's SSE, first of the seeds under their induced
+    assignment and then after every Lloyd update, and ``repairs`` counts
+    the empty clusters the winning restart refilled."""
     pts = np.asarray(points, dtype=float)
     restarts = KMEANS_RESTARTS_SMALL if len(pts) <= KMEANS_SMALL_N else KMEANS_RESTARTS
     best = None
@@ -307,9 +317,10 @@ def min_abs_preact(module, x) -> float:
 
 
 # -- the per-term clustering objective ---------------------------------------------
-# ``losses.clustering_total_loss`` as it ran before it took a client's stack
-# of towers: each contrastive term on its own ``(N, d)`` batches, with its
-# own label mask, scores and ``rows.backward`` calls.
+# ``losses.clustering_total_loss`` and ``losses.retrieval_task_loss`` as they
+# ran before they took a client's stack of towers: each term on its own
+# ``(N, d)`` batches, with its own label mask, scores and ``rows.backward``
+# calls.
 
 
 def inter_modal_total(img: UnitRows, txt: UnitRows, labels, tau: float):
@@ -337,10 +348,27 @@ def intra_modal_total(rows: UnitRows, labels, tau: float):
     return value, g_anchor + g_other
 
 
+def loop_retrieval_task_loss(img: UnitRows, txt: UnitRows, tau: float):
+    """``losses.retrieval_task_loss`` on two ``(N, d)`` towers, each with its
+    own ``rows.backward`` call. Returns (value, grad_img, grad_txt)."""
+    u, v = img.unit, txt.unit
+    n = len(u)
+    scores = u @ v.T / tau
+    lse_rows = logsumexp(scores, axis=1)
+    lse_cols = logsumexp(scores, axis=0)
+    diag = np.diag(scores)
+    value = 0.5 * float((lse_rows - diag).sum() / n + (lse_cols - diag).sum() / n)
+    p_rows = np.exp(scores - lse_rows[:, None])
+    p_cols = np.exp(scores - lse_cols[None, :])
+    eye = np.eye(n)
+    d_scores = 0.5 * ((p_rows - eye) + (p_cols - eye)) / n
+    return value, img.backward(d_scores @ v / tau), txt.backward(d_scores.T @ u / tau)
+
+
 def loop_clustering_total_loss(img: UnitRows, txt: UnitRows, labels, tau: float):
     """The clustering objective term by term: retrieval plus both intra-modal
     totals plus the inter-modal one. Returns (value, grad_img, grad_txt)."""
-    task, g_img, g_txt = retrieval_task_loss(img, txt, tau)
+    task, g_img, g_txt = loop_retrieval_task_loss(img, txt, tau)
     intra_i, a_img = intra_modal_total(img, labels, tau)
     intra_t, a_txt = intra_modal_total(txt, labels, tau)
     inter, h_img, h_txt = inter_modal_total(img, txt, labels, tau)
@@ -495,7 +523,7 @@ def per_tower_multimodal_round(state, rc):
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         fused = fuse(forward_map(c_img, xi), forward_map(c_txt, xt))
-        pseudo, _, _ = kmeans(fused, k_local, seeded_rng(*key, "kmeans", epoch))
+        pseudo = kmeans(fused, k_local, seeded_rng(*key, "kmeans", epoch))
         order = cluster_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
             e_img, tr_img = forward_map_trace(c_img, xi[batch])
@@ -508,7 +536,7 @@ def per_tower_multimodal_round(state, rc):
                 ("cluster_text", c_txt, tr_txt, g_txt),
             ):
                 sgd_step(copies[name], backward(module, trace, g, copies[name].grads[0]), cfg.lr)
-    pairs, _ = clustering_prototype_pairs(
+    pairs = clustering_prototype_pairs(
         forward_map(c_img, xi), forward_map(c_txt, xt), k_local, seeded_rng(*key, "kmeans", "final")
     )
 
@@ -522,7 +550,7 @@ def per_tower_multimodal_round(state, rc):
             e_img, tr_img = forward_map_trace(mapper_img, xi[batch])
             e_txt, tr_txt = forward_map_trace(mapper_txt, xt[batch])
             e_img, e_txt = unit_rows(e_img), unit_rows(e_txt)
-            task, g_img, g_txt = retrieval_task_loss(e_img, e_txt, cfg.tau)
+            task, g_img, g_txt = loop_retrieval_task_loss(e_img, e_txt, cfg.tau)
             gpt_value = gmt_value = 0.0
             if protos is not None:
                 gpt_value, a_img, a_txt = loop_gpt_loss_paired_batch(
@@ -533,7 +561,7 @@ def per_tower_multimodal_round(state, rc):
             if use_gmt:
                 ge_img = unit_rows(forward_map(state.image_mapper, xi[batch]))
                 ge_txt = unit_rows(forward_map(state.text_mapper, xt[batch]))
-                global_task = retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
+                global_task = loop_retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
                 v_img, a_img = loop_gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
                 )

@@ -58,6 +58,8 @@ from oracles import (
     inter_modal_total,
     intra_modal_total,
     kl_divergence,
+    kmeans_sse,
+    loop_kmeans,
     min_abs_preact,
     prototype_rows,
     recall_at_k,
@@ -101,7 +103,7 @@ def _check(loss_of_modules, analytic_of_modules, modules):
 
 
 def _towers_out(value, grad):
-    """A transfer loss's value and its ``(t, N, d)`` gradient, one ``(N, d)``
+    """A stacked loss's value and its ``(t, N, d)`` gradient, one ``(N, d)``
     gradient per tower."""
     return value, *grad
 
@@ -179,7 +181,8 @@ def _gradient_cases(depth: int, key: int):
         return name, pair_mods, loss, analytic
 
     yield two_emb_case(
-        "retrieval-infonce", lambda a, b: retrieval_task_loss(unit_rows(a), unit_rows(b), tau)
+        "retrieval-infonce",
+        lambda a, b: _towers_out(*retrieval_task_loss(unit_rows(np.stack([a, b])), tau)),
     )
     yield two_emb_case(
         "inter-modal",
@@ -236,7 +239,7 @@ def test_c02_oracle_equivalence():
         n, d = int(rng.integers(2, 15)), int(rng.integers(2, 5))
         embs = rng.standard_normal((n, d)) + 0.3
         labels = rng.integers(0, 4, n)
-        protos = label_guided_prototypes(embs, labels)
+        protos = label_guided_prototypes(embs, labels, "image")
         for p, class_id in zip(protos, np.unique(labels), strict=True):
             acc, count = np.zeros(d), 0
             for e, y in zip(embs, labels):
@@ -320,9 +323,12 @@ def test_c03_kmeans_quality():
         n = int(rng.integers(k, 9))
         d = int(rng.integers(2, 4))
         pts = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
-        _, _, history = kmeans(pts, k, seeded_rng(1200, "run", trial))
+        labels = kmeans(pts, k, seeded_rng(1200, "run", trial))
+        # the SSE trace of the loop form these labels are pinned to
+        o_labels, _, history, _ = loop_kmeans(pts, k, seeded_rng(1200, "run", trial))
+        assert np.array_equal(labels, o_labels), trial
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:])), "SSE increased"
-        if abs(history[-1] - exhaustive_kmeans_sse(pts, k)) <= 1e-9:
+        if abs(kmeans_sse(pts, labels) - exhaustive_kmeans_sse(pts, k)) <= 1e-9:
             optimal += 1
     assert optimal >= 95, f"only {optimal}/100 instances reached the exhaustive optimum"
     report(3, f"kmeans optimal on {optimal}/100 small instances; SSE non-increasing on all")

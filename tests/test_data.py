@@ -56,7 +56,7 @@ class TestGenerate:
         # mapped texts must be closer to their own image view than to
         # mismatched ones on average (paired views share a latent point)
         ds = generate(spec(samples_per_class=50))
-        half = len(ds) // 2
+        half = len(ds.labels) // 2
         w, *_ = np.linalg.lstsq(ds.texts[:half], ds.images[:half], rcond=None)
         mapped = ds.texts[half:] @ w
         imgs = ds.images[half:]
@@ -76,14 +76,14 @@ class TestTrainEvalSplit:
     def test_fraction_and_disjointness(self):
         ds = generate(spec())
         train, eval_set = train_eval_split(ds, 0.2)
-        assert len(train) + len(eval_set) == len(ds)
+        assert len(train.labels) + len(eval_set.labels) == len(ds.labels)
         for c in range(4):
             assert (eval_set.labels == c).sum() == 5
 
     def test_zero_fraction(self):
         ds = generate(spec())
         train, eval_set = train_eval_split(ds, 0.0)
-        assert len(train) == len(ds) and len(eval_set) == 0
+        assert len(train.labels) == len(ds.labels) and len(eval_set.labels) == 0
 
 
 class TestDirichletPartition:
@@ -143,11 +143,11 @@ class TestAssignRoles:
         roles = assign_roles(plan, (2, 2, 1))
         assert [kind for kind, _ in roles] == ["multimodal", "multimodal", "image", "image", "text"]
         total = sum(len(rows) for _, rows in roles)
-        assert total == len(ds)
+        assert total == len(ds.labels)
         for client_id, (_, rows) in enumerate(roles):
             assert np.array_equal(rows, plan.client_indices(client_id))
         every_row = np.sort(np.concatenate([rows for _, rows in roles]))
-        assert np.array_equal(every_row, np.arange(len(ds)))
+        assert np.array_equal(every_row, np.arange(len(ds.labels)))
 
     def test_no_multimodal_clients(self):
         ds = generate(spec())

@@ -35,6 +35,7 @@ from oracles import (
     loop_gmt_loss_batch,
     loop_gpt_loss_batch,
     loop_gpt_loss_paired_batch,
+    loop_retrieval_task_loss,
     loop_transfer_ratio,
     prototype_rows,
     stack,
@@ -111,15 +112,22 @@ class TestCrossEntropy:
             assert global_value.hex() == cross_entropy_batch(logits[1], labels)[0].hex(), trial
 
 
+def retrieval_on_stack(img, txt, tau):
+    """``retrieval_task_loss`` on the stack of two ``(N, d)`` batches.
+    Returns (value, grad_img, grad_txt)."""
+    value, grad = retrieval_task_loss(unit_rows(np.stack([img, txt])), tau)
+    return value, *grad
+
+
 class TestRetrievalTaskLoss:
     def test_matched_orthogonal_pairs_vanish_at_small_tau(self):
         img = np.array([[1.0, 0.0], [0.0, 1.0]])
-        value, _, _ = retrieval_task_loss(unit_rows(img), unit_rows(img.copy()), tau=0.01)
+        value, _, _ = retrieval_on_stack(img, img, tau=0.01)
         assert value == pytest.approx(0.0, abs=1e-8)
 
     def test_self_alignment_matches_direct_summation(self):
         embs = rand_embs(5, 4, key=1)
-        value, _, _ = retrieval_task_loss(unit_rows(embs), unit_rows(embs.copy()), TAU)
+        value, _, _ = retrieval_on_stack(embs, embs, TAU)
         unit = embs / np.linalg.norm(embs, axis=1, keepdims=True)
         sims = unit @ unit.T / TAU
         total = 0.0
@@ -131,26 +139,38 @@ class TestRetrievalTaskLoss:
     def test_permutation_invariance(self):
         img, txt = rand_embs(6, 3, 2), rand_embs(6, 3, 3)
         perm = seeded_rng(503).permutation(6)
-        base, _, _ = retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)
-        permuted, _, _ = retrieval_task_loss(unit_rows(img[perm]), unit_rows(txt[perm]), TAU)
+        base, _, _ = retrieval_on_stack(img, txt, TAU)
+        permuted, _, _ = retrieval_on_stack(img[perm], txt[perm], TAU)
         assert base == pytest.approx(permuted, rel=1e-12)
 
     def test_finite_difference(self):
         img, txt = rand_embs(4, 3, 4), rand_embs(4, 3, 5)
-        _, g_img, g_txt = retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)
-        n_img, n_txt = fd_wrt_arrays(
-            lambda a, b: retrieval_task_loss(unit_rows(a), unit_rows(b), TAU)[0], [img, txt]
-        )
+        _, g_img, g_txt = retrieval_on_stack(img, txt, TAU)
+        n_img, n_txt = fd_wrt_arrays(lambda a, b: retrieval_on_stack(a, b, TAU)[0], [img, txt])
         assert grad_rel_error(g_img, n_img) < 1e-4
         assert grad_rel_error(g_txt, n_txt) < 1e-4
 
     def test_value_form_gives_the_bits_of_the_loss_value(self):
         for trial in range(5):
-            img = unit_rows(seeded_rng(505, trial).standard_normal((6, 4)))
-            txt = unit_rows(seeded_rng(506, trial).standard_normal((6, 4)))
+            rows = unit_rows(seeded_rng(505, trial).standard_normal((2, 6, 4)))
             for tau in (0.07, 0.5):
-                value = retrieval_task_value(img.unit, txt.unit, tau)
-                assert value.hex() == retrieval_task_loss(img, txt, tau)[0].hex()
+                value = retrieval_task_value(rows.unit, tau)
+                assert value.hex() == retrieval_task_loss(rows, tau)[0].hex()
+
+    def test_stacked_gives_the_bits_of_the_loop_form(self):
+        """The stacked loss and its one backward call against the per-tower
+        form, bit for bit, over batch sizes 2-64, dims 2-32, scales 1e-2 to
+        1e2 (each tower its own) and temperatures 0.05-1."""
+        for trial in range(400):
+            rng = seeded_rng(507, trial)
+            n, d = int(rng.integers(2, 65)), int(rng.integers(2, 33))
+            embs = rng.standard_normal((2, n, d)) * 10.0 ** rng.uniform(-2, 2, (2, 1, 1))
+            tau = float(rng.uniform(0.05, 1.0))
+            rows = unit_rows(embs)
+            value, grad = retrieval_task_loss(rows, tau)
+            expected, g_img, g_txt = loop_retrieval_task_loss(*rows, tau)
+            assert value.hex() == expected.hex(), trial
+            assert grad.tobytes() == np.stack([g_img, g_txt]).tobytes(), trial
 
 
 def brute_intra(embs, clusters, i, tau):
@@ -258,7 +278,7 @@ class TestClusteringTotalLoss:
         clusters = np.array([0, 0, 1, 1, 2, 2])
         value, _, _ = clustering_on_stack(img, txt, clusters, TAU)
         expected = (
-            retrieval_task_loss(unit_rows(img), unit_rows(txt), TAU)[0]
+            retrieval_on_stack(img, txt, TAU)[0]
             + intra_modal_total(unit_rows(img), clusters, TAU)[0]
             + intra_modal_total(unit_rows(txt), clusters, TAU)[0]
             + inter_modal_total(unit_rows(img), unit_rows(txt), clusters, TAU)[0]
@@ -278,7 +298,7 @@ class TestClusteringTotalLoss:
             tau = float(rng.uniform(0.05, 2.0))
             value, gi, gt = clustering_on_stack(img, txt, clusters, tau)
             img, txt = unit_rows(img), unit_rows(txt)
-            task, g_img, g_txt = retrieval_task_loss(img, txt, tau)
+            task, g_img, g_txt = loop_retrieval_task_loss(img, txt, tau)
             intra_i, ai = intra_modal_total(img, clusters, tau)
             intra_t, at = intra_modal_total(txt, clusters, tau)
             inter, hi, ht = inter_modal_total(img, txt, clusters, tau)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apromfl.numerics import seeded_rng
+from apromfl.numerics import kmeans, seeded_rng
 from apromfl.prototypes import (
     PrototypePair,
     UnimodalPrototype,
@@ -13,7 +13,7 @@ from apromfl.prototypes import (
     label_guided_prototypes,
     semantic_complete,
 )
-from oracles import exhaustive_kmeans_sse
+from oracles import exhaustive_kmeans_sse, kmeans_sse
 
 
 def rand_pairs(count, dim, key):
@@ -30,20 +30,20 @@ def rand_pairs(count, dim, key):
 class TestLabelGuidedPrototypes:
     def test_one_sample_per_class(self):
         embs = np.array([[1.0, 0.0], [0.0, 2.0]])
-        class_1, class_3 = label_guided_prototypes(embs, np.array([3, 1]))  # ascending
+        class_1, class_3 = label_guided_prototypes(embs, np.array([3, 1]), "image")  # ascending
         assert np.array_equal(class_1.vector, embs[1])
         assert np.array_equal(class_3.vector, embs[0])
 
     def test_arithmetic_mean(self):
         embs = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 1.0]])
-        _, class_4 = label_guided_prototypes(embs + 1e-9, np.array([4, 4, 0]))
+        _, class_4 = label_guided_prototypes(embs + 1e-9, np.array([4, 4, 0]), "image")
         assert np.allclose(class_4.vector, [1.0, 1.0])
 
     def test_matches_grouping_oracle(self):
         rng = seeded_rng(601)
         embs = rng.standard_normal((40, 5)) + 0.3
         labels = rng.integers(0, 6, size=40)
-        protos = label_guided_prototypes(embs, labels)
+        protos = label_guided_prototypes(embs, labels, "image")
         for p, class_id in zip(protos, np.unique(labels), strict=True):
             acc = np.zeros(5)
             count = 0
@@ -56,7 +56,7 @@ class TestLabelGuidedPrototypes:
     def test_convex_hull_single_class(self):
         rng = seeded_rng(602)
         embs = rng.standard_normal((10, 3)) + 1.0
-        (proto,) = label_guided_prototypes(embs, np.full(10, 2))
+        (proto,) = label_guided_prototypes(embs, np.full(10, 2), "image")
         assert np.allclose(proto.vector, embs.mean(axis=0))
 
 
@@ -77,7 +77,8 @@ class TestClusteringPrototypePairs:
     def test_k1_is_global_mean(self):
         rng = seeded_rng(603)
         img, txt = rng.standard_normal((7, 3)) + 1, rng.standard_normal((7, 3)) - 1
-        pairs, labels = clustering_prototype_pairs(img, txt, 1, seeded_rng(604))
+        pairs = clustering_prototype_pairs(img, txt, 1, seeded_rng(604))
+        labels = kmeans(fuse(img, txt), 1, seeded_rng(604))
         assert len(pairs) == 1
         assert np.allclose(pairs[0].image_vec, img.mean(axis=0))
         assert np.allclose(pairs[0].text_vec, txt.mean(axis=0))
@@ -86,11 +87,11 @@ class TestClusteringPrototypePairs:
     def test_two_separated_groups(self):
         img = np.array([[0.0, 0.1], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
         txt = img[:, ::-1].copy()
-        pairs, labels = clustering_prototype_pairs(img, txt, 2, seeded_rng(605))
+        pairs = clustering_prototype_pairs(img, txt, 2, seeded_rng(605))
         fused = fuse(img, txt)
+        labels = kmeans(fused, 2, seeded_rng(605))
+        assert kmeans_sse(fused, labels) == pytest.approx(exhaustive_kmeans_sse(fused, 2), abs=1e-9)
         members = [np.flatnonzero(labels == c) for c in range(2)]
-        sse = sum(float(((fused[idx] - fused[idx].mean(axis=0)) ** 2).sum()) for idx in members)
-        assert sse == pytest.approx(exhaustive_kmeans_sse(fused, 2), abs=1e-9)
         for idx, pair in zip(members, pairs):
             assert np.allclose(pair.image_vec, img[idx].mean(axis=0))
             assert np.allclose(pair.text_vec, txt[idx].mean(axis=0))
@@ -98,7 +99,8 @@ class TestClusteringPrototypePairs:
     def test_assignment_partitions_indices(self):
         rng = seeded_rng(606)
         img, txt = rng.standard_normal((12, 4)) + 0.5, rng.standard_normal((12, 4)) + 0.5
-        pairs, labels = clustering_prototype_pairs(img, txt, 3, seeded_rng(607))
+        pairs = clustering_prototype_pairs(img, txt, 3, seeded_rng(607))
+        labels = kmeans(fuse(img, txt), 3, seeded_rng(607))
         assert labels.shape == (12,)
         assert np.array_equal(np.unique(labels), np.arange(3))
         for c, pair in enumerate(pairs):
