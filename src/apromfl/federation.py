@@ -15,10 +15,13 @@ Three methods share one client-side training path:
   classifier heads (one-layer modules), and the server uniformly averages
   each uploaded part per modality.
 
-Every model the server aggregates travels in a client's message as a flat
-vector keyed by its part (``"image"``, ``"text"``, or ``"<modality> head"``
-under fediot). One server function aggregates each part over the clients
-that sent it, and each sender adopts what it receives.
+A client state keys its models by part (``"image"``, ``"text"``, or
+``"<modality> head"``), and its message carries them as flat vectors under
+the same names: every part, except that a head travels only under fediot.
+A multimodal client's private clustering pair is held apart from its
+models and never uploaded. One server function aggregates each part over
+the clients that sent it, and each sender merges what it receives into its
+models.
 
 Randomness is keyed by (seed, client, round, purpose) substreams, never by
 method or execution order, so round 1 is bit-identical across methods and
@@ -115,8 +118,9 @@ LOSS_TERMS = ("task", "gpt", "gmt", "lmr")
 class UnimodalClientState:
     client_id: int
     modality: str  # "image" | "text"
-    mapper: MappingModule
-    head: MappingModule  # one layer: (embed_dim, num_classes)
+    #: ``{modality: module, f"{modality} head": head}``, the head one layer
+    #: ``(embed_dim, num_classes)``; never mutated, replaced whole
+    models: dict[str, MappingModule]
     features: np.ndarray  # frozen encoder outputs for the train split
     labels: np.ndarray
 
@@ -124,10 +128,8 @@ class UnimodalClientState:
 @dataclass(frozen=True)
 class MultimodalClientState:
     client_id: int
-    image_mapper: MappingModule
-    text_mapper: MappingModule
-    cluster_image_mapper: MappingModule  # private, never transmitted
-    cluster_text_mapper: MappingModule
+    models: dict[str, MappingModule]  # {"image": ..., "text": ...}
+    cluster: tuple[MappingModule, MappingModule]  # private (image, text), never uploaded
     image_features: np.ndarray
     text_features: np.ndarray
 
@@ -310,6 +312,16 @@ def _train_task(towers, rc, batch_rng, min_size, task_loss, anchor=None):
     return means
 
 
+def _uploaded(models: dict[str, MappingModule], method: str) -> dict[str, np.ndarray]:
+    """The flat parameters a client uploads, by part: each of its models, a
+    head only under fediot."""
+    return {
+        part: flatten_module(m)
+        for part, m in models.items()
+        if method == "fediot" or not part.endswith(" head")
+    }
+
+
 def unimodal_client_round(
     state: UnimodalClientState, rc: ClientRoundConfig
 ) -> tuple[UnimodalClientState, RoundMessage]:
@@ -317,7 +329,7 @@ def unimodal_client_round(
     classifier head, which trains with the mapper in one workspace, then
     label-guided prototype extraction."""
     cfg = rc.config
-    towers = _Towers.of(trainable((state.mapper, state.head)), (state.features,))
+    towers = _Towers.of(trainable(tuple(state.models.values())), (state.features,))
     head, head_grad, labels = towers.space.models[1], towers.space.grads[1], state.labels
 
     def cross_entropy(embs, batch, targets):
@@ -333,13 +345,11 @@ def unimodal_client_round(
 
     batch_rng = seeded_rng(cfg.seed, "client", state.client_id, "round", rc.round_index, "batches")
     terms = _train_task(towers, rc, batch_rng, 1, cross_entropy)
-    mapper, head = freeze(towers.space)
+    models = dict(zip(state.models, freeze(towers.space)))
     protos = label_guided_prototypes(towers.embed()[0], labels, state.modality)
-    params = {state.modality: flatten_module(mapper)}
-    if cfg.method == "fediot":
-        params[f"{state.modality} head"] = flatten_module(head)
+    params = _uploaded(models, cfg.method)
     message = RoundMessage(state.client_id, tuple(protos), None, params, terms)
-    return replace(state, mapper=mapper, head=head), message
+    return replace(state, models=models), message
 
 
 def multimodal_client_round(
@@ -356,7 +366,7 @@ def multimodal_client_round(
     features = (state.image_features, state.text_features)
 
     # (a) clustering model refresh (warm start from the previous round)
-    cluster = _Towers.pair((state.cluster_image_mapper, state.cluster_text_mapper), features)
+    cluster = _Towers.pair(state.cluster, features)
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
         e_img, e_txt = cluster.embed()
@@ -364,7 +374,7 @@ def multimodal_client_round(
         order = cluster_rng.permutation(n)
         for batch in _batches(order, cfg.batch_size, min_size=2):
             embs, traces = cluster.embed_trace(batch)
-            _, grads = clustering_total_loss(unit_rows(embs), pseudo[batch], cfg.tau)
+            grads = clustering_total_loss(unit_rows(embs), pseudo[batch], cfg.tau)
             cluster.descend(traces, grads, cfg.lr)
     e_img, e_txt = cluster.embed()
     pairs = clustering_prototype_pairs(e_img, e_txt, k_local, seeded_rng(*key, "kmeans", "final"))
@@ -378,14 +388,13 @@ def multimodal_client_round(
         task, grads = retrieval_task_loss(rows, cfg.tau)
         return task, grads, rows, global_task
 
-    towers = _Towers.pair((state.image_mapper, state.text_mapper), features)
+    towers = _Towers.pair(tuple(state.models.values()), features)
     task_rng = seeded_rng(*key, "task-batches")
     terms = _train_task(towers, rc, task_rng, 2, retrieval, cluster)
-    (img, txt), (c_img, c_txt) = freeze(towers.space), freeze(cluster.space)
-    params = {"image": flatten_module(img), "text": flatten_module(txt)}
+    models = dict(zip(state.models, freeze(towers.space)))
+    params = _uploaded(models, cfg.method)
     message = RoundMessage(state.client_id, None, tuple(pairs), params, terms)
-    state = replace(state, image_mapper=img, text_mapper=txt)
-    return replace(state, cluster_image_mapper=c_img, cluster_text_mapper=c_txt), message
+    return replace(state, models=models, cluster=freeze(cluster.space)), message
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -497,9 +506,6 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
         )
         for m in ("image", "text")
     }
-    # clustering models start from the task-model init so the regulariser
-    # measures drift rather than an arbitrary init gap
-    init_cluster = init_mapper
     init_head = {
         m: init_classifier_head(
             config.embed_dim, spec.num_classes, seeded_rng(config.seed, "init", "head", m)
@@ -513,10 +519,10 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
             clients.append(
                 MultimodalClientState(
                     client_id=client_id,
-                    image_mapper=init_mapper["image"],
-                    text_mapper=init_mapper["text"],
-                    cluster_image_mapper=init_cluster["image"],
-                    cluster_text_mapper=init_cluster["text"],
+                    models=dict(init_mapper),
+                    # clustering models start from the task-model init so the
+                    # regulariser measures drift rather than an arbitrary init gap
+                    cluster=(init_mapper["image"], init_mapper["text"]),
                     image_features=encode(image_encoder, train.images[rows]),
                     text_features=encode(text_encoder, train.texts[rows]),
                 )
@@ -529,8 +535,7 @@ def setup_experiment(config: ExperimentConfig) -> Experiment:
                 UnimodalClientState(
                     client_id=client_id,
                     modality=kind,
-                    mapper=init_mapper[kind],
-                    head=init_head[kind],
+                    models={kind: init_mapper[kind], f"{kind} head": init_head[kind]},
                     features=encode(encoder, views[rows]),
                     labels=train.labels[rows],
                 )
@@ -561,28 +566,14 @@ def _aggregate_prototypes(
     return build_global_prototypes(all_pairs, k, rng)
 
 
-def _adopt(state: ClientState, modules: dict[str, MappingModule]) -> ClientState:
-    """``state`` with its models replaced by the received ones, by part; a
-    part with no received model keeps the client's own."""
-    if isinstance(state, UnimodalClientState):
-        return replace(
-            state,
-            mapper=modules.get(state.modality, state.mapper),
-            head=modules.get(f"{state.modality} head", state.head),
-        )
-    return replace(
-        state,
-        image_mapper=modules.get("image", state.image_mapper),
-        text_mapper=modules.get("text", state.text_mapper),
-    )
-
-
 def _server(experiment: Experiment, messages: list[RoundMessage], round_index: int) -> None:
     """One server phase. For each uploaded part, in order of first upload,
     the models of its senders (ascending id) are aggregated: under apromfl
     through the relationship graph, one personalised aggregate per sender,
     and under fediot as one shared uniform mean. Each sender adopts what it
-    receives. Under apromfl the global prototypes are rebuilt too."""
+    receives, merged into its models by part: a part it did not receive
+    keeps its own model. Under apromfl the global prototypes are rebuilt
+    too."""
     config = experiment.config
     apromfl = config.method == "apromfl"
     if apromfl:
@@ -599,26 +590,20 @@ def _server(experiment: Experiment, messages: list[RoundMessage], round_index: i
         for m, module in zip(senders, aggregated):
             received[m.client_id][part] = module
     for idx, state in enumerate(experiment.clients):
-        experiment.clients[idx] = _adopt(state, received[state.client_id])
+        experiment.clients[idx] = replace(state, models=state.models | received[state.client_id])
 
 
 # -- evaluation and the round loop ----------------------------------------------
 
 
-def _evaluated_models(state: ClientState) -> tuple:
-    """What :func:`evaluate_client` reads of a client, by identity."""
-    if isinstance(state, UnimodalClientState):
-        return state.modality, id(state.mapper), id(state.head)
-    return "multimodal", id(state.image_mapper), id(state.text_mapper)
-
-
 def evaluate_client(state: ClientState, test: SyntheticDataset) -> EvalReport:
     if isinstance(state, UnimodalClientState):
         feats = test.images if state.modality == "image" else test.texts
-        logits = forward_head(state.head, forward_map(state.mapper, feats))
+        mapper, head = state.models.values()
+        logits = forward_head(head, forward_map(mapper, feats))
         return classification_report(logits, test.labels, ks=EVAL_KS)
-    img = forward_map(state.image_mapper, test.images)
-    txt = forward_map(state.text_mapper, test.texts)
+    img = forward_map(state.models["image"], test.images)
+    txt = forward_map(state.models["text"], test.texts)
     return retrieval_report(img, txt, ks=EVAL_KS)
 
 
@@ -728,9 +713,10 @@ def run_training(config: ExperimentConfig) -> TrainingRun:
                 with _located(round_index, "server", None, records):
                     _server(experiment, messages, round_index)
 
-            reports, evaluated = {}, {}  # each distinct model evaluated once
+            # each distinct set of models (what evaluate_client reads) evaluated once
+            reports, evaluated = {}, {}
             for c in experiment.clients:
-                key = _evaluated_models(c)
+                key = tuple(map(id, c.models.values()))
                 if key not in evaluated:
                     with _located(round_index, "evaluation", c.client_id, records):
                         evaluated[key] = evaluate_client(c, experiment.test)

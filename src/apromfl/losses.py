@@ -143,11 +143,12 @@ def clustering_total_loss(rows: UnitRows, labels, tau: float):
     that makes one ``rows.backward`` call, and the results are added per
     tower as retrieval + (anchor + other side of intra) + inter.
 
-    Returns (value, grad w.r.t. the ``(2, B, d)`` stack).
+    Returns the gradient w.r.t. the ``(2, B, d)`` stack only: the one
+    caller steps on it and never reads the value.
     """
     u = rows.unit
     img, txt = u
-    task, scores, lse_rows, lse_cols = _retrieval(img, txt, tau)
+    _, scores, lse_rows, lse_cols = _retrieval(img, txt, tau)
     p_rows = np.exp(scores - lse_rows[:, None])
     mask = labels[:, None] == labels[None, :]
     counts = mask.sum(axis=1)
@@ -156,8 +157,6 @@ def clustering_total_loss(rows: UnitRows, labels, tau: float):
     intra = u @ other.transpose(0, 2, 1) / tau
     intra_lse = logsumexp(intra, axis=-1)
     intra_probs = np.exp(intra - intra_lse[..., None])
-    intra_i, intra_t = (intra_lse - np.where(mask, intra, 0.0).sum(axis=-1) / counts).sum(axis=-1)
-    inter = float(np.sum(lse_rows - np.where(mask, scores, 0.0).sum(axis=1) / counts))
 
     pieces = np.empty((4, *u.shape))
     _retrieval_grad(u, scores, lse_cols, p_rows, tau, pieces[0])
@@ -168,8 +167,7 @@ def clustering_total_loss(rows: UnitRows, labels, tau: float):
     np.matmul(g_inter, txt, out=pieces[3, 0])
     np.matmul(g_inter.T, img, out=pieces[3, 1])
     back = rows.backward(pieces)
-    value = task + float(intra_i) + float(intra_t) + inter
-    return value, back[0] + (back[1] + back[2]) + back[3]
+    return back[0] + (back[1] + back[2]) + back[3]
 
 
 # -- mapping-module regulariser ----------------------------------------------

@@ -58,16 +58,10 @@ def require_finite(arr, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class UnitRows:
     """Rows of an ``(..., N, d)`` array scaled to unit L2 norm, with the norms
-    they were divided by: the form every cosine in the project starts from.
-    Indexing the leading axes gathers both (``rows[:, batch]``, ``rows[0]``),
-    and a stack unpacks along its first axis (``img, txt = rows``), so one
-    normalisation serves any slice of it."""
+    they were divided by: the form every cosine in the project starts from."""
 
     unit: np.ndarray  # (..., N, d)
     norms: np.ndarray  # (..., N, 1)
-
-    def __getitem__(self, index) -> "UnitRows":
-        return UnitRows(self.unit[index], self.norms[index])
 
     def backward(self, g_unit) -> np.ndarray:
         """d/dx of u = x/|x|, applied to an upstream gradient on the unit rows."""

@@ -3,10 +3,11 @@
 These deliberately re-derive results through the dumbest possible route
 (enumeration, loops, central finite differences) and never call the code
 paths they check. The last sections hold the forms only tests use: the
-per-term clustering objective and per-tower retrieval loss, the per-tower
-loop forms of the two transfer losses, the per-step unimodal and per-tower
-multimodal client rounds, the single-sample wrappers of the batched losses
-and a few reference reductions.
+per-term clustering objective (the one form that computes its value) and
+per-tower retrieval loss, the per-tower loop forms of the two transfer
+losses, the per-step unimodal and per-tower multimodal client rounds, the
+single-sample wrappers of the batched losses, the unit rows of each tower
+of a stack, and a few reference reductions.
 """
 
 from __future__ import annotations
@@ -462,7 +463,9 @@ def per_step_unimodal_round(state, rc):
     Returns ``(mapper, head, prototypes, loss_terms)``."""
     cfg = rc.config
     feats, labels = state.features, state.labels
-    mapper_copy, head_copy = trainable(state.mapper), trainable(state.head)
+    start = state.models[state.modality]
+    mapper_copy = trainable(start)
+    head_copy = trainable(state.models[f"{state.modality} head"])
     (mapper,), (head,) = mapper_copy.models, head_copy.models
     protos = rc.global_prototypes
     use_gmt = rc.distill and cfg.beta2 > 0
@@ -480,7 +483,7 @@ def per_step_unimodal_round(state, rc):
                 gpt_value, grad = loop_gpt_loss_batch(unit_rows(emb), protos, cfg.tau)
                 d_emb = d_emb + cfg.beta1 * grad
             if use_gmt:
-                target = forward_map(state.mapper, x)
+                target = forward_map(start, x)
                 global_task = cross_entropy_batch(forward_head(head, target), y)[0]
                 gmt_value, grad = loop_gmt_loss_batch(
                     unit_rows(emb), unit_rows(target), task, global_task, cfg.nu_max,
@@ -515,10 +518,8 @@ def per_tower_multimodal_round(state, rc):
     k_local = max(1, min(cfg.num_global_prototypes, n))
     key = (cfg.seed, "client", state.client_id, "round", rc.round_index)
 
-    copies = {
-        name: trainable(getattr(state, f"{name}_mapper"))
-        for name in ("cluster_image", "cluster_text", "image", "text")
-    }
+    starts = dict(zip(("cluster_image", "cluster_text"), state.cluster)) | state.models
+    copies = {name: trainable(module) for name, module in starts.items()}
     c_img, c_txt, mapper_img, mapper_txt = (copy.models[0] for copy in copies.values())
     cluster_rng = seeded_rng(*key, "cluster-batches")
     for epoch in range(cfg.local_epochs):
@@ -559,8 +560,8 @@ def per_tower_multimodal_round(state, rc):
                 g_img = g_img + cfg.beta1 * a_img
                 g_txt = g_txt + cfg.beta1 * a_txt
             if use_gmt:
-                ge_img = unit_rows(forward_map(state.image_mapper, xi[batch]))
-                ge_txt = unit_rows(forward_map(state.text_mapper, xt[batch]))
+                ge_img = unit_rows(forward_map(state.models["image"], xi[batch]))
+                ge_txt = unit_rows(forward_map(state.models["text"], xt[batch]))
                 global_task = loop_retrieval_task_loss(ge_img, ge_txt, cfg.tau)[0]
                 v_img, a_img = loop_gmt_loss_batch(
                     e_img, ge_img, task, global_task, cfg.nu_max, cfg.distill_tau
@@ -696,6 +697,12 @@ def prototype_rows(image_protos, text_protos) -> UnitRows:
     image = unit_rows(image_protos, "image prototypes")
     text = unit_rows(text_protos, "text prototypes")
     return UnitRows(np.stack([image.unit, text.unit]), np.stack([image.norms, text.norms]))
+
+
+def towers(rows: UnitRows, batch=slice(None)) -> tuple[UnitRows, ...]:
+    """The unit rows of each tower of a ``(t, N, d)`` stack, in tower order,
+    gathered at ``batch`` if given."""
+    return tuple(UnitRows(u[batch], n[batch]) for u, n in zip(rows.unit, rows.norms))
 
 
 def gpt_loss(e, image_protos, text_protos, tau: float):

@@ -59,6 +59,7 @@ from oracles import (
     intra_modal_total,
     kl_divergence,
     kmeans_sse,
+    loop_clustering_total_loss,
     loop_kmeans,
     min_abs_preact,
     prototype_rows,
@@ -188,12 +189,15 @@ def _gradient_cases(depth: int, key: int):
         "inter-modal",
         lambda a, b: inter_modal_total(unit_rows(a), unit_rows(b), clusters, tau),
     )
-    yield two_emb_case(
-        "clustering-objective",
-        lambda a, b: _towers_out(
-            *clustering_total_loss(unit_rows(np.stack([a, b])), clusters, tau)
-        ),
-    )
+
+    def clustering(a, b):
+        """The value from the loop form (the program steps on the gradient
+        alone), the gradient from the stacked objective."""
+        value = loop_clustering_total_loss(unit_rows(a), unit_rows(b), clusters, tau)[0]
+        grad = clustering_total_loss(unit_rows(np.stack([a, b])), clusters, tau)
+        return _towers_out(value, grad)
+
+    yield two_emb_case("clustering-objective", clustering)
     yield two_emb_case(
         "paired-prototype-transfer",
         lambda a, b: _towers_out(

@@ -266,8 +266,10 @@ def make_unimodal_state(n=24, separable=False, key=0):
     return UnimodalClientState(
         client_id=0,
         modality="image",
-        mapper=init_mapping_module((6, 8, 4), seeded_rng(902, key)),
-        head=init_classifier_head(4, 3, seeded_rng(903, key)),
+        models={
+            "image": init_mapping_module((6, 8, 4), seeded_rng(902, key)),
+            "image head": init_classifier_head(4, 3, seeded_rng(903, key)),
+        },
         features=feats,
         labels=labels,
     )
@@ -277,10 +279,14 @@ def make_multimodal_state(n=20, key=0):
     rng = seeded_rng(904, key)
     return MultimodalClientState(
         client_id=1,
-        image_mapper=init_mapping_module((6, 8, 4), seeded_rng(905, key)),
-        text_mapper=init_mapping_module((5, 8, 4), seeded_rng(906, key)),
-        cluster_image_mapper=init_mapping_module((6, 8, 4), seeded_rng(905, key)),
-        cluster_text_mapper=init_mapping_module((5, 8, 4), seeded_rng(906, key)),
+        models={
+            "image": init_mapping_module((6, 8, 4), seeded_rng(905, key)),
+            "text": init_mapping_module((5, 8, 4), seeded_rng(906, key)),
+        },
+        cluster=(
+            init_mapping_module((6, 8, 4), seeded_rng(905, key)),
+            init_mapping_module((5, 8, 4), seeded_rng(906, key)),
+        ),
         image_features=rng.standard_normal((n, 6)),
         text_features=rng.standard_normal((n, 5)),
     )
@@ -298,9 +304,9 @@ class TestUnimodalClientRound:
         state = make_unimodal_state()
         new_state, msg = unimodal_client_round(state, round_cfg(local_epochs=0))
         assert np.array_equal(
-            flatten_module(new_state.mapper), flatten_module(state.mapper)
+            flatten_module(new_state.models["image"]), flatten_module(state.models["image"])
         )
-        expected = forward_map(state.mapper, state.features)
+        expected = forward_map(state.models["image"], state.features)
         classes = np.unique(state.labels)
         for p, c in zip(msg.label_prototypes, classes, strict=True):
             assert np.allclose(p.vector, expected[state.labels == c].mean(axis=0))
@@ -308,7 +314,8 @@ class TestUnimodalClientRound:
     def test_converges_on_separable_data(self):
         state = make_unimodal_state(n=40, separable=True)
         trained, _ = unimodal_client_round(state, round_cfg(local_epochs=20))
-        logits = forward_head(trained.head, forward_map(trained.mapper, state.features))
+        mapper, head = trained.models["image"], trained.models["image head"]
+        logits = forward_head(head, forward_map(mapper, state.features))
         assert acc_at_k(logits, state.labels, 1) >= 0.95
 
     @pytest.mark.parametrize("method", ["apromfl", "fediot"])
@@ -332,8 +339,9 @@ class TestUnimodalClientRound:
                 continue
             new_state, msg = unimodal_client_round(state, rc)
             mapper, head, protos, terms = per_step_unimodal_round(state, rc)
-            assert new_state.mapper.params.tobytes() == mapper.params.tobytes()
-            assert new_state.head.params.tobytes() == head.params.tobytes()
+            new_mapper, new_head = new_state.models.values()
+            assert new_mapper.params.tobytes() == mapper.params.tobytes()
+            assert new_head.params.tobytes() == head.params.tobytes()
             assert msg.module_params[state.modality].tobytes() == mapper.params.tobytes()
             if method == "fediot":
                 shared_head = msg.module_params[f"{state.modality} head"]
@@ -391,7 +399,7 @@ class TestUnimodalClientRound:
             assert all(any(np.shares_memory(w, g) for _, g in buffers.values()) for w in written)
             if unimodal:
                 ((space, _),) = buffers.values()
-                assert [m.dims for m in space.models] == [state.mapper.dims, state.head.dims]
+                assert [m.dims for m in space.models] == [m.dims for m in state.models.values()]
 
     def test_returned_models_are_frozen_and_the_next_round_copies_them(self, monkeypatch):
         """The mapper and head a round returns are read-only views of its
@@ -400,7 +408,8 @@ class TestUnimodalClientRound:
         config = tiny_config(method="fediot")
         state = next(s for s in setup_experiment(config).clients if isinstance(s, UnimodalClientState))
         first, _ = unimodal_client_round(state, ClientRoundConfig.from_experiment(config, 1))
-        before = [m.params.tobytes() for m in (first.mapper, first.head)]
+        first_mapper, first_head = first.models.values()
+        before = [m.params.tobytes() for m in (first_mapper, first_head)]
         spaces, real_trainable = [], federation.trainable
 
         def trainable_spy(*rows):
@@ -410,14 +419,15 @@ class TestUnimodalClientRound:
         monkeypatch.setattr(federation, "trainable", trainable_spy)
         second, _ = unimodal_client_round(first, ClientRoundConfig.from_experiment(config, 2))
         (space,) = spaces
-        for model in (first.mapper, first.head, second.mapper, second.head):
+        second_mapper, second_head = second.models.values()
+        for model in (first_mapper, first_head, second_mapper, second_head):
             assert not model.params.flags.writeable
             with pytest.raises(ValueError):
                 model.params[0] = 0.0
-            assert not np.shares_memory(space.params, first.mapper.params)
-            assert not np.shares_memory(space.params, first.head.params)
-        assert [m.params.tobytes() for m in (first.mapper, first.head)] == before
-        assert second.mapper.params.tobytes() != before[0]
+            assert not np.shares_memory(space.params, first_mapper.params)
+            assert not np.shares_memory(space.params, first_head.params)
+        assert [m.params.tobytes() for m in (first_mapper, first_head)] == before
+        assert second_mapper.params.tobytes() != before[0]
 
     def test_non_finite_head_gradient_fails_the_round_naming_the_client(self, monkeypatch):
         real_head = federation.backward_head
@@ -452,8 +462,8 @@ class TestMultimodalClientRound:
             state, round_cfg(local_epochs=0, num_global_prototypes=1)
         )
         (pair,) = msg.pair_prototypes
-        e_img = forward_map(new_state.cluster_image_mapper, state.image_features)
-        e_txt = forward_map(new_state.cluster_text_mapper, state.text_features)
+        e_img = forward_map(new_state.cluster[0], state.image_features)
+        e_txt = forward_map(new_state.cluster[1], state.text_features)
         assert np.allclose(pair.image_vec, e_img.mean(axis=0))
         assert np.allclose(pair.text_vec, e_txt.mean(axis=0))
 
@@ -464,8 +474,8 @@ class TestMultimodalClientRound:
             trained, _ = multimodal_client_round(
                 state, round_cfg(lmr_weight=weight, local_epochs=3)
             )
-            gap_img = trained.image_mapper.params - trained.cluster_image_mapper.params
-            gap_txt = trained.text_mapper.params - trained.cluster_text_mapper.params
+            gap_img = trained.models["image"].params - trained.cluster[0].params
+            gap_txt = trained.models["text"].params - trained.cluster[1].params
             gaps.append(float(gap_img @ gap_img + gap_txt @ gap_txt))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -490,15 +500,15 @@ class TestStackedTowers:
             if not isinstance(state, MultimodalClientState):
                 continue
             if round_index == 2:
-                gap = state.image_mapper.params - state.cluster_image_mapper.params
+                gap = state.models["image"].params - state.cluster[0].params
                 assert np.any(gap)
             new_state, msg = multimodal_client_round(state, rc)
             modules, pairs, terms = per_tower_multimodal_round(state, rc)
             got = {
-                "image": new_state.image_mapper,
-                "text": new_state.text_mapper,
-                "cluster_image": new_state.cluster_image_mapper,
-                "cluster_text": new_state.cluster_text_mapper,
+                "image": new_state.models["image"],
+                "text": new_state.models["text"],
+                "cluster_image": new_state.cluster[0],
+                "cluster_text": new_state.cluster[1],
             }
             for name, module in modules.items():
                 assert got[name].params.tobytes() == module.params.tobytes(), name
@@ -650,19 +660,13 @@ def test_only_fediot_uploads_heads_and_shares_their_mean(monkeypatch, method):
         mean = np.full(len(heads), 1.0 / len(heads)) @ heads
         for state in result.experiment.clients:
             if getattr(state, "modality", None) == modality:
-                assert state.head.params.tobytes() == mean.tobytes()
+                assert state.models[f"{modality} head"].params.tobytes() == mean.tobytes()
 
 
 def round_models(state) -> list:
-    """Every model a client state holds."""
-    if isinstance(state, UnimodalClientState):
-        return [state.mapper, state.head]
-    return [
-        state.image_mapper,
-        state.text_mapper,
-        state.cluster_image_mapper,
-        state.cluster_text_mapper,
-    ]
+    """Every model a client state holds: its models, then any private
+    clustering pair."""
+    return [*state.models.values(), *getattr(state, "cluster", ())]
 
 
 @pytest.mark.parametrize("method", ["apromfl", "local", "fediot"])
@@ -688,7 +692,7 @@ def test_round_writes_no_shared_model_and_returns_private_frozen_ones(monkeypatc
     run_training(tiny_config(method=method, rounds=1))
 
     mm = [s for s in starts if isinstance(s, MultimodalClientState)]
-    assert mm[0].image_mapper is mm[1].image_mapper is mm[0].cluster_image_mapper
+    assert mm[0].models["image"] is mm[1].models["image"] is mm[0].cluster[0]
     for state, before in zip(starts, snapshots):
         assert [m.params.tobytes() for m in round_models(state)] == before
     assert len(returned) == len(starts)
@@ -702,10 +706,8 @@ def test_round_writes_no_shared_model_and_returns_private_frozen_ones(monkeypatc
 
 
 def task_modules(state) -> dict:
-    """A client's transmitted mapping modules by modality."""
-    if isinstance(state, UnimodalClientState):
-        return {state.modality: state.mapper}
-    return {"image": state.image_mapper, "text": state.text_mapper}
+    """A client's mapping modules by modality: its models but any head."""
+    return {part: m for part, m in state.models.items() if not part.endswith(" head")}
 
 
 def strip_wall_time(records):
@@ -812,14 +814,15 @@ class TestRunTraining:
         for ran, manual in zip(result.experiment.clients, states):
             if isinstance(ran, UnimodalClientState):
                 assert np.array_equal(
-                    flatten_module(ran.mapper), flatten_module(manual.mapper)
+                    flatten_module(ran.models[ran.modality]),
+                    flatten_module(manual.models[manual.modality]),
                 )
             else:
                 assert np.array_equal(
-                    flatten_module(ran.image_mapper), flatten_module(manual.image_mapper)
+                    flatten_module(ran.models["image"]), flatten_module(manual.models["image"])
                 )
                 assert np.array_equal(
-                    flatten_module(ran.text_mapper), flatten_module(manual.text_mapper)
+                    flatten_module(ran.models["text"]), flatten_module(manual.models["text"])
                 )
 
     def test_apromfl_broadcast_replaces_modules(self):
@@ -838,6 +841,27 @@ class TestRunTraining:
                 adopted = task_modules(result.experiment.clients[i])[modality]
                 assert np.array_equal(adopted.params, module.params)
 
+    def test_apromfl_server_keeps_every_part_it_did_not_send(self):
+        """An apromfl server phase sends each client an aggregate of every
+        part it uploaded and nothing else: a unimodal client keeps the very
+        head its round returned, and a multimodal client its very clustering
+        pair, while each uploaded part is replaced; the part order holds."""
+        config = tiny_config(method="apromfl")
+        experiment = setup_experiment(config)
+        rc = ClientRoundConfig.from_experiment(config, 1)
+        rounds = [client_round(s, rc) for s in experiment.clients]
+        experiment.clients[:] = [state for state, _ in rounds]
+        _server(experiment, [message for _, message in rounds], 1)
+        for (returned, message), adopted in zip(rounds, experiment.clients, strict=True):
+            assert list(adopted.models) == list(returned.models)
+            for part, model in adopted.models.items():
+                assert (model is returned.models[part]) == (part not in message.module_params)
+            if isinstance(adopted, UnimodalClientState):
+                head = f"{adopted.modality} head"
+                assert adopted.models[head] is returned.models[head]
+            else:
+                assert adopted.cluster is returned.cluster
+
     @pytest.mark.parametrize("method", ["apromfl", "local", "fediot"])
     def test_only_apromfl_broadcasts_prototypes_and_distills(self, method):
         cfg = tiny_config(method=method, rounds=1)
@@ -853,12 +877,26 @@ class TestRunTraining:
         assert result.experiment.global_prototypes is None
         assert len(result.records) == cfg.rounds
 
-    @pytest.mark.parametrize("method, per_round", [("fediot", 2), ("apromfl", 4), ("local", 4)])
-    def test_each_distinct_model_is_evaluated_once_a_round(self, monkeypatch, method, per_round):
-        """Under fediot every sender of a modality holds the same mapper and
-        head, so two image and two text clients make two evaluations a
-        round; each client's report is still its own evaluation's. Under
-        apromfl and local every client holds its own models."""
+    @pytest.mark.parametrize(
+        "method, per_round, multimodal",
+        [
+            pytest.param("fediot", 2, 0, id="fediot-2"),
+            pytest.param("apromfl", 4, 0, id="apromfl-4"),
+            pytest.param("local", 4, 0, id="local-4"),
+            pytest.param("fediot", 3, 2, id="fediot-3-multimodal"),
+            pytest.param("apromfl", 6, 2, id="apromfl-6-multimodal"),
+            pytest.param("local", 6, 2, id="local-6-multimodal"),
+        ],
+    )
+    def test_each_distinct_model_is_evaluated_once_a_round(
+        self, monkeypatch, method, per_round, multimodal
+    ):
+        """Under fediot every sender of a part holds the same model, so two
+        image and two text clients make two evaluations a round, and two
+        multimodal clients one more: they share the image module with the
+        image clients but not the head. Each client's report is still its
+        own evaluation's. Under apromfl and local every client holds its own
+        models."""
         calls, real = [], federation.evaluate_client
 
         def counting(state, test):
@@ -866,7 +904,7 @@ class TestRunTraining:
             return real(state, test)
 
         monkeypatch.setattr(federation, "evaluate_client", counting)
-        kwargs = dict(clients_multimodal=0, clients_image=2, clients_text=2)
+        kwargs = dict(clients_multimodal=multimodal, clients_image=2, clients_text=2)
         cfg = tiny_config(method=method, **kwargs)
         result = run_training(cfg)
         assert len(calls) == per_round * cfg.rounds

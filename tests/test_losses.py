@@ -18,7 +18,7 @@ from apromfl.losses import (
     transfer_ratio,
 )
 from apromfl.nn import flatten_module, init_mapping_module, unflatten_module
-from apromfl.numerics import KL_EPS, seeded_rng, unit_rows
+from apromfl.numerics import KL_EPS, UnitRows, seeded_rng, unit_rows
 from oracles import (
     LN2,
     assignment_probs,
@@ -39,6 +39,7 @@ from oracles import (
     loop_transfer_ratio,
     prototype_rows,
     stack,
+    towers,
 )
 
 TAU = 0.5
@@ -168,7 +169,7 @@ class TestRetrievalTaskLoss:
             tau = float(rng.uniform(0.05, 1.0))
             rows = unit_rows(embs)
             value, grad = retrieval_task_loss(rows, tau)
-            expected, g_img, g_txt = loop_retrieval_task_loss(*rows, tau)
+            expected, g_img, g_txt = loop_retrieval_task_loss(*towers(rows), tau)
             assert value.hex() == expected.hex(), trial
             assert grad.tobytes() == np.stack([g_img, g_txt]).tobytes(), trial
 
@@ -266,10 +267,12 @@ class TestContrastiveLosses:
 
 
 def clustering_on_stack(img, txt, clusters, tau):
-    """``clustering_total_loss`` on the stack of two ``(N, d)`` batches.
+    """The clustering objective on two ``(N, d)`` batches: its value from the
+    loop form (the program steps on the gradient alone), its gradient from
+    ``clustering_total_loss`` on their stack.
     Returns (value, grad_img, grad_txt)."""
-    value, grad = clustering_total_loss(unit_rows(np.stack([img, txt])), clusters, tau)
-    return value, *grad
+    value = loop_clustering_total_loss(unit_rows(img), unit_rows(txt), clusters, tau)[0]
+    return value, *clustering_total_loss(unit_rows(np.stack([img, txt])), clusters, tau)
 
 
 class TestClusteringTotalLoss:
@@ -287,8 +290,9 @@ class TestClusteringTotalLoss:
 
     def test_gives_the_bits_of_its_terms_computed_apart(self):
         """Sharing the scores, their softmax and the label mask between the
-        terms, and one backward call for all of them, changes no bit of the
-        value or of either gradient."""
+        terms, and one backward call for all of them, changes no bit of
+        either gradient; the value (the loop form's) is the sum of the
+        terms."""
         for trial in range(400):
             rng = seeded_rng(511, trial)
             n, d = int(rng.integers(2, 41)), int(rng.integers(2, 25))
@@ -307,9 +311,9 @@ class TestClusteringTotalLoss:
             assert gt.tobytes() == (g_txt + at + ht).tobytes(), trial
 
     def test_stacked_gives_the_bits_of_the_loop_form(self):
-        """The stacked objective against the per-term loop form, bit for bit,
-        over batch sizes 2-64, dims 2-24, scales 1e-2 to 1e2 (each tower its
-        own), temperatures 0.05-1 and 1-12 pseudo-labels."""
+        """The stacked objective's gradient against the per-term loop form,
+        bit for bit, over batch sizes 2-64, dims 2-24, scales 1e-2 to 1e2
+        (each tower its own), temperatures 0.05-1 and 1-12 pseudo-labels."""
         for trial in range(400):
             rng = seeded_rng(512, trial)
             n, d = int(rng.integers(2, 65)), int(rng.integers(2, 25))
@@ -318,9 +322,8 @@ class TestClusteringTotalLoss:
             clusters = rng.integers(0, int(rng.integers(1, 13)), n)
             tau = float(rng.uniform(0.05, 1.0))
             rows = unit_rows(embs)
-            value, grad = clustering_total_loss(rows, clusters, tau)
-            expected, g_img, g_txt = loop_clustering_total_loss(*rows, clusters, tau)
-            assert value.hex() == expected.hex(), trial
+            grad = clustering_total_loss(rows, clusters, tau)
+            _, g_img, g_txt = loop_clustering_total_loss(*towers(rows), clusters, tau)
             assert grad.tobytes() == np.stack([g_img, g_txt]).tobytes(), trial
 
     def test_finite_difference(self):
@@ -524,10 +527,10 @@ class TestStackedTransferLosses:
             tau = float(rng.uniform(0.05, 2.0))
             value, grad = gpt_loss_paired_batch(rows, protos, tau)
             if t == 2:
-                want, g_img, g_txt = loop_gpt_loss_paired_batch(rows[0], rows[1], protos, tau)
+                want, g_img, g_txt = loop_gpt_loss_paired_batch(*towers(rows), protos, tau)
                 want_grad = np.stack([g_img, g_txt])
             else:
-                want, g = loop_gpt_loss_batch(rows[0], protos, tau)
+                want, g = loop_gpt_loss_batch(*towers(rows), protos, tau)
                 want_grad = g[None]
             assert value.hex() == want.hex(), trial
             assert grad.shape == rows.unit.shape, trial
@@ -551,9 +554,9 @@ class TestStackedTransferLosses:
                 rows, target, local_task, global_task, nu_max, distill_tau
             )
             want = 0.0
-            for i in range(t):
+            for i, (local, gathered) in enumerate(zip(towers(rows), towers(targets, batch))):
                 v, g = loop_gmt_loss_batch(
-                    rows[i], targets[i][batch], local_task, global_task, nu_max, distill_tau
+                    local, gathered, local_task, global_task, nu_max, distill_tau
                 )
                 want += v
                 assert grad[i].tobytes() == g.tobytes(), trial
@@ -568,7 +571,8 @@ class TestStackedTransferLosses:
             rng, _, targets, batch, _ = _transfer_case(("targets", trial), 1 + trial % 2)
             distill_tau = float(rng.uniform(0.05, 2.0))
             gathered = gmt_targets(targets, distill_tau).take(batch, axis=-2)
-            own = gmt_targets(targets[:, batch], distill_tau)
+            batch_rows = UnitRows(targets.unit[:, batch], targets.norms[:, batch])
+            own = gmt_targets(batch_rows, distill_tau)
             assert gathered.tobytes() == own.tobytes(), trial
 
     def test_transfer_ratio_gives_the_bits_of_the_numpy_form(self):

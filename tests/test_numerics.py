@@ -18,6 +18,7 @@ from oracles import (
     loop_kmeans,
     row_count_nearest,
     softmax_temp,
+    towers,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -443,12 +444,13 @@ class TestUnitRows:
             batch = rng.permutation(n)[: int(rng.integers(1, n + 1))]
             g = rng.standard_normal((len(batch), d))
             stacked = unit_rows(x)
+            per_tower, per_batch = towers(stacked), towers(stacked, batch)
             for t in range(2):
                 alone = unit_rows(x[t].copy())
-                assert stacked[t].unit.tobytes() == alone.unit.tobytes(), trial
-                assert stacked[t].norms.tobytes() == alone.norms.tobytes(), trial
+                assert per_tower[t].unit.tobytes() == alone.unit.tobytes(), trial
+                assert per_tower[t].norms.tobytes() == alone.norms.tobytes(), trial
                 gathered = unit_rows(x[t][batch])
-                rows = stacked[:, batch][t]
+                rows = per_batch[t]
                 assert rows.unit.tobytes() == gathered.unit.tobytes(), trial
                 assert rows.norms.tobytes() == gathered.norms.tobytes(), trial
                 assert rows.backward(g).tobytes() == gathered.backward(g).tobytes(), trial
